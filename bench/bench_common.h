@@ -566,14 +566,18 @@ inline int validate_file(const std::string& label, const std::string& path) {
 }
 
 /// Compares freshly measured `results` against the baseline document at
-/// `path`, failing any entry more than `factor`x slower in ns/pixel. Only
-/// names present in both runs are compared (baselines may gain entries a
-/// binary no longer produces, and vice versa). Returns the number of
-/// regressions (or 1 on an unreadable/invalid baseline). The factor is a
-/// tripwire for accidental algorithmic regressions, not a noise gate.
-inline int check_regressions(const std::string& label,
-                             const std::vector<BenchResult>& results,
-                             const std::string& path, double factor = 2.0) {
+/// `path`, failing any entry more than `factor`x slower in ns/pixel. The
+/// baseline must pass `validate` (a schema whose "benchmarks" array holds
+/// named entries with "ns_per_pixel"). Only names present in both runs are
+/// compared (baselines may gain entries a binary no longer produces, and
+/// vice versa). Returns the number of regressions (or 1 on an
+/// unreadable/invalid baseline). The factor is a tripwire for accidental
+/// algorithmic regressions, not a noise gate.
+inline int check_regressions(
+    const std::string& label, const std::vector<BenchResult>& results,
+    const std::string& path,
+    std::string (*validate)(std::string_view) = validate_bench_json,
+    double factor = 2.0) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "%s: cannot open baseline %s\n", label.c_str(),
@@ -582,7 +586,7 @@ inline int check_regressions(const std::string& label,
   }
   std::ostringstream text;
   text << in.rdbuf();
-  const std::string error = validate_bench_json(text.str());
+  const std::string error = validate(text.str());
   if (!error.empty()) {
     std::fprintf(stderr, "%s: baseline %s: %s\n", label.c_str(), path.c_str(),
                  error.c_str());

@@ -165,9 +165,9 @@ int main(int argc, char** argv) {
   });
 
   // The CAS-loop min/max/sum updates are the histogram's only write path,
-  // so contention is the interesting case: every worker in a parallel
-  // battery records into the same "battery/*" histograms. Measured end to
-  // end through the runtime pool (dispatch included).
+  // so contention is the interesting case: every worker scoring images in
+  // parallel records into the same "context/*" stage histograms. Measured
+  // end to end through the runtime pool (dispatch included).
   {
     runtime::ThreadPool pool(4);
     obs::Histogram histogram;

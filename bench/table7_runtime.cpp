@@ -93,6 +93,7 @@ BENCHMARK(BM_SteganalysisCsp)->Unit(benchmark::kMillisecond);
 void BM_AnalysisContext(benchmark::State& state) {
   core::AnalysisContextSpec spec;
   spec.down_width = spec.down_height = 224;
+  spec.up_algo = ScaleAlgo::Bilinear;
   spec.filter_window = 2;
   spec.spectrum = true;
   for (auto _ : state) {

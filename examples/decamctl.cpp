@@ -316,12 +316,12 @@ ScanOutcome scan_one(const std::string& path,
       return outcome;
     }
     // Score each detector independently (no shared context) so the
-    // recorded latencies keep the paper's Table 7 per-method semantics.
+    // recorded latencies keep the paper's Table 7 per-method semantics. The
+    // timer is histogram-only: the detector opens its own profile frame.
     std::vector<double> raw(members.size());
     for (std::size_t i = 0; i < members.size(); ++i) {
-      const std::string metric_name =
-          "detector/" + members[i].detector->name();
-      obs::ScopedTimer timer(registry.histogram(metric_name), metric_name);
+      obs::ScopedTimer timer(
+          registry.histogram("detector/" + members[i].detector->name()));
       raw[i] = members[i].detector->score(image);
       outcome.scores[i] = raw[i];
       outcome.latencies_ms[i] = timer.stop();

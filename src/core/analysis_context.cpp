@@ -19,6 +19,10 @@ std::uint64_t image_bytes(const std::optional<Image>& image) {
   return image.has_value() ? image->size() * sizeof(float) : 0;
 }
 
+bool wants_downscale(const AnalysisContextSpec& spec) {
+  return spec.down_width > 0 && spec.down_height > 0;
+}
+
 }  // namespace
 
 const char* to_string(AnalysisStage stage) {
@@ -30,15 +34,30 @@ const char* to_string(AnalysisStage stage) {
   return "?";
 }
 
+bool AnalysisContextSpec::covers(const AnalysisContextSpec& need) const {
+  const bool downscale =
+      !wants_downscale(need) ||
+      (down_width == need.down_width && down_height == need.down_height &&
+       down_algo == need.down_algo &&
+       (!need.up_algo || up_algo == need.up_algo));
+  const bool filter = need.filter_window <= 0 ||
+                      (filter_window == need.filter_window &&
+                       filter_op == need.filter_op);
+  return downscale && filter && (spectrum || !need.spectrum);
+}
+
+std::vector<AnalysisStage> analysis_plan(const AnalysisContextSpec& spec) {
+  std::vector<AnalysisStage> plan;
+  if (wants_downscale(spec)) plan.push_back(AnalysisStage::RoundTrip);
+  if (spec.filter_window > 0) plan.push_back(AnalysisStage::Filter);
+  if (spec.spectrum) plan.push_back(AnalysisStage::Spectrum);
+  return plan;
+}
+
 AnalysisContext::AnalysisContext(const Image& input,
                                  const AnalysisContextSpec& spec, Build build)
     : input_(&input), spec_(spec) {
   DECAM_REQUIRE(!input.empty(), "analysis context of empty image");
-  if (spec.down_width > 0 && spec.down_height > 0) {
-    plan_.push_back(AnalysisStage::RoundTrip);
-  }
-  if (spec.filter_window > 0) plan_.push_back(AnalysisStage::Filter);
-  if (spec.spectrum) plan_.push_back(AnalysisStage::Spectrum);
 
   static const bool source_registered = [] {
     obs::register_memory_source("analysis_context", [] {
@@ -48,19 +67,15 @@ AnalysisContext::AnalysisContext(const Image& input,
   }();
   (void)source_registered;
 
-  if (build == Build::Eager) ensure_all();
-}
-
-void AnalysisContext::ensure_all() {
-  for (const AnalysisStage stage : plan_) ensure(stage);
+  if (build == Build::Eager) {
+    for (const AnalysisStage stage : analysis_plan(spec_)) ensure(stage);
+  }
 }
 
 void AnalysisContext::ensure(AnalysisStage stage) {
   switch (stage) {
     case AnalysisStage::RoundTrip:
-      if (spec_.down_width > 0 && spec_.down_height > 0 && !round_trip_) {
-        build_round_trip();
-      }
+      if (wants_downscale(spec_) && !downscaled_) build_round_trip();
       return;
     case AnalysisStage::Filter:
       if (spec_.filter_window > 0 && !filtered_) build_filter();
@@ -74,14 +89,19 @@ void AnalysisContext::ensure(AnalysisStage stage) {
 void AnalysisContext::build_round_trip() {
   static auto& round_trip_hist =
       obs::MetricsRegistry::instance().histogram("context/round_trip");
-  // One downscale serves both the pipeline view (histogram baseline) and
-  // the round trip — resize(resize(I)) is exactly scale_round_trip.
   obs::ScopedTimer timer(round_trip_hist, "context/round_trip");
-  RoundTripImages images =
-      scale_round_trip_full(*input_, spec_.down_width, spec_.down_height,
-                            spec_.down_algo, spec_.up_algo);
-  downscaled_ = std::move(images.down);
-  round_trip_ = std::move(images.up);
+  if (!spec_.up_algo) {
+    downscaled_ = resize(*input_, spec_.down_width, spec_.down_height,
+                         spec_.down_algo);
+  } else {
+    // One downscale serves both the pipeline view (histogram baseline) and
+    // the round trip — resize(resize(I)) is exactly scale_round_trip.
+    RoundTripImages images =
+        scale_round_trip_full(*input_, spec_.down_width, spec_.down_height,
+                              spec_.down_algo, *spec_.up_algo);
+    downscaled_ = std::move(images.down);
+    round_trip_ = std::move(images.up);
+  }
   add_bytes(image_bytes(downscaled_) + image_bytes(round_trip_));
 }
 
@@ -97,16 +117,7 @@ void AnalysisContext::build_spectrum() {
   static auto& spectrum_hist =
       obs::MetricsRegistry::instance().histogram("context/spectrum");
   obs::ScopedTimer timer(spectrum_hist, "context/spectrum");
-  // RoundTrip sourcing is opt-in and only honoured when the reconstruction
-  // actually exists at the input geometry; the fallback keeps the paper's
-  // input-spectrum semantics rather than forcing a build order.
-  const Image* source = input_;
-  if (spec_.spectrum_source == SpectrumSource::RoundTrip &&
-      round_trip_.has_value() && round_trip_->same_shape(*input_)) {
-    source = &*round_trip_;
-    spectrum_from_round_trip_ = true;
-  }
-  spectrum_ = centered_log_spectrum(*source, spectrum_workspace());
+  spectrum_ = centered_log_spectrum(*input_);
   add_bytes(image_bytes(spectrum_));
 }
 
@@ -122,61 +133,34 @@ AnalysisContext::~AnalysisContext() {
 AnalysisContext::AnalysisContext(AnalysisContext&& other) noexcept
     : input_(other.input_),
       spec_(other.spec_),
-      plan_(std::move(other.plan_)),
       downscaled_(std::move(other.downscaled_)),
       round_trip_(std::move(other.round_trip_)),
       filtered_(std::move(other.filtered_)),
       spectrum_(std::move(other.spectrum_)),
-      spectrum_from_round_trip_(other.spectrum_from_round_trip_),
       bytes_(other.bytes_) {
   // The moved-from context must not release our share in its destructor.
   other.bytes_ = 0;
 }
 
-SpectrumWorkspace& AnalysisContext::spectrum_workspace() {
-  return thread_spectrum_workspace();
-}
-
 const Image& AnalysisContext::downscaled() const {
-  DECAM_REQUIRE(has_downscaled(), "context built without a downscale");
+  DECAM_REQUIRE(downscaled_.has_value(), "context built without a downscale");
   return *downscaled_;
 }
 
 const Image& AnalysisContext::round_trip() const {
-  DECAM_REQUIRE(has_round_trip(), "context built without a round trip");
+  DECAM_REQUIRE(round_trip_.has_value(), "context built without a round trip");
   return *round_trip_;
 }
 
 const Image& AnalysisContext::filtered() const {
-  DECAM_REQUIRE(has_filtered(), "context built without a filtered image");
+  DECAM_REQUIRE(filtered_.has_value(),
+                "context built without a filtered image");
   return *filtered_;
 }
 
 const Image& AnalysisContext::spectrum() const {
-  DECAM_REQUIRE(has_spectrum(), "context built without a spectrum");
+  DECAM_REQUIRE(spectrum_.has_value(), "context built without a spectrum");
   return *spectrum_;
-}
-
-bool AnalysisContext::round_trip_matches(int down_width, int down_height,
-                                         ScaleAlgo down, ScaleAlgo up) const {
-  return has_round_trip() && spec_.down_width == down_width &&
-         spec_.down_height == down_height && spec_.down_algo == down &&
-         spec_.up_algo == up;
-}
-
-bool AnalysisContext::downscale_matches(int down_width, int down_height,
-                                        ScaleAlgo algo) const {
-  return has_downscaled() && spec_.down_width == down_width &&
-         spec_.down_height == down_height && spec_.down_algo == algo;
-}
-
-bool AnalysisContext::filter_matches(int window, RankOp op) const {
-  return has_filtered() && spec_.filter_window == window &&
-         spec_.filter_op == op;
-}
-
-bool AnalysisContext::spectrum_matches_input() const {
-  return has_spectrum() && !spectrum_from_round_trip_;
 }
 
 }  // namespace decam::core

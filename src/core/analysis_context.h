@@ -2,20 +2,19 @@
 // method reads, computed through an explicit staged analysis plan and
 // shared (DESIGN.md §8, §11).
 //
-// Battery::score used to rebuild the round trip / filtered image / spectrum
-// inside each stage, and EnsembleDetector re-ran the full image pipeline per
-// member. The context makes that sharing explicit: a caller builds one
-// context per input image (on its own thread — no hidden global caches),
-// then any number of detectors and metrics score against it.
+// Every detector scores through one: Detector::score(const Image&) builds a
+// context for that detector alone, while the ensemble and the experiment
+// battery build one context per input image (on its own thread — no hidden
+// global caches) and score all their members against it.
 //
-// Staging: the spec expands to an ordered AnalysisPlan of stages (round
-// trip, rank filter, spectrum). An Eager context (the default, and the
-// previous behaviour) materialises every planned stage in the constructor.
-// A Deferred context records the plan and materialises a stage the first
-// time ensure(stage) is called — the short-circuit ensemble vote uses this
-// so a detector skipped by an already-decided majority never pays for its
-// intermediates. ensure() is non-const and must be called before the const
-// accessors; accessors never build behind the caller's back.
+// Staging: the spec expands to an ordered plan of stages (analysis_plan():
+// round trip, rank filter, spectrum). An Eager context (the default)
+// materialises every planned stage in the constructor. A Deferred context
+// records the spec and materialises a stage the first time ensure(stage) is
+// called — the short-circuit ensemble vote uses this so a detector skipped
+// by an already-decided majority never pays for its intermediates. ensure()
+// is non-const and must be called before the const accessors; accessors
+// never build behind the caller's back.
 //
 // Ownership: the context borrows `input` (non-owning pointer) and owns every
 // derived image. Keep the input alive for the context's lifetime; contexts
@@ -23,9 +22,9 @@
 // implicitly (Image is value-semantic, so copying would duplicate planes).
 //
 // Config matching: intermediates are only valid for the spec they were built
-// with. Detectors check *_matches() and fall back to recomputing from
-// input() when a shared context was built for a different geometry/scaler/
-// filter — correctness never depends on the spec lining up.
+// with. A detector scores a shared context only when the context's spec
+// covers() what its prime() declares, and otherwise scores a private context
+// over the same input — correctness never depends on the spec lining up.
 #pragma once
 
 #include <cstdint>
@@ -35,35 +34,36 @@
 #include "imaging/filter.h"
 #include "imaging/image.h"
 #include "imaging/scale.h"
-#include "signal/spectrum.h"
 
 namespace decam::core {
 
-/// Where the spectrum stage takes its input. The paper's steganalysis
-/// detector transforms the input image; RoundTrip substitutes the
-/// reconstruction (same geometry, already resident from the scaling stage)
-/// for callers that trade exact paper scores for one less full-image read —
-/// never the default, and only honoured when the round trip exists at the
-/// input geometry ("where shapes allow").
-enum class SpectrumSource { Input, RoundTrip };
-
 /// What to precompute. Defaults request nothing; detectors extend a spec via
-/// Detector::prime() and the Battery derives one from its ExperimentConfig.
+/// Detector::prime(), and the ensemble and the battery prime one spec for
+/// all their members.
 struct AnalysisContextSpec {
-  int down_width = 0;   // > 0 enables the downscale + round trip
+  int down_width = 0;   // > 0 enables the downscale
   int down_height = 0;
   ScaleAlgo down_algo = ScaleAlgo::Bilinear;  // victim pipeline's scaler
-  ScaleAlgo up_algo = ScaleAlgo::Bilinear;    // reconstruction scaler
+  // Reconstruction scaler. Set: the downscale is also scaled back to the
+  // input geometry (the round trip); unset: the downscale alone.
+  std::optional<ScaleAlgo> up_algo;
   int filter_window = 0;  // > 0 enables the rank-filtered image
   RankOp filter_op = RankOp::Min;
   bool spectrum = false;  // centered log-magnitude spectrum (steganalysis)
-  SpectrumSource spectrum_source = SpectrumSource::Input;
+
+  /// True when a context built from this spec holds every intermediate
+  /// `need` requests, with the same parameters. A need for the downscale
+  /// alone (no up_algo) is covered whatever the reconstruction scaler.
+  bool covers(const AnalysisContextSpec& need) const;
 };
 
 /// One stage of the analysis plan.
 enum class AnalysisStage { RoundTrip, Filter, Spectrum };
 
 const char* to_string(AnalysisStage stage);
+
+/// The ordered stages `spec` requests (build order).
+std::vector<AnalysisStage> analysis_plan(const AnalysisContextSpec& spec);
 
 class AnalysisContext {
  public:
@@ -91,22 +91,10 @@ class AnalysisContext {
   const Image& input() const { return *input_; }
   const AnalysisContextSpec& spec() const { return spec_; }
 
-  /// The ordered stages this context's spec requests (build order). A
-  /// Deferred context materialises a suffix-free subset of this plan: only
-  /// the stages ensure()d so far.
-  const std::vector<AnalysisStage>& plan() const { return plan_; }
-
-  /// Materialises one planned stage (no-op when already built or when the
-  /// spec never requested it). Deferred contexts call this — directly or
+  /// Materialises one stage (no-op when already built or when the spec
+  /// never requested it). Deferred contexts call this — directly or
   /// through Detector::score(AnalysisContext&) — before the accessors.
   void ensure(AnalysisStage stage);
-  /// Materialises every planned stage (what the Eager constructor does).
-  void ensure_all();
-
-  bool has_downscaled() const { return downscaled_.has_value(); }
-  bool has_round_trip() const { return round_trip_.has_value(); }
-  bool has_filtered() const { return filtered_.has_value(); }
-  bool has_spectrum() const { return spectrum_.has_value(); }
 
   /// The pipeline's view: input resized to (down_width, down_height).
   const Image& downscaled() const;
@@ -114,29 +102,8 @@ class AnalysisContext {
   const Image& round_trip() const;
   /// Rank-filtered input (filter_window, filter_op).
   const Image& filtered() const;
-  /// Centered log-magnitude spectrum (of the input, unless the spec opted
-  /// into SpectrumSource::RoundTrip).
+  /// Centered log-magnitude spectrum of the input.
   const Image& spectrum() const;
-
-  /// True when round_trip() exists and was built with exactly this
-  /// geometry + scaler pair.
-  bool round_trip_matches(int down_width, int down_height, ScaleAlgo down,
-                          ScaleAlgo up) const;
-  /// True when downscaled() exists for exactly this geometry + scaler.
-  bool downscale_matches(int down_width, int down_height,
-                         ScaleAlgo algo) const;
-  /// True when filtered() exists for exactly this window + op.
-  bool filter_matches(int window, RankOp op) const;
-  /// True when spectrum() exists and transforms the input image itself
-  /// (the paper's semantics — false for a RoundTrip-sourced spectrum).
-  bool spectrum_matches_input() const;
-
-  /// Per-thread spectrum scratch (complex frequency plane + shifted
-  /// log-magnitude buffer) shared by every context built on this thread.
-  /// Detectors scoring without a context reuse it through this accessor,
-  /// so a dataset sweep allocates the FFT buffers once per worker, not
-  /// once per image.
-  static SpectrumWorkspace& spectrum_workspace();
 
  private:
   void build_round_trip();
@@ -146,12 +113,10 @@ class AnalysisContext {
 
   const Image* input_;
   AnalysisContextSpec spec_;
-  std::vector<AnalysisStage> plan_;
   std::optional<Image> downscaled_;
   std::optional<Image> round_trip_;
   std::optional<Image> filtered_;
   std::optional<Image> spectrum_;
-  bool spectrum_from_round_trip_ = false;
   std::uint64_t bytes_ = 0;  // this context's share of the live-bytes gauge
 };
 

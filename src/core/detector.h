@@ -6,9 +6,14 @@
 // white-box threshold search (needs raw scores of both classes) and the
 // black-box percentile calibration (needs benign scores only), and lets the
 // ensemble combine heterogeneous methods.
+//
+// Every detector has exactly one scoring implementation: a private
+// reduction over an AnalysisContext holding the stages its prime()
+// declares. Both public score() entry points, the ensemble and the
+// experiment battery reach it through the same stage lookup, staged().
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "core/analysis_context.h"
@@ -26,34 +31,36 @@ class Detector {
  public:
   virtual ~Detector() = default;
 
-  /// Scalar detection score for one image. Higher-is-attack vs
-  /// lower-is-attack depends on the method+metric; Calibration carries the
-  /// polarity.
-  virtual double score(const Image& input) const = 0;
+  /// Scalar detection score for one image, through a Deferred context built
+  /// from prime(). Higher-is-attack vs lower-is-attack depends on the
+  /// method+metric; Calibration carries the polarity.
+  double score(const Image& input) const;
 
-  /// Scores through a prebuilt AnalysisContext. Detectors override this to
-  /// reuse matching intermediates; the default recomputes from the input,
-  /// so a context built for a different configuration is never wrong, only
-  /// slower.
-  virtual double score(const AnalysisContext& context) const {
-    return score(context.input());
-  }
+  /// Scores through a shared context, materialising the stages prime()
+  /// declares (a Deferred context only ever pays for the detectors that
+  /// actually run — the short-circuit ensemble vote's fast path). A context
+  /// built for a different geometry, scaler or filter is never wrong, only
+  /// slower: the detector then scores a private context over its input.
+  double score(AnalysisContext& context) const;
 
-  /// Staged scoring: materialises the plan stages this detector consumes
-  /// (AnalysisContext::ensure) before scoring, so a Deferred context only
-  /// ever pays for the detectors that actually run — the short-circuit
-  /// ensemble vote's fast path. The default builds nothing and scores
-  /// through the const overload.
-  virtual double score(AnalysisContext& context) const {
-    return score(static_cast<const AnalysisContext&>(context));
-  }
-
-  /// Extends `spec` with the intermediates this detector can reuse, so one
+  /// Extends `spec` with the intermediates this detector reads, so one
   /// context serves a whole ensemble (EnsembleDetector::context_spec()).
   virtual void prime(AnalysisContextSpec& spec) const { (void)spec; }
 
   /// Human-readable method name ("scaling/mse", ...).
   virtual std::string name() const = 0;
+
+ protected:
+  /// The stage lookup behind every scoring entry point: `context` with the
+  /// stages prime() declares ensure()d when its spec covers them, else a
+  /// private Deferred context over the same input, built into `own`.
+  const AnalysisContext& staged(AnalysisContext& context,
+                                std::optional<AnalysisContext>& own) const;
+
+ private:
+  /// The detector's one scoring implementation, over a context that holds
+  /// every stage prime() declares.
+  virtual double reduce(const AnalysisContext& context) const = 0;
 };
 
 }  // namespace decam::core

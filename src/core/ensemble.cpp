@@ -37,12 +37,8 @@ AnalysisContextSpec EnsembleDetector::context_spec() const {
 }
 
 std::vector<bool> EnsembleDetector::votes(const Image& input) const {
-  const AnalysisContext context(input, context_spec());
-  return votes(context);
-}
-
-std::vector<bool> EnsembleDetector::votes(const AnalysisContext& context) const {
   DECAM_SPAN("ensemble/votes");
+  AnalysisContext context(input, context_spec());
   std::vector<bool> result;
   result.reserve(members_.size());
   for (const Member& member : members_) {
@@ -52,14 +48,14 @@ std::vector<bool> EnsembleDetector::votes(const AnalysisContext& context) const 
   return result;
 }
 
-// Shared tally: evaluates members in order via `score_member(i)` and stops as
-// soon as the outcome is decided (when short-circuiting is on). With m
-// members, `attack > m/2` can no longer change once reached, and can no
-// longer be reached once `attack + remaining <= m/2`; in either state the
-// remaining members are skipped and accounted through battery/skip_*.
-template <typename ScoreMember>
-EnsembleDetector::Decision EnsembleDetector::decide_impl(
-    ScoreMember&& score_member) const {
+// Evaluates members in order and stops as soon as the outcome is decided
+// (when short-circuiting is on). With m members, `attack > m/2` can no
+// longer change once reached, and can no longer be reached once
+// `attack + remaining <= m/2`; in either state the remaining members are
+// skipped and accounted through battery/skip_*.
+EnsembleDetector::Decision EnsembleDetector::decide(
+    AnalysisContext& context) const {
+  DECAM_SPAN("ensemble/decide");
   Decision decision;
   const std::size_t m = members_.size();
   decision.scores.resize(m);
@@ -74,7 +70,7 @@ EnsembleDetector::Decision EnsembleDetector::decide_impl(
       const bool decided_benign = 2 * (attack_votes + remaining) <= m;
       if (decided_attack || decided_benign) break;
     }
-    const double score = score_member(i);
+    const double score = members_[i].detector->score(context);
     const bool vote = core::is_attack(score, members_[i].calibration);
     decision.scores[i] = score;
     decision.votes[i] = vote;
@@ -97,26 +93,8 @@ EnsembleDetector::Decision EnsembleDetector::decide(const Image& input) const {
   return decide(context);
 }
 
-EnsembleDetector::Decision EnsembleDetector::decide(
-    AnalysisContext& context) const {
-  DECAM_SPAN("ensemble/decide");
-  return decide_impl(
-      [&](std::size_t i) { return members_[i].detector->score(context); });
-}
-
 bool EnsembleDetector::is_attack(const Image& input) const {
-  const AnalysisContext context(input, context_spec());
-  return is_attack(context);
-}
-
-bool EnsembleDetector::is_attack(const AnalysisContext& context) const {
-  DECAM_SPAN("ensemble/is_attack");
-  // The context is already built, so scoring order cannot save intermediate
-  // construction — but the short circuit still skips whole detector passes.
-  return decide_impl([&](std::size_t i) {
-           return members_[i].detector->score(context);
-         })
-      .attack;
+  return decide(input).attack;
 }
 
 bool EnsembleDetector::vote_scores(std::span<const double> member_scores) const {

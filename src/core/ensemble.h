@@ -43,9 +43,9 @@ class EnsembleDetector {
   /// benign — the conservative choice for FRR).
   explicit EnsembleDetector(std::vector<Member> members);
 
-  /// True when a strict majority of members flags the image.
+  /// True when a strict majority of members flags the image — the verdict
+  /// of decide(input), so short-circuited members never build their stages.
   bool is_attack(const Image& input) const;
-  bool is_attack(const AnalysisContext& context) const;
 
   /// Full evaluation with per-member outcomes. From an Image the context is
   /// built Deferred, so skipped members never build their intermediates;
@@ -56,11 +56,10 @@ class EnsembleDetector {
   /// Individual member votes (for diagnostics and the examples). Always
   /// evaluates every member, regardless of the short-circuit setting.
   std::vector<bool> votes(const Image& input) const;
-  std::vector<bool> votes(const AnalysisContext& context) const;
 
   /// The union of intermediates the members can reuse: each member primes
   /// the spec in turn, so one AnalysisContext built from the result serves
-  /// every member (mismatched members silently recompute).
+  /// every member (a member it does not cover scores a private context).
   AnalysisContextSpec context_spec() const;
 
   /// Majority decision from precomputed member scores, in member order.
@@ -75,9 +74,6 @@ class EnsembleDetector {
   const std::vector<Member>& members() const { return members_; }
 
  private:
-  template <typename ScoreMember>
-  Decision decide_impl(ScoreMember&& score_member) const;
-
   std::vector<Member> members_;
   bool short_circuit_ = true;
 };

@@ -17,17 +17,7 @@ Image FilteringDetector::filtered(const Image& input) const {
   return rank_filter(input, config_.window, config_.op);
 }
 
-double FilteringDetector::score(const Image& input) const {
-  DECAM_SPAN(config_.metric == Metric::MSE ? "detector/filtering/mse"
-                                           : "detector/filtering/ssim");
-  const Image f = filtered(input);
-  return config_.metric == Metric::MSE ? mse(input, f) : ssim(input, f);
-}
-
-double FilteringDetector::score(const AnalysisContext& context) const {
-  if (!context.filter_matches(config_.window, config_.op)) {
-    return score(context.input());
-  }
+double FilteringDetector::reduce(const AnalysisContext& context) const {
   DECAM_SPAN(config_.metric == Metric::MSE ? "detector/filtering/mse"
                                            : "detector/filtering/ssim");
   const Image& input = context.input();
@@ -35,9 +25,10 @@ double FilteringDetector::score(const AnalysisContext& context) const {
                                        : ssim(input, context.filtered());
 }
 
-double FilteringDetector::score(AnalysisContext& context) const {
-  context.ensure(AnalysisStage::Filter);
-  return score(static_cast<const AnalysisContext&>(context));
+PairStats FilteringDetector::metrics(AnalysisContext& context) const {
+  std::optional<AnalysisContext> own;
+  const AnalysisContext& stages = staged(context, own);
+  return pair_stats(stages.input(), stages.filtered());
 }
 
 void FilteringDetector::prime(AnalysisContextSpec& spec) const {

@@ -8,6 +8,7 @@
 
 #include "core/detector.h"
 #include "imaging/filter.h"
+#include "metrics/fused.h"
 
 namespace decam::core {
 
@@ -21,13 +22,13 @@ class FilteringDetector final : public Detector {
  public:
   explicit FilteringDetector(FilteringDetectorConfig config);
 
-  double score(const Image& input) const override;
-  /// Reuses the context's filtered image when window+op match.
-  double score(const AnalysisContext& context) const override;
-  /// Staged scoring: materialises the filter stage first.
-  double score(AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
+
+  /// MSE, SSIM and PSNR of the (input, filtered) pair from one fused pass,
+  /// through the same stage lookup as score() — what the experiment
+  /// battery records.
+  PairStats metrics(AnalysisContext& context) const;
 
   /// The filtered image F (exposed for examples/visualisation).
   Image filtered(const Image& input) const;
@@ -35,6 +36,8 @@ class FilteringDetector final : public Detector {
   const FilteringDetectorConfig& config() const { return config_; }
 
  private:
+  double reduce(const AnalysisContext& context) const override;
+
   FilteringDetectorConfig config_;
 };
 

@@ -11,19 +11,7 @@ HistogramDetector::HistogramDetector(HistogramDetectorConfig config)
   DECAM_REQUIRE(config.bins > 0 && config.bins <= 256, "bad bin count");
 }
 
-double HistogramDetector::score(const Image& input) const {
-  const Image down =
-      resize(input, config_.down_width, config_.down_height, config_.algo);
-  const auto h_in = color_histogram(input, config_.bins);
-  const auto h_down = color_histogram(down, config_.bins);
-  return histogram_intersection(h_in, h_down);
-}
-
-double HistogramDetector::score(const AnalysisContext& context) const {
-  if (!context.downscale_matches(config_.down_width, config_.down_height,
-                                 config_.algo)) {
-    return score(context.input());
-  }
+double HistogramDetector::reduce(const AnalysisContext& context) const {
   const auto h_in = color_histogram(context.input(), config_.bins);
   const auto h_down = color_histogram(context.downscaled(), config_.bins);
   return histogram_intersection(h_in, h_down);
@@ -31,7 +19,8 @@ double HistogramDetector::score(const AnalysisContext& context) const {
 
 void HistogramDetector::prime(AnalysisContextSpec& spec) const {
   // Only claim the downscale slot when nobody with an up-algo has; the
-  // scaling detector's round trip produces the same downscaled image.
+  // scaling detector's round trip produces the same downscaled image, and
+  // the downscale alone (no up_algo) is covered by any reconstruction.
   if (spec.down_width == 0) {
     spec.down_width = config_.down_width;
     spec.down_height = config_.down_height;

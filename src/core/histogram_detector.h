@@ -21,14 +21,13 @@ class HistogramDetector final : public Detector {
  public:
   explicit HistogramDetector(HistogramDetectorConfig config);
 
-  /// Histogram-intersection similarity between input and downscaled input.
-  double score(const Image& input) const override;
-  /// Reuses the context's downscaled image when geometry+algo match.
-  double score(const AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
 
  private:
+  /// Histogram-intersection similarity between input and downscaled input.
+  double reduce(const AnalysisContext& context) const override;
+
   HistogramDetectorConfig config_;
 };
 

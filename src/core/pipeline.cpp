@@ -7,11 +7,7 @@
 #include <sstream>
 
 #include "attack/scale_attack.h"
-#include "core/steganalysis_detector.h"
 #include "data/synth.h"
-#include "imaging/filter.h"
-#include "metrics/fused.h"
-#include "metrics/histogram.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -86,89 +82,45 @@ std::vector<double> ExperimentData::column(const std::vector<ScoreRow>& rows,
 }
 
 Battery::Battery(const ExperimentConfig& config)
-    : target_width(config.target_width),
-      target_height(config.target_height),
-      pipeline_algo(config.white_box_algo) {}
+    : scaling_({.down_width = config.target_width,
+                .down_height = config.target_height,
+                .down_algo = config.white_box_algo,
+                .up_algo = config.white_box_algo}),
+      filtering_(FilteringDetectorConfig{}),  // the paper's 2x2 minimum filter
+      histogram_({.down_width = config.target_width,
+                  .down_height = config.target_height,
+                  .algo = config.white_box_algo}) {}
 
 AnalysisContextSpec Battery::context_spec() const {
   AnalysisContextSpec spec;
-  spec.down_width = target_width;
-  spec.down_height = target_height;
-  spec.down_algo = pipeline_algo;
-  spec.up_algo = pipeline_algo;
-  spec.filter_window = 2;  // paper's 2x2 minimum filter
-  spec.filter_op = RankOp::Min;
-  spec.spectrum = true;
+  for (const Detector* member : std::initializer_list<const Detector*>{
+           &scaling_, &filtering_, &steganalysis_, &histogram_}) {
+    member->prime(spec);
+  }
   return spec;
 }
 
 ScoreRow Battery::score(const Image& input) const {
-  const AnalysisContext context(input, context_spec());
+  AnalysisContext context(input, context_spec());
   return score(context);
 }
 
-ScoreRow Battery::score(const AnalysisContext& context) const {
-  // Stage histograms are resolved once; recording afterwards is lock-free.
-  // They time the metric reductions only — intermediate construction is
-  // timed by the context/* histograms at build time.
-  static auto& registry = obs::MetricsRegistry::instance();
-  static auto& scaling_hist = registry.histogram("battery/scaling");
-  static auto& filtering_hist = registry.histogram("battery/filtering");
-  static auto& steganalysis_hist = registry.histogram("battery/steganalysis");
-  static auto& histogram_hist = registry.histogram("battery/histogram");
-  static auto& images_scored = registry.counter("battery/images_scored");
-
-  const Image& input = context.input();
+ScoreRow Battery::score(AnalysisContext& context) const {
+  static auto& images_scored =
+      obs::MetricsRegistry::instance().counter("battery/images_scored");
+  // The scaling and filtering pairs each yield MSE, SSIM and the PSNR
+  // appendix from one fused traversal.
+  const PairStats scaling = scaling_.metrics(context);
+  const PairStats filtering = filtering_.metrics(context);
   ScoreRow row;
-  {
-    // Scaling method: one round trip feeds MSE, SSIM and the PSNR appendix,
-    // all from a single fused traversal of the (input, round-trip) pair.
-    obs::ScopedTimer timer(scaling_hist, "battery/scaling");
-    std::optional<Image> local;
-    const Image& round =
-        context.round_trip_matches(target_width, target_height, pipeline_algo,
-                                   pipeline_algo)
-            ? context.round_trip()
-            : local.emplace(scale_round_trip(input, target_width,
-                                             target_height, pipeline_algo,
-                                             pipeline_algo));
-    const PairStats stats = pair_stats(input, round);
-    row.scaling_mse = stats.mse;
-    row.scaling_ssim = stats.ssim;
-    row.scaling_psnr = stats.psnr;
-  }
-  {
-    // Filtering method: 2x2 minimum filter, per the paper.
-    obs::ScopedTimer timer(filtering_hist, "battery/filtering");
-    std::optional<Image> local;
-    const Image& filtered = context.filter_matches(2, RankOp::Min)
-                                ? context.filtered()
-                                : local.emplace(min_filter(input, 2));
-    const PairStats stats = pair_stats(input, filtered);
-    row.filtering_mse = stats.mse;
-    row.filtering_ssim = stats.ssim;
-    row.filtering_psnr = stats.psnr;
-  }
-  {
-    // Steganalysis method (consumes the context's spectrum when present).
-    obs::ScopedTimer timer(steganalysis_hist, "battery/steganalysis");
-    const SteganalysisDetector steg{SteganalysisDetectorConfig{}};
-    row.csp = context.has_spectrum()
-                  ? static_cast<double>(steg.count_csp_in(context.spectrum()))
-                  : steg.score(input);
-  }
-  {
-    // Histogram baseline (shares the downscale geometry).
-    obs::ScopedTimer timer(histogram_hist, "battery/histogram");
-    std::optional<Image> local;
-    const Image& down =
-        context.downscale_matches(target_width, target_height, pipeline_algo)
-            ? context.downscaled()
-            : local.emplace(
-                  resize(input, target_width, target_height, pipeline_algo));
-    row.histogram = histogram_intersection(color_histogram(input, 32),
-                                           color_histogram(down, 32));
-  }
+  row.scaling_mse = scaling.mse;
+  row.scaling_ssim = scaling.ssim;
+  row.scaling_psnr = scaling.psnr;
+  row.filtering_mse = filtering.mse;
+  row.filtering_ssim = filtering.ssim;
+  row.filtering_psnr = filtering.psnr;
+  row.csp = steganalysis_.score(context);
+  row.histogram = histogram_.score(context);
   images_scored.add();
   return row;
 }

@@ -20,7 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "core/detector.h"
+#include "core/filtering_detector.h"
+#include "core/histogram_detector.h"
+#include "core/scaling_detector.h"
+#include "core/steganalysis_detector.h"
 #include "imaging/scale.h"
 
 namespace decam::core {
@@ -73,25 +76,30 @@ struct ExperimentData {
                                     double ScoreRow::* member);
 };
 
-/// Detector battery configuration derived from an ExperimentConfig.
-struct Battery {
+/// The fixed detector list that fills a ScoreRow: the paper's three methods
+/// and Xiao's histogram baseline, configured from an ExperimentConfig (CNN
+/// geometry, deployed pre-processing scaler, 2x2 minimum filter) and scored
+/// over one shared context through the detectors' own stage lookup.
+class Battery {
+ public:
   explicit Battery(const ExperimentConfig& config);
 
   /// Builds an AnalysisContext from context_spec() and scores it.
   ScoreRow score(const Image& input) const;
 
-  /// Scores a prebuilt context; every stage reuses the context's
-  /// intermediates when they match this battery's configuration and
-  /// recomputes otherwise.
-  ScoreRow score(const AnalysisContext& context) const;
+  /// Scores a context, materialising the stages each member needs; a
+  /// member the context's spec does not cover scores a private context.
+  ScoreRow score(AnalysisContext& context) const;
 
-  /// The intermediates the battery consumes: round trip at the CNN
+  /// The intermediates the members consume: round trip at the CNN
   /// geometry, 2x2 minimum filter, centered log-spectrum.
   AnalysisContextSpec context_spec() const;
 
-  int target_width;
-  int target_height;
-  ScaleAlgo pipeline_algo;  // the deployed pre-processing scaler
+ private:
+  ScalingDetector scaling_;
+  FilteringDetector filtering_;
+  SteganalysisDetector steganalysis_;
+  HistogramDetector histogram_;
 };
 
 /// Runs (or loads from cache) the full experiment. `cache_dir` empty

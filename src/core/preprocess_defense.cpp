@@ -187,17 +187,8 @@ DefendedDetector::DefendedDetector(std::shared_ptr<const Detector> inner,
   DECAM_ASSERT(inner_ != nullptr);
 }
 
-double DefendedDetector::score(const Image& input) const {
-  if (chain_.empty()) return inner_->score(input);
-  return inner_->score(chain_.apply(input));
-}
-
-double DefendedDetector::score(const AnalysisContext& context) const {
-  // The context's intermediates describe the RAW input; after the defense
-  // transform they are stale, so score from the pixels alone. With an empty
-  // chain the intermediates are still valid — pass them through.
-  if (chain_.empty()) return inner_->score(context);
-  return score(context.input());
+double DefendedDetector::reduce(const AnalysisContext& context) const {
+  return inner_->score(chain_.apply(context.input()));
 }
 
 std::string DefendedDetector::name() const {

@@ -92,24 +92,23 @@ class DefenseChain {
 };
 
 /// A detector scored through a defense chain: score(x) of the wrapped
-/// detector on chain.apply(x). The context overloads intentionally recompute
-/// from the (transformed) input instead of reusing shared intermediates —
-/// a context built for the RAW image holds the wrong round trip / filtered
-/// image / spectrum for the defended view, and silently consuming it would
-/// change the score. name() is "<chain>><inner>", e.g.
+/// detector on chain.apply(x). It primes no stages and never reads shared
+/// intermediates — a context built for the RAW image holds the wrong round
+/// trip / filtered image / spectrum for the defended view, and silently
+/// consuming it would change the score. name() is "<chain>><inner>", e.g.
 /// "squeeze4>scaling/mse".
 class DefendedDetector final : public Detector {
  public:
   DefendedDetector(std::shared_ptr<const Detector> inner, DefenseChain chain);
 
-  double score(const Image& input) const override;
-  double score(const AnalysisContext& context) const override;
   std::string name() const override;
 
   const DefenseChain& chain() const { return chain_; }
   const Detector& inner() const { return *inner_; }
 
  private:
+  double reduce(const AnalysisContext& context) const override;
+
   std::shared_ptr<const Detector> inner_;
   DefenseChain chain_;
 };

@@ -6,6 +6,7 @@
 
 #include "core/detector.h"
 #include "imaging/scale.h"
+#include "metrics/fused.h"
 
 namespace decam::core {
 
@@ -21,14 +22,13 @@ class ScalingDetector final : public Detector {
  public:
   explicit ScalingDetector(ScalingDetectorConfig config);
 
-  double score(const Image& input) const override;
-  /// Reuses the context's round trip when it matches this geometry+scaler
-  /// pair; recomputes otherwise.
-  double score(const AnalysisContext& context) const override;
-  /// Staged scoring: materialises the round-trip stage first.
-  double score(AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
+
+  /// MSE, SSIM and PSNR of the (input, round trip) pair from one fused
+  /// pass, through the same stage lookup as score() — what the experiment
+  /// battery records. A scoring MSE member pays one mse() sweep instead.
+  PairStats metrics(AnalysisContext& context) const;
 
   /// The round-tripped image S (exposed for examples/visualisation).
   Image round_trip(const Image& input) const;
@@ -36,6 +36,11 @@ class ScalingDetector final : public Detector {
   const ScalingDetectorConfig& config() const { return config_; }
 
  private:
+  double reduce(const AnalysisContext& context) const override;
+  /// The context's round trip, once the input passed the size check that
+  /// every entry point shares.
+  const Image& checked_round_trip(const AnalysisContext& context) const;
+
   ScalingDetectorConfig config_;
 };
 

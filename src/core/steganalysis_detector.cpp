@@ -20,8 +20,7 @@ SteganalysisDetector::SteganalysisDetector(SteganalysisDetectorConfig config)
 }
 
 Image SteganalysisDetector::binary_spectrum(const Image& input) const {
-  return binarize_spectrum(
-      centered_log_spectrum(input, AnalysisContext::spectrum_workspace()));
+  return binarize_spectrum(centered_log_spectrum(input));
 }
 
 Image SteganalysisDetector::binarize_spectrum(const Image& spectrum) const {
@@ -59,11 +58,12 @@ Image SteganalysisDetector::binarize_spectrum(const Image& spectrum) const {
 }
 
 int SteganalysisDetector::count_csp(const Image& input) const {
-  return count_csp_in(
-      centered_log_spectrum(input, AnalysisContext::spectrum_workspace()));
+  return static_cast<int>(score(input));
 }
 
-int SteganalysisDetector::count_csp_in(const Image& spectrum) const {
+double SteganalysisDetector::reduce(const AnalysisContext& context) const {
+  DECAM_SPAN("detector/steganalysis/csp");
+  const Image& spectrum = context.spectrum();
   int min_area = config_.min_blob_area;
   if (min_area == 0) {
     // Benign spectral speckles scale with image area (~plane/8000 at the
@@ -75,24 +75,6 @@ int SteganalysisDetector::count_csp_in(const Image& spectrum) const {
                             spectrum.height() / 4500));
   }
   return count_blobs(binarize_spectrum(spectrum), min_area);
-}
-
-double SteganalysisDetector::score(const Image& input) const {
-  DECAM_SPAN("detector/steganalysis/csp");
-  return static_cast<double>(count_csp(input));
-}
-
-double SteganalysisDetector::score(const AnalysisContext& context) const {
-  if (!context.has_spectrum()) {
-    return score(context.input());
-  }
-  DECAM_SPAN("detector/steganalysis/csp");
-  return static_cast<double>(count_csp_in(context.spectrum()));
-}
-
-double SteganalysisDetector::score(AnalysisContext& context) const {
-  context.ensure(AnalysisStage::Spectrum);
-  return score(static_cast<const AnalysisContext&>(context));
 }
 
 void SteganalysisDetector::prime(AnalysisContextSpec& spec) const {

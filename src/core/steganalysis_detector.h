@@ -31,31 +31,24 @@ class SteganalysisDetector final : public Detector {
  public:
   explicit SteganalysisDetector(SteganalysisDetectorConfig config = {});
 
-  /// Returns the CSP count as a double (integer-valued).
-  double score(const Image& input) const override;
-  /// Consumes the context's precomputed log-spectrum when present.
-  double score(const AnalysisContext& context) const override;
-  /// Staged scoring: materialises the spectrum stage first.
-  double score(AnalysisContext& context) const override;
   void prime(AnalysisContextSpec& spec) const override;
   std::string name() const override;
 
-  /// Integer CSP count.
+  /// Integer CSP count (score() is the same count as a double).
   int count_csp(const Image& input) const;
 
   /// The binary spectrum the blobs are counted in (for visualisation).
   Image binary_spectrum(const Image& input) const;
 
-  /// Mask + binarise an already-computed centered log-spectrum (same
-  /// dimensions as the image it came from).
-  Image binarize_spectrum(const Image& spectrum) const;
-
-  /// Count blobs in an already-computed centered log-spectrum.
-  int count_csp_in(const Image& spectrum) const;
-
   const SteganalysisDetectorConfig& config() const { return config_; }
 
  private:
+  /// Counts the blobs in the context's centered log-spectrum.
+  double reduce(const AnalysisContext& context) const override;
+  /// Mask + binarise a centered log-spectrum (same dimensions as the image
+  /// it came from).
+  Image binarize_spectrum(const Image& spectrum) const;
+
   SteganalysisDetectorConfig config_;
 };
 

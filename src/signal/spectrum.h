@@ -16,16 +16,15 @@ namespace decam {
 
 /// Reusable scratch for the spectrum pipeline: the complex frequency plane
 /// and the shifted log-magnitude buffer. Callers scoring many images (the
-/// AnalysisContext, the steganalysis detector's direct path) keep one per
-/// thread so no per-image allocation survives warm-up.
+/// AnalysisContext's spectrum stage) keep one per thread so no per-image
+/// allocation survives warm-up.
 struct SpectrumWorkspace {
   std::vector<Complex> freq;
   std::vector<double> logmag;
 };
 
 /// The calling thread's default workspace — what the convenience overloads
-/// below use, and what AnalysisContext::spectrum_workspace() hands to
-/// detectors.
+/// below use.
 SpectrumWorkspace& thread_spectrum_workspace();
 
 /// Computes the centered log-magnitude spectrum of `img` (luma is taken for

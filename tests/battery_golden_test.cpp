@@ -6,20 +6,26 @@
 // close ones — because every accumulator preserves the reference
 // floating-point addition order. EXPECT_EQ on doubles holds that promise to
 // account, at one worker thread and at four (per-image scoring must not
-// depend on the pool), and with the ensemble short circuit on and off.
+// depend on the pool), and with the ensemble short circuit on and off. The
+// battery and the standalone detectors share one scoring path, so each
+// detector scored alone must reproduce its column too.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/simd.h"
 #include "core/ensemble.h"
 #include "core/filtering_detector.h"
+#include "core/histogram_detector.h"
 #include "core/pipeline.h"
 #include "core/scaling_detector.h"
 #include "core/steganalysis_detector.h"
 #include "data/rng.h"
 #include "data/synth.h"
 #include "metrics/ssim.h"
+#include "obs/metrics.h"
 #include "reference_kernels.h"
 #include "runtime/parallel.h"
 
@@ -142,6 +148,91 @@ TEST(BatteryGolden, ShortCircuitPreservesEvaluatedScores) {
       EXPECT_EQ(*fast_decision.scores[i], *full_decision.scores[i])
           << "member " << i;
     }
+  }
+}
+
+// One scoring path: each detector scored on its own reproduces its battery
+// column bit for bit (the battery's fused pass and a lone member's mse() or
+// ssim() agree exactly).
+TEST(BatteryGolden, StandaloneDetectorsMatchGoldenColumns) {
+  runtime::set_thread_count(1);
+  core::ScalingDetectorConfig scaling;
+  scaling.down_width = scaling.down_height = 24;
+  core::FilteringDetectorConfig filtering;  // the paper's 2x2 minimum filter
+  core::HistogramDetectorConfig histogram;
+  histogram.down_width = histogram.down_height = 24;
+  std::vector<std::pair<std::shared_ptr<const core::Detector>, int>> columns;
+  for (const core::Metric metric : {core::Metric::MSE, core::Metric::SSIM}) {
+    scaling.metric = filtering.metric = metric;
+    const int offset = metric == core::Metric::MSE ? 0 : 1;
+    columns.emplace_back(std::make_shared<core::ScalingDetector>(scaling),
+                         offset);
+    columns.emplace_back(std::make_shared<core::FilteringDetector>(filtering),
+                         3 + offset);
+  }
+  columns.emplace_back(std::make_shared<core::SteganalysisDetector>(), 6);
+  columns.emplace_back(std::make_shared<core::HistogramDetector>(histogram), 7);
+
+  const std::vector<Image> scenes = golden_scenes();
+  for (std::size_t i = 0; i < scenes.size(); ++i) {
+    for (const auto& [detector, column] : columns) {
+      EXPECT_EQ(detector->score(scenes[i]), kGolden[i].values[column])
+          << detector->name() << " row " << i;
+    }
+  }
+}
+
+// A member whose stages the shared context does not cover (here a second
+// CNN geometry: the ensemble's spec holds the last member's) scores a
+// private context instead; decide() must return what each member gives
+// alone.
+TEST(BatteryGolden, MixedGeometryEnsembleMatchesStandaloneScores) {
+  runtime::set_thread_count(1);
+  std::vector<core::EnsembleDetector::Member> members;
+  for (const int side : {24, 32}) {
+    core::ScalingDetectorConfig config;
+    config.down_width = config.down_height = side;
+    members.push_back({std::make_shared<core::ScalingDetector>(config),
+                       core::Calibration{500.0, core::Polarity::HighIsAttack,
+                                         0.0}});
+  }
+  core::EnsembleDetector ensemble{members};
+  ensemble.set_short_circuit(false);
+  const std::vector<Image> scenes = golden_scenes();
+  for (std::size_t i = 0; i < scenes.size(); ++i) {
+    const auto decision = ensemble.decide(scenes[i]);
+    ASSERT_EQ(decision.evaluated, members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      EXPECT_EQ(*decision.scores[m], members[m].detector->score(scenes[i]))
+          << "member " << m << " row " << i;
+    }
+    EXPECT_EQ(*decision.scores[0], kGolden[i].values[0]) << "row " << i;
+  }
+}
+
+// The histogram baseline reads the downscale alone, so it shares the
+// scaling member's downscale even when the reconstruction scalers differ:
+// one round-trip stage build per image, and the histogram column holds.
+TEST(BatteryGolden, HistogramSharesTheDownscaleAcrossUpScalers) {
+  runtime::set_thread_count(1);
+  core::HistogramDetectorConfig histogram;
+  histogram.down_width = histogram.down_height = 24;
+  core::ScalingDetectorConfig scaling;
+  scaling.down_width = scaling.down_height = 24;
+  scaling.up_algo = ScaleAlgo::Bicubic;
+  const core::Calibration any{0.0, core::Polarity::HighIsAttack, 0.0};
+  core::EnsembleDetector ensemble{
+      {{std::make_shared<core::HistogramDetector>(histogram), any},
+       {std::make_shared<core::ScalingDetector>(scaling), any}}};
+  ensemble.set_short_circuit(false);
+  const obs::Histogram& builds =
+      obs::MetricsRegistry::instance().histogram("context/round_trip");
+  const std::vector<Image> scenes = golden_scenes();
+  for (std::size_t i = 0; i < scenes.size(); ++i) {
+    const std::uint64_t before = builds.count();
+    const auto decision = ensemble.decide(scenes[i]);
+    EXPECT_EQ(builds.count(), before + 1) << "row " << i;
+    EXPECT_EQ(*decision.scores[0], kGolden[i].values[7]) << "row " << i;
   }
 }
 

@@ -71,7 +71,14 @@ TEST(ScalingDetector, RoundTripHasInputGeometry) {
 
 TEST(ScalingDetector, RejectsInputsSmallerThanTarget) {
   const ScalingDetector detector{scaling_config(Metric::MSE)};
-  EXPECT_THROW(detector.score(Image(16, 16, 3)), std::invalid_argument);
+  const Image small(16, 16, 3);
+  EXPECT_THROW(detector.score(small), std::invalid_argument);
+  // Every entry point shares the check, a shared context included.
+  AnalysisContextSpec spec;
+  detector.prime(spec);
+  AnalysisContext context(small, spec);
+  EXPECT_THROW(detector.score(context), std::invalid_argument);
+  EXPECT_THROW(detector.metrics(context), std::invalid_argument);
 }
 
 TEST(ScalingDetector, ConfigValidation) {

@@ -6,6 +6,9 @@
 
 #include <memory>
 
+#include "core/filtering_detector.h"
+#include "core/scaling_detector.h"
+#include "core/steganalysis_detector.h"
 #include "obs/metrics.h"
 
 namespace decam::core {
@@ -15,10 +18,11 @@ namespace {
 class FixedDetector final : public Detector {
  public:
   explicit FixedDetector(double score) : score_(score) {}
-  double score(const Image&) const override { return score_; }
   std::string name() const override { return "fixed"; }
 
  private:
+  double reduce(const AnalysisContext&) const override { return score_; }
+
   double score_;
 };
 
@@ -98,19 +102,16 @@ class CountingDetector final : public Detector {
  public:
   CountingDetector(double score, std::string name)
       : score_(score), name_(std::move(name)) {}
-  double score(const Image&) const override {
-    ++calls;
-    return score_;
-  }
-  double score(const AnalysisContext&) const override {
-    ++calls;
-    return score_;
-  }
   std::string name() const override { return name_; }
 
   mutable int calls = 0;
 
  private:
+  double reduce(const AnalysisContext&) const override {
+    ++calls;
+    return score_;
+  }
+
   double score_;
   std::string name_;
 };
@@ -200,6 +201,34 @@ TEST(EnsembleShortCircuit, DecisionMatchesFullVoteOnEveryPattern) {
     EXPECT_EQ(decision.attack, ce.ensemble.is_attack(kDummy))
         << "pattern " << pattern;
   }
+}
+
+// is_attack() is decide().attack on a Deferred context: once the first two
+// members vote benign, the steganalysis member is skipped and its FFT never
+// runs.
+TEST(EnsembleShortCircuit, IsAttackNeverBuildsASkippedMembersStage) {
+  ScalingDetectorConfig scaling;
+  scaling.down_width = scaling.down_height = 16;
+  const EnsembleDetector ensemble(
+      {{std::make_shared<ScalingDetector>(scaling),
+        Calibration{1e9, Polarity::HighIsAttack, 0.0}},
+       {std::make_shared<FilteringDetector>(FilteringDetectorConfig{}),
+        Calibration{-2.0, Polarity::LowIsAttack, 0.0}},
+       {std::make_shared<SteganalysisDetector>(),
+        Calibration{0.0, Polarity::HighIsAttack, 0.0}}});
+  Image image(48, 40, 3);
+  for (int c = 0; c < image.channels(); ++c) {
+    for (int y = 0; y < image.height(); ++y) {
+      for (int x = 0; x < image.width(); ++x) {
+        image.at(x, y, c) = static_cast<float>(3 * x + 2 * y + 10 * c);
+      }
+    }
+  }
+  const obs::Histogram& spectrum =
+      obs::MetricsRegistry::instance().histogram("context/spectrum");
+  const std::uint64_t before = spectrum.count();
+  EXPECT_FALSE(ensemble.is_attack(image));
+  EXPECT_EQ(spectrum.count(), before);
 }
 
 TEST(EnsembleShortCircuit, SkippedMembersCountInObsLayer) {

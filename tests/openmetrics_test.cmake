@@ -51,6 +51,15 @@ foreach(line IN LISTS stack_lines)
   endif()
 endforeach()
 
+# Every detector frame is the detector's own: no detector/ frame may sit
+# directly under another one (a caller's timer must not open a second).
+file(READ ${WORK_DIR}/stacks.txt stacks_text)
+string(REGEX MATCH "(^|[;\n])detector/[^;\n ]*;detector/[^;\n ]*" nested
+       "${stacks_text}")
+if(nested)
+  message(FATAL_ERROR "nested detector frames in stacks.txt: ${nested}")
+endif()
+
 # 5. A deliberately corrupted exposition must be rejected (the validator is
 # only trustworthy if it can fail).
 file(READ ${METRICS} metrics_text)

@@ -158,9 +158,11 @@ TEST(PreprocessDefense, DefendedDetectorScoresThroughTheChain) {
   EXPECT_EQ(defended.name(), "squeeze3>" + inner->name());
   EXPECT_DOUBLE_EQ(defended.score(img), inner->score(chain.apply(img)));
 
-  // The context overload must recompute from the raw input — a context's
-  // cached intermediates describe the UNdefended image.
-  const AnalysisContext context(img, AnalysisContextSpec{});
+  // Scoring through a context must recompute from the raw input — a
+  // context's cached intermediates describe the UNdefended image.
+  AnalysisContextSpec raw_spec;
+  inner->prime(raw_spec);
+  AnalysisContext context(img, raw_spec);
   EXPECT_DOUBLE_EQ(defended.score(context), defended.score(img));
 }
 
