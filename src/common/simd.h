@@ -30,6 +30,21 @@ namespace decam::simd {
 
 enum class Isa { Scalar = 0, Avx2 = 1, Neon = 2 };
 
+/// Geometry of the pair-stats walk (pair_stats_hpass / pair_stats_vpass):
+/// the 11-tap SSIM window, blocks of four output pixels, and five window
+/// sums per pixel, so one ring block holds 20 doubles.
+inline constexpr int kPairTaps = 11;
+inline constexpr int kPairLanes = 4;
+inline constexpr int kPairStats = 5;
+inline constexpr int kPairBlock = kPairStats * kPairLanes;
+
+/// Blocks of one ring row (nb) and the products-row plane width (pw) of
+/// the pair-stats walk for a source row of n pixels.
+constexpr int pair_blocks(int n) { return (n + kPairLanes - 1) / kPairLanes; }
+constexpr int pair_products_width(int n) {
+  return pair_blocks(n) * kPairLanes + kPairTaps - 1;
+}
+
 const char* to_string(Isa isa);
 
 /// One set of vectorized kernel primitives. All pointers are non-null in
@@ -68,22 +83,45 @@ struct SimdOps {
   void (*tap_accumulate_f32)(double* acc, const float* in, float kw, int n);
   /// out[i] = (float)acc[i]
   void (*narrow_f64_f32)(float* out, const double* acc, int n);
-  /// acc[i] += w * in[i] (all double; double product, then double add)
-  void (*daxpy_f64)(double* acc, const double* in, double w, int n);
-  /// out[i] = d * d with d = (double)a[i] - (double)b[i]
-  void (*sqdiff_f64)(double* out, const float* a, const float* b, int n);
 
-  /// The fused pair-stats horizontal pass (metrics/fused.cpp): for each tap
-  /// t in ascending order with weight w = win[t], and per element i:
-  ///   da = (double)a_pad[i + t], db = (double)b_pad[i + t]
-  ///   mu_a[i] += w * da;        mu_b[i] += w * db;
-  ///   m_aa[i] += w * (da * da); m_bb[i] += w * (db * db);
-  ///   m_ab[i] += w * (da * db);
-  /// Callers zero the five planes first (0 + v == v keeps the order exact).
-  void (*pair_stats_taps)(double* mu_a, double* mu_b, double* m_aa,
-                          double* m_bb, double* m_ab, const float* a_pad,
-                          const float* b_pad, const double* win, int taps,
-                          int n);
+  /// The fused pair-stats walk (metrics/fused.cpp), whose two passes keep
+  /// every accumulator in registers. Both work on blocks of kPairLanes
+  /// output pixels: with nb = pair_blocks(n), a ring row holds
+  /// nb * kPairBlock doubles laid out [block][stat][lane], so the five
+  /// window sums of pixel i sit at (i / 4) * kPairBlock + stat * 4 + i % 4
+  /// in stat order mu_a, mu_b, m_aa, m_bb, m_ab. Every window sum starts at
+  /// 0.0 and adds its kPairTaps products w * x in ascending tap order — a
+  /// multiply, then an add — which is the order of the separable Gaussian.
+  ///
+  /// pair_stats_hpass: the horizontal window sums of one source row of
+  /// n pixels (nothing to do when n == 0). With pw = pair_products_width(n),
+  /// it writes the products row `prod` (5 * pw doubles, stat-major): for j
+  /// in [0, pw), x = clamp(j - kPairTaps / 2, 0, n - 1), da = (double)a[x]
+  /// and db = (double)b[x],
+  ///   prod[j] = da, prod[pw + j] = db, prod[2 * pw + j] = da * da,
+  ///   prod[3 * pw + j] = db * db, prod[4 * pw + j] = da * db.
+  /// For every pixel i in [0, 4 * nb) and stat s, the window sum of
+  /// prod[s * pw + i + t] over taps t with weights win[t] goes to the ring
+  /// row; lanes i >= n of the last block are edge-replicated padding. It
+  /// returns sq_sum + d_0 * d_0 + d_1 * d_1 + ... with
+  /// d_x = (double)a[x] - (double)b[x], added one pixel at a time in pixel
+  /// order: the MSE walk, overlapped with the window arithmetic.
+  double (*pair_stats_hpass)(double* ring_row, double* prod, const float* a,
+                             const float* b, const double* win, int n,
+                             double sq_sum);
+  /// pair_stats_vpass: the vertical window sums and SSIM map of one output
+  /// row. rows[t] (t ascending) are the kPairTaps ring rows of the window,
+  /// each written by pair_stats_hpass for the same n. For each pixel i in
+  /// [0, n), with (mu_a, mu_b, m_aa, m_bb, m_ab) the window sums over t of
+  /// win[t] * rows[t][(i / 4) * kPairBlock + stat * 4 + i % 4]:
+  ///   va = m_aa - mu_a * mu_a;  vb = m_bb - mu_b * mu_b;
+  ///   cov = m_ab - mu_a * mu_b;
+  ///   num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2);
+  ///   den = (mu_a * mu_a + mu_b * mu_b + c1) * (va + vb + c2);
+  /// and returns total + num_0 / den_0 + num_1 / den_1 + ..., added one
+  /// pixel at a time in pixel order.
+  double (*pair_stats_vpass)(const double* const* rows, const double* win,
+                             double c1, double c2, int n, double total);
 };
 
 /// The active table. Resolved once (cpuid + DECAM_SIMD) on first use;

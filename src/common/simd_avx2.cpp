@@ -142,76 +142,87 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
   for (; i < n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 
-void daxpy_f64(double* acc, const double* in, double w, int n) {
-  const __m256d wv = _mm256_set1_pd(w);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(in + i);
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(a, _mm256_mul_pd(wv, v)));
+// Window sums stay in registers: one accumulator per stat for a block of
+// four pixels, the eleven weights broadcast once per row, each sum stored
+// once. The unaligned products loads of the last block end exactly at the
+// products row's padded end (common/simd.h sizes it for them). The block's
+// squared differences join the sequential MSE sum inside the same loop, so
+// that latency chain overlaps the window arithmetic.
+double pair_stats_hpass(double* ring_row, double* prod, const float* a,
+                        const float* b, const double* win, int n,
+                        double sq_sum) {
+  constexpr int kRadius = kPairTaps / 2;
+  const int pw = pair_products_width(n);
+  fill_pair_products(prod, a, b, n, pw);
+  __m256d w[kPairTaps];
+  for (int t = 0; t < kPairTaps; ++t) w[t] = _mm256_broadcast_sd(win + t);
+  const int blocks = pair_blocks(n);
+  for (int k = 0; k < blocks; ++k) {
+    const double* p = prod + k * kPairLanes;
+    __m256d acc[kPairStats];
+    for (__m256d& v : acc) v = _mm256_setzero_pd();
+    for (int t = 0; t < kPairTaps; ++t) {
+      for (int s = 0; s < kPairStats; ++s) {
+        const __m256d x = _mm256_loadu_pd(p + s * pw + t);
+        acc[s] = _mm256_add_pd(acc[s], _mm256_mul_pd(w[t], x));
+      }
+    }
+    double* out = ring_row + k * kPairBlock;
+    for (int s = 0; s < kPairStats; ++s) {
+      _mm256_storeu_pd(out + s * kPairLanes, acc[s]);
+    }
+    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(p + kRadius),
+                                    _mm256_loadu_pd(p + pw + kRadius));
+    alignas(32) double sq[kPairLanes];
+    _mm256_store_pd(sq, _mm256_mul_pd(d, d));
+    const int lanes = std::min(kPairLanes, n - k * kPairLanes);
+    for (int l = 0; l < lanes; ++l) sq_sum += sq[l];
   }
-  for (; i < n; ++i) {
-    const double p = w * in[i];
-    acc[i] += p;
-  }
+  return sq_sum;
 }
 
-void sqdiff_f64(double* out, const float* a, const float* b, int n) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d da = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-    const __m256d db = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-    const __m256d d = _mm256_sub_pd(da, db);
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(d, d));
-  }
-  for (; i < n; ++i) {
-    const double d =
-        static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    out[i] = d * d;
-  }
-}
-
-void pair_stats_taps(double* mu_a, double* mu_b, double* m_aa, double* m_bb,
-                     double* m_ab, const float* a_pad, const float* b_pad,
-                     const double* win, int taps, int n) {
-  for (int t = 0; t < taps; ++t) {
-    const double w = win[t];
-    const __m256d wv = _mm256_set1_pd(w);
-    const float* a = a_pad + t;
-    const float* b = b_pad + t;
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d da = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-      const __m256d db = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-      _mm256_storeu_pd(
-          mu_a + i,
-          _mm256_add_pd(_mm256_loadu_pd(mu_a + i), _mm256_mul_pd(wv, da)));
-      _mm256_storeu_pd(
-          mu_b + i,
-          _mm256_add_pd(_mm256_loadu_pd(mu_b + i), _mm256_mul_pd(wv, db)));
-      _mm256_storeu_pd(
-          m_aa + i,
-          _mm256_add_pd(_mm256_loadu_pd(m_aa + i),
-                        _mm256_mul_pd(wv, _mm256_mul_pd(da, da))));
-      _mm256_storeu_pd(
-          m_bb + i,
-          _mm256_add_pd(_mm256_loadu_pd(m_bb + i),
-                        _mm256_mul_pd(wv, _mm256_mul_pd(db, db))));
-      _mm256_storeu_pd(
-          m_ab + i,
-          _mm256_add_pd(_mm256_loadu_pd(m_ab + i),
-                        _mm256_mul_pd(wv, _mm256_mul_pd(da, db))));
+// Vertical sums of one block in registers, then the SSIM map of its four
+// pixels in the same registers; only the map values leave, one scalar add
+// each so the row-major sum keeps its order.
+double pair_stats_vpass(const double* const* rows, const double* win,
+                        double c1, double c2, int n, double total) {
+  __m256d w[kPairTaps];
+  for (int t = 0; t < kPairTaps; ++t) w[t] = _mm256_broadcast_sd(win + t);
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d c1v = _mm256_set1_pd(c1);
+  const __m256d c2v = _mm256_set1_pd(c2);
+  const int blocks = pair_blocks(n);
+  for (int k = 0; k < blocks; ++k) {
+    const int off = k * kPairBlock;
+    __m256d acc[kPairStats];
+    for (__m256d& v : acc) v = _mm256_setzero_pd();
+    for (int t = 0; t < kPairTaps; ++t) {
+      const double* r = rows[t] + off;
+      for (int s = 0; s < kPairStats; ++s) {
+        const __m256d x = _mm256_loadu_pd(r + s * kPairLanes);
+        acc[s] = _mm256_add_pd(acc[s], _mm256_mul_pd(w[t], x));
+      }
     }
-    for (; i < n; ++i) {
-      const double da = static_cast<double>(a[i]);
-      const double db = static_cast<double>(b[i]);
-      mu_a[i] += w * da;
-      mu_b[i] += w * db;
-      m_aa[i] += w * (da * da);
-      m_bb[i] += w * (db * db);
-      m_ab[i] += w * (da * db);
-    }
+    const __m256d mu_a = acc[0];
+    const __m256d mu_b = acc[1];
+    const __m256d mu_aa = _mm256_mul_pd(mu_a, mu_a);
+    const __m256d mu_bb = _mm256_mul_pd(mu_b, mu_b);
+    const __m256d mu_ab = _mm256_mul_pd(mu_a, mu_b);
+    const __m256d va = _mm256_sub_pd(acc[2], mu_aa);
+    const __m256d vb = _mm256_sub_pd(acc[3], mu_bb);
+    const __m256d cov = _mm256_sub_pd(acc[4], mu_ab);
+    const __m256d num = _mm256_mul_pd(
+        _mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(two, mu_a), mu_b), c1v),
+        _mm256_add_pd(_mm256_mul_pd(two, cov), c2v));
+    const __m256d den = _mm256_mul_pd(
+        _mm256_add_pd(_mm256_add_pd(mu_aa, mu_bb), c1v),
+        _mm256_add_pd(_mm256_add_pd(va, vb), c2v));
+    alignas(32) double map[kPairLanes];
+    _mm256_store_pd(map, _mm256_div_pd(num, den));
+    const int lanes = std::min(kPairLanes, n - k * kPairLanes);
+    for (int l = 0; l < lanes; ++l) total += map[l];
   }
+  return total;
 }
 
 }  // namespace
@@ -222,7 +233,7 @@ const SimdOps& avx2_ops() {
       hist_rank16_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      daxpy_f64,       sqdiff_f64,        pair_stats_taps,
+      pair_stats_hpass, pair_stats_vpass,
   };
   return ops;
 }

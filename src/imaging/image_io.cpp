@@ -8,6 +8,8 @@
 #include <fstream>
 #include <vector>
 
+#include "obs/span.h"
+
 namespace decam {
 namespace {
 
@@ -80,6 +82,7 @@ void write_pnm(const Image& img, const std::string& path) {
 }
 
 Image read_pnm(const std::string& path) {
+  DECAM_SPAN("imaging/decode");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError(path + ": cannot open for reading");
   char magic[2] = {};
@@ -169,6 +172,7 @@ void write_bmp(const Image& img, const std::string& path) {
 }
 
 Image read_bmp(const std::string& path) {
+  DECAM_SPAN("imaging/decode");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError(path + ": cannot open for reading");
   std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(in)),

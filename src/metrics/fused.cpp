@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/simd.h"
 
@@ -12,9 +13,8 @@ namespace {
 
 constexpr double kC1 = (0.01 * 255.0) * (0.01 * 255.0);
 constexpr double kC2 = (0.03 * 255.0) * (0.03 * 255.0);
-constexpr int kRadius = 5;       // 11-tap Gaussian, sigma 1.5 (ssim.cpp)
-constexpr int kTaps = 2 * kRadius + 1;
-constexpr int kStats = 5;        // mu_a, mu_b, m_aa, m_bb, m_ab planes
+constexpr int kTaps = simd::kPairTaps;  // 11-tap Gaussian, sigma 1.5
+constexpr int kRadius = kTaps / 2;
 
 // Same window as metrics/ssim.cpp — normalised 11-tap Gaussian.
 const std::array<double, kTaps>& ssim_window() {
@@ -38,88 +38,56 @@ const std::array<double, kTaps>& ssim_window() {
 // Returns the plane's SSIM map sum (row-major accumulation, as in
 // ssim_plane()); divide by the pixel count for the plane mean.
 //
-// Every windowed sum is accumulated per tap in ascending order starting
-// from 0.0, so restructuring the loops into per-tap plane sweeps (the SIMD
-// row ops of common/simd.h) leaves each accumulator's addition sequence —
-// and therefore every output bit — unchanged.
+// The two Gaussian passes are the register-blocked pair_stats_hpass /
+// pair_stats_vpass of common/simd.h. Every windowed sum starts at 0.0 and
+// adds its taps in ascending order, and the map sum stays one sequential
+// add per pixel, so blocking the loops leaves every output bit unchanged.
 double fused_plane(std::span<const float> a, std::span<const float> b,
                    int width, int height, PairStatsWorkspace& ws,
                    double& mse_sum) {
   const std::array<double, kTaps>& win = ssim_window();
   const simd::SimdOps& ops = simd::ops();
   const std::size_t w_sz = static_cast<std::size_t>(width);
-  const std::size_t pad_sz = w_sz + 2 * kRadius;
-  // One ring row holds the five horizontal window-sum planes stat-major:
-  // mu_a at 0, mu_b at width, m_aa at 2*width, m_bb, m_ab.
-  const std::size_t row_doubles = w_sz * kStats;
-  ws.ring.resize(row_doubles * kTaps);
-  ws.a_pad.resize(pad_sz);
-  ws.b_pad.resize(pad_sz);
-  ws.sq.resize(w_sz);
-  ws.vacc.resize(row_doubles);
+  // The vertical pass reads the same block of all 11 ring rows; a row
+  // stride of a multiple of 4 KiB would map them onto one L1 set. Rows
+  // start on a cache line (7 doubles of slack to align the ring), so no
+  // 4-lane ring access straddles two.
+  std::size_t stride =
+      static_cast<std::size_t>(simd::pair_blocks(width)) * simd::kPairBlock;
+  if (stride % (4096 / sizeof(double)) == 0) stride += simd::kPairBlock;
+  ws.ring.resize(stride * kTaps + 7);
+  void* ring_start = ws.ring.data();
+  std::size_t ring_bytes = ws.ring.size() * sizeof(double);
+  double* const ring = static_cast<double*>(std::align(
+      64, stride * kTaps * sizeof(double), ring_start, ring_bytes));
+  ws.prod.resize(static_cast<std::size_t>(simd::kPairStats) *
+                 simd::pair_products_width(width));
 
-  // Horizontal pass for source row y: per pixel, the five 11-tap windowed
-  // sums over the edge-replicated row (a_pad[kRadius + x] = a[x], so tap t
-  // of output pixel x reads pad[x + t] = clamp(x + t - kRadius)). The MSE
-  // row sum rides along so the pair is read exactly once per tap and once
-  // for the difference.
+  // Horizontal pass for source row y into ring slot y % 11. The MSE sum
+  // rides along in the same walk, so each source pixel is read once.
   const auto compute_mid_row = [&](int y) {
     const std::size_t base = static_cast<std::size_t>(y) * w_sz;
-    std::fill(ws.a_pad.begin(), ws.a_pad.begin() + kRadius, a[base]);
-    std::fill(ws.b_pad.begin(), ws.b_pad.begin() + kRadius, b[base]);
-    std::copy(a.begin() + base, a.begin() + base + w_sz,
-              ws.a_pad.begin() + kRadius);
-    std::copy(b.begin() + base, b.begin() + base + w_sz,
-              ws.b_pad.begin() + kRadius);
-    std::fill(ws.a_pad.end() - kRadius, ws.a_pad.end(), a[base + w_sz - 1]);
-    std::fill(ws.b_pad.end() - kRadius, ws.b_pad.end(), b[base + w_sz - 1]);
-
-    double* mid = ws.ring.data() +
-                  static_cast<std::size_t>(y % kTaps) * row_doubles;
-    std::fill(mid, mid + row_doubles, 0.0);
-    ops.pair_stats_taps(mid, mid + w_sz, mid + 2 * w_sz, mid + 3 * w_sz,
-                        mid + 4 * w_sz, ws.a_pad.data(), ws.b_pad.data(),
-                        win.data(), kTaps, width);
-
-    ops.sqdiff_f64(ws.sq.data(), a.data() + base, b.data() + base, width);
-    for (int x = 0; x < width; ++x) mse_sum += ws.sq[x];
+    mse_sum = ops.pair_stats_hpass(
+        ring + static_cast<std::size_t>(y % kTaps) * stride,
+        ws.prod.data(), a.data() + base, b.data() + base, win.data(), width,
+        mse_sum);
   };
 
   double total = 0.0;
   int next_mid = 0;
+  std::array<const double*, kTaps> rows{};
   for (int y = 0; y < height; ++y) {
     // The vertical window of output row y reads mid rows y-5..y+5 (edge
     // replicated); rows enter the ring in order, at most 11 live at once.
     const int last_needed = std::min(y + kRadius, height - 1);
     for (; next_mid <= last_needed; ++next_mid) compute_mid_row(next_mid);
-
-    std::fill(ws.vacc.begin(), ws.vacc.end(), 0.0);
     for (int i = 0; i < kTaps; ++i) {
       const int sy = std::clamp(y + i - kRadius, 0, height - 1);
-      const double* mid =
-          ws.ring.data() + static_cast<std::size_t>(sy % kTaps) * row_doubles;
-      const double tw = win[static_cast<std::size_t>(i)];
-      for (int p = 0; p < kStats; ++p) {
-        ops.daxpy_f64(ws.vacc.data() + static_cast<std::size_t>(p) * w_sz,
-                      mid + static_cast<std::size_t>(p) * w_sz, tw, width);
-      }
+      rows[static_cast<std::size_t>(i)] =
+          ring + static_cast<std::size_t>(sy % kTaps) * stride;
     }
-    const double* mu_a_p = ws.vacc.data();
-    const double* mu_b_p = mu_a_p + w_sz;
-    const double* m_aa_p = mu_a_p + 2 * w_sz;
-    const double* m_bb_p = mu_a_p + 3 * w_sz;
-    const double* m_ab_p = mu_a_p + 4 * w_sz;
-    for (int x = 0; x < width; ++x) {
-      const double mu_a = mu_a_p[x];
-      const double mu_b = mu_b_p[x];
-      const double va = m_aa_p[x] - mu_a * mu_a;
-      const double vb = m_bb_p[x] - mu_b * mu_b;
-      const double cov = m_ab_p[x] - mu_a * mu_b;
-      const double num = (2.0 * mu_a * mu_b + kC1) * (2.0 * cov + kC2);
-      const double den =
-          (mu_a * mu_a + mu_b * mu_b + kC1) * (va + vb + kC2);
-      total += num / den;
-    }
+    total = ops.pair_stats_vpass(rows.data(), win.data(), kC1, kC2, width,
+                                 total);
   }
   return total;
 }

@@ -4,18 +4,20 @@
 // The battery's scaling and filtering stages each reduce the same pair with
 // three metrics; computed separately that is seven full-image sweeps (MSE,
 // five Gaussian filter passes inside SSIM, and PSNR re-running MSE). The
-// fused pass reads each source pixel once per Gaussian tap and nothing
-// else: the horizontal pass produces, per pixel, the five windowed sums
-// SSIM needs (μ_a, μ_b, a², b², ab) interleaved in a ring of 11 rows, the
-// vertical pass folds them into the SSIM map sum while the rows are still
-// cache-hot, and the squared-difference accumulator for MSE rides along in
-// the same row walk. PSNR is derived from the MSE value.
+// fused pass widens each source pixel and forms its products once. The
+// horizontal pass then sums the 11 taps of the five windowed sums SSIM
+// needs (μ_a, μ_b, a², b², ab) for a block of four pixels in registers and
+// stores each sum once into a ring of 11 rows; the vertical pass sums a
+// block's 11 ring rows in registers and evaluates the SSIM map there, while
+// the rows are still cache-hot. The squared-difference accumulator for MSE
+// rides along in the same row walk, and PSNR is derived from the MSE value.
 //
 // Bit-exactness contract: every accumulator preserves the reference
 // implementations' floating-point addition order (flat data order for MSE,
 // per-tap then row-major order for SSIM), so pair_stats() returns exactly
 // the values of mse() / ssim() / psnr() called separately. The golden
-// battery tests and the 1-vs-N-thread determinism suite pin this down.
+// battery tests, the 1-vs-N-thread determinism suite and the definition
+// in tests/reference_kernels.h pin this down.
 #pragma once
 
 #include <vector>
@@ -33,17 +35,13 @@ struct PairStats {
 
 /// Reusable scratch for the fused pass. One per thread (pair_stats() uses
 /// the calling thread's); sized on first use and reused across images.
-/// `ring` holds 11 rows of the five horizontal window-sum planes (stat-major
-/// per row, so each vertical tap is a contiguous vectorizable sweep);
-/// `a_pad`/`b_pad` are the edge-replicated source rows the horizontal taps
-/// read, `sq` the per-row squared differences of the MSE walk, and `vacc`
-/// the five vertical accumulator planes.
+/// `ring` holds the horizontal window sums of the 11 most recent source
+/// rows, pixel-blocked [block][stat][4 lanes] (common/simd.h), with a row
+/// stride kept off multiples of 4 KiB; `prod` is the edge-padded products
+/// row (a, b, a², b², ab as doubles) the horizontal taps read.
 struct PairStatsWorkspace {
   std::vector<double> ring;
-  std::vector<float> a_pad;
-  std::vector<float> b_pad;
-  std::vector<double> sq;
-  std::vector<double> vacc;
+  std::vector<double> prod;
 };
 
 /// The calling thread's default workspace.

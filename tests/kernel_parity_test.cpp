@@ -1,13 +1,15 @@
 // Golden parity tests: the optimized kernels in src/imaging/ (van Herk
 // rank filters, running-sum box blur, scanline convolution, row-major
-// flattened-table resize) against the retained naive reference
-// implementations in reference_kernels.h.
+// flattened-table resize) and the fused pair-stats walk of src/metrics/
+// against the retained naive reference implementations in
+// reference_kernels.h.
 //
 // Tolerance policy (see imaging/filter.h): rank filters select actual input
-// samples and must match bit-for-bit; gaussian_blur keeps the exact
-// per-pixel arithmetic sequence and must also match bit-for-bit; box_blur
-// and resize may re-associate double additions, so they get a max-abs-diff
-// budget of 1e-6 of full scale (inputs live in [0, 255]).
+// samples and must match bit-for-bit; gaussian_blur and pair_stats keep the
+// exact per-accumulator arithmetic sequence and must also match
+// bit-for-bit; box_blur and resize may re-associate double additions, so
+// they get a max-abs-diff budget of 1e-6 of full scale (inputs live in
+// [0, 255]).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +22,7 @@
 #include "imaging/filter.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
+#include "metrics/fused.h"
 #include "reference_kernels.h"
 
 namespace decam {
@@ -272,6 +275,33 @@ TEST(ResizeParity, RowMajorPassMatchesColumnStridedReference) {
       expect_close(resize(img, rc.out_w, rc.out_h, algo),
                    testref::resize(img, rc.out_w, rc.out_h, algo),
                    kFullScaleTol, what);
+    }
+  }
+}
+
+// The fused walk against the definition, bit for bit, on shapes the
+// battery goldens never reach: a partial last 4-pixel block (every width
+// mod 4), images narrower or shorter than the 11-tap window, and 1-pixel
+// strips where every tap is edge-clamped.
+TEST(PairStatsParity, OddShapesMatchDefinitionExactly) {
+  const std::pair<int, int> shapes[] = {{1, 1},  {1, 17},  {17, 1},
+                                        {3, 5},  {4, 4},   {5, 13},
+                                        {11, 11}, {13, 12}, {37, 29}};
+  for (const auto& [w, h] : shapes) {
+    for (const int c : {1, 3}) {
+      const Image a = random_image(w, h, c, 4000u + w * 37u + h);
+      const Image filtered = rank_filter(a, 2, RankOp::Min);
+      const Image unrelated = random_image(w, h, c, 5000u + w * 37u + h);
+      for (const Image* b : {&filtered, &unrelated}) {
+        const std::string what = std::to_string(w) + "x" + std::to_string(h) +
+                                 "x" + std::to_string(c) +
+                                 (b == &filtered ? " min2" : " random");
+        const PairStats got = pair_stats(a, *b);
+        const PairStats want = testref::reference_pair_stats(a, *b);
+        EXPECT_EQ(got.mse, want.mse) << what;
+        EXPECT_EQ(got.ssim, want.ssim) << what;
+        EXPECT_EQ(got.psnr, want.psnr) << what;
+      }
     }
   }
 }

@@ -60,6 +60,13 @@ if(nested)
   message(FATAL_ERROR "nested detector frames in stacks.txt: ${nested}")
 endif()
 
+# Decoding the input is its own stage, not `scan` self time.
+string(REGEX MATCH "(^|[;\n])imaging/decode [0-9]+" decode_frame
+       "${stacks_text}")
+if(NOT decode_frame)
+  message(FATAL_ERROR "no imaging/decode frame in stacks.txt")
+endif()
+
 # 5. A deliberately corrupted exposition must be rejected (the validator is
 # only trustworthy if it can fail).
 file(READ ${METRICS} metrics_text)

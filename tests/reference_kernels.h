@@ -11,12 +11,15 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "imaging/filter.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
+#include "metrics/fused.h"
 
 namespace decam::testref {
 
@@ -145,6 +148,89 @@ inline Image resize(const Image& src, int out_width, int out_height,
     }
   }
   return out;
+}
+
+// MSE, windowed SSIM and PSNR of one pair from the definition. Per plane
+// and output pixel: 11-tap Gaussian (sigma 1.5) sums of a, b, a², b² and ab
+// over edge-clamped columns, then 11-tap sums of those over edge-clamped
+// rows, each accumulated from 0.0 in ascending tap order; the SSIM map is
+// summed row-major, MSE in flat data order, and the plane means are
+// averaged as pair_stats() does.
+inline PairStats reference_pair_stats(const Image& a, const Image& b) {
+  constexpr int kRadius = 5;
+  constexpr int kTaps = 2 * kRadius + 1;
+  constexpr double kC1 = (0.01 * 255.0) * (0.01 * 255.0);
+  constexpr double kC2 = (0.03 * 255.0) * (0.03 * 255.0);
+  std::array<double, kTaps> win{};
+  double win_sum = 0.0;
+  for (int i = -kRadius; i <= kRadius; ++i) {
+    const double v = std::exp(-(i * i) / (2.0 * 1.5 * 1.5));
+    win[static_cast<std::size_t>(i + kRadius)] = v;
+    win_sum += v;
+  }
+  for (double& v : win) v /= win_sum;
+
+  double mse_sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d =
+        static_cast<double>(a.data()[i]) - static_cast<double>(b.data()[i]);
+    mse_sum += d * d;
+  }
+
+  const int w = a.width();
+  const int h = a.height();
+  double ssim_total = 0.0;
+  for (int c = 0; c < a.channels(); ++c) {
+    // Horizontal sums: mu_a, mu_b, a², b², ab per pixel.
+    std::vector<std::array<double, 5>> horiz(a.plane_size());
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        std::array<double, 5> s{};
+        for (int t = 0; t < kTaps; ++t) {
+          const double wt = win[static_cast<std::size_t>(t)];
+          const double da = a.at_clamped(x + t - kRadius, y, c);
+          const double db = b.at_clamped(x + t - kRadius, y, c);
+          s[0] += wt * da;
+          s[1] += wt * db;
+          s[2] += wt * (da * da);
+          s[3] += wt * (db * db);
+          s[4] += wt * (da * db);
+        }
+        horiz[static_cast<std::size_t>(y) * w + x] = s;
+      }
+    }
+    double plane_sum = 0.0;
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        std::array<double, 5> v{};
+        for (int t = 0; t < kTaps; ++t) {
+          const double wt = win[static_cast<std::size_t>(t)];
+          const int sy = std::clamp(y + t - kRadius, 0, h - 1);
+          const std::array<double, 5>& s =
+              horiz[static_cast<std::size_t>(sy) * w + x];
+          for (std::size_t k = 0; k < 5; ++k) v[k] += wt * s[k];
+        }
+        const double mu_a = v[0];
+        const double mu_b = v[1];
+        const double va = v[2] - mu_a * mu_a;
+        const double vb = v[3] - mu_b * mu_b;
+        const double cov = v[4] - mu_a * mu_b;
+        const double num = (2.0 * mu_a * mu_b + kC1) * (2.0 * cov + kC2);
+        const double den =
+            (mu_a * mu_a + mu_b * mu_b + kC1) * (va + vb + kC2);
+        plane_sum += num / den;
+      }
+    }
+    ssim_total += plane_sum / static_cast<double>(a.plane_size());
+  }
+
+  PairStats stats;
+  stats.mse = mse_sum / static_cast<double>(a.size());
+  stats.ssim = ssim_total / a.channels();
+  stats.psnr = stats.mse == 0.0
+                   ? std::numeric_limits<double>::infinity()
+                   : 10.0 * std::log10(255.0 * 255.0 / stats.mse);
+  return stats;
 }
 
 }  // namespace decam::testref

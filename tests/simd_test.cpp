@@ -130,6 +130,7 @@ template <typename T>
 void expect_bits_equal(const std::vector<T>& got, const std::vector<T>& want,
                        const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
+  if (got.empty()) return;  // data() may be null, and memcmp must not see it
   ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(T)))
       << what;
 }
@@ -214,7 +215,6 @@ TEST_F(SimdParity, WeightedRowOps) {
 TEST_F(SimdParity, ConvolveAndReduceOps) {
   for (const int n : kSizes) {
     const auto in = random_floats(n, 50u + n);
-    const auto in2 = random_floats(n, 60u + n);
     auto da = random_doubles(n, 70u + n);
     auto db = da;
     scalar_->tap_accumulate_f32(da.data(), in.data(), 0.125f, n);
@@ -226,38 +226,70 @@ TEST_F(SimdParity, ConvolveAndReduceOps) {
     scalar_->narrow_f64_f32(fa.data(), da.data(), n);
     native_->narrow_f64_f32(fb.data(), db.data(), n);
     expect_bits_equal(fa, fb, "narrow_f64_f32 n=" + std::to_string(n));
-
-    const auto x = random_doubles(n, 80u + n);
-    scalar_->daxpy_f64(da.data(), x.data(), 0.333, n);
-    native_->daxpy_f64(db.data(), x.data(), 0.333, n);
-    expect_bits_equal(da, db, "daxpy_f64 n=" + std::to_string(n));
-
-    std::vector<double> sa(static_cast<std::size_t>(n)),
-        sb(static_cast<std::size_t>(n));
-    scalar_->sqdiff_f64(sa.data(), in.data(), in2.data(), n);
-    native_->sqdiff_f64(sb.data(), in.data(), in2.data(), n);
-    expect_bits_equal(sa, sb, "sqdiff_f64 n=" + std::to_string(n));
   }
 }
 
-TEST_F(SimdParity, PairStatsTaps) {
-  const std::vector<double> win = {0.05, 0.09, 0.12, 0.15, 0.18,
-                                   0.15, 0.12, 0.09, 0.05};
-  const int taps = static_cast<int>(win.size());
-  for (const int n : kSizes) {
-    const auto a = random_floats(n + taps - 1, 90u + n, 0.0, 255.0);
-    const auto b = random_floats(n + taps - 1, 91u + n, 0.0, 255.0);
-    std::vector<double> pa(static_cast<std::size_t>(5 * n), 0.0);
-    std::vector<double> pb(static_cast<std::size_t>(5 * n), 0.0);
-    const auto run = [&](const SimdOps* ops, std::vector<double>& p) {
-      double* base = p.data();
-      ops->pair_stats_taps(base, base + n, base + 2 * n, base + 3 * n,
-                           base + 4 * n, a.data(), b.data(), win.data(), taps,
-                           n);
-    };
-    run(scalar_, pa);
-    run(native_, pb);
-    expect_bits_equal(pa, pb, "pair_stats_taps n=" + std::to_string(n));
+// The pair-stats walk: kSizes plus every width below the 11-tap window
+// that kSizes skips, so every n mod 4 meets every edge-clamped tap count.
+std::vector<int> pair_sizes() {
+  std::vector<int> sizes(std::begin(kSizes), std::end(kSizes));
+  sizes.insert(sizes.end(), {2, 5, 6, 10, 11, 13});
+  return sizes;
+}
+
+const double kPairWin[simd::kPairTaps] = {0.01, 0.03, 0.07, 0.12, 0.16, 0.22,
+                                          0.16, 0.12, 0.07, 0.03, 0.01};
+
+std::size_t pair_ring_doubles(int n) {
+  return static_cast<std::size_t>(simd::pair_blocks(n) * simd::kPairBlock);
+}
+
+std::size_t pair_prod_doubles(int n) {
+  return static_cast<std::size_t>(simd::kPairStats *
+                                  simd::pair_products_width(n));
+}
+
+TEST_F(SimdParity, PairStatsHpass) {
+  for (const int n : pair_sizes()) {
+    const auto a = random_floats(n, 90u + n, 0.0, 255.0);
+    const auto b = random_floats(n, 91u + n, 0.0, 255.0);
+    // Exactly sized, so a sanitizer build sees any load past the padding.
+    std::vector<double> ring_s(pair_ring_doubles(n)), ring_n(ring_s.size());
+    std::vector<double> prod_s(pair_prod_doubles(n)), prod_n(prod_s.size());
+    const double sq_s = scalar_->pair_stats_hpass(
+        ring_s.data(), prod_s.data(), a.data(), b.data(), kPairWin, n, 0.375);
+    const double sq_n = native_->pair_stats_hpass(
+        ring_n.data(), prod_n.data(), a.data(), b.data(), kPairWin, n, 0.375);
+    expect_bits_equal(prod_s, prod_n, "hpass products n=" + std::to_string(n));
+    expect_bits_equal(ring_s, ring_n, "hpass ring n=" + std::to_string(n));
+    EXPECT_EQ(0, std::memcmp(&sq_s, &sq_n, sizeof(double)))
+        << "hpass sq_sum n=" << n << ": " << sq_s << " vs " << sq_n;
+  }
+}
+
+TEST_F(SimdParity, PairStatsVpass) {
+  for (const int n : pair_sizes()) {
+    // Eleven distinct ring rows as the walk makes them: scalar hpass over
+    // random source rows.
+    std::vector<std::vector<double>> ring(simd::kPairTaps);
+    std::vector<const double*> rows;
+    std::vector<double> prod(pair_prod_doubles(n));
+    for (int t = 0; t < simd::kPairTaps; ++t) {
+      const auto a = random_floats(n, 100u + 16u * n + t, 0.0, 255.0);
+      const auto b = random_floats(n, 400u + 16u * n + t, 0.0, 255.0);
+      ring[t].resize(pair_ring_doubles(n));
+      scalar_->pair_stats_hpass(ring[t].data(), prod.data(), a.data(),
+                                b.data(), kPairWin, n, 0.0);
+      rows.push_back(ring[t].data());
+    }
+    const double c1 = 6.5025;
+    const double c2 = 58.5225;
+    const double total_s =
+        scalar_->pair_stats_vpass(rows.data(), kPairWin, c1, c2, n, 0.375);
+    const double total_n =
+        native_->pair_stats_vpass(rows.data(), kPairWin, c1, c2, n, 0.375);
+    EXPECT_EQ(0, std::memcmp(&total_s, &total_n, sizeof(double)))
+        << "vpass n=" << n << ": " << total_s << " vs " << total_n;
   }
 }
 
