@@ -30,11 +30,13 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "attack/adaptive.h"
 #include "bench_common.h"
+#include "core/ensemble.h"
 #include "core/evaluation.h"
 #include "core/preprocess_defense.h"
 #include "core/roc.h"
@@ -489,12 +491,11 @@ int main(int argc, char** argv) {
 
       // 3-method majority vote (scaling/mse, filtering/ssim, csp) with the
       // same defended calibrations — the paper's ensemble under fire.
+      // kDetectors lists those three first.
       auto vote = [&](const ScoreRow& row) {
-        int votes = 0;
-        if (is_attack(row.scaling_mse, calibrations[0])) ++votes;
-        if (is_attack(row.filtering_ssim, calibrations[1])) ++votes;
-        if (is_attack(row.csp, calibrations[2])) ++votes;
-        return votes >= 2;
+        return majority_vote(
+            std::array{row.scaling_mse, row.filtering_ssim, row.csp},
+            std::span(calibrations).first(3));
       };
       std::vector<bool> benign_flags;
       std::vector<bool> attack_flags;

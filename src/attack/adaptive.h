@@ -7,7 +7,7 @@
 //    (which the scaler never reads, so scale(A) is untouched), trying to
 //    raise the spectral floor over the harmonic peaks the CSP count keys
 //    on. Empirically the move FAILS (see tests/adaptive_defense_test.cpp
-//    and bench/ablation_adaptive): the harmonics are produced by the
+//    and `paper ablation_adaptive`): the harmonics are produced by the
 //    critical-pixel deltas themselves, which the attacker cannot soften
 //    without losing the payload, and they tower over any noise floor the
 //    remaining pixels can raise — while the added noise degrades the
@@ -36,7 +36,7 @@
 //    target by that error, repeat until the payload survives requantisation
 //    (or the round budget runs out).
 //
-//  * histogram-matched targets are provided by bench/ablation_histogram:
+//  * histogram-matched targets are provided by `paper ablation_histogram`:
 //    they DO defeat Xiao's histogram heuristic — but not Decamouflage.
 //
 // Together: the adaptive moves that beat the weak baseline or a single

@@ -20,11 +20,23 @@ std::string skip_counter_name(const Detector& detector) {
 
 }  // namespace
 
+bool majority_vote(std::span<const double> scores,
+                   std::span<const Calibration> calibrations) {
+  DECAM_REQUIRE(scores.size() == calibrations.size(),
+                "score count must match member count");
+  std::size_t attack_votes = 0;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (is_attack(scores[i], calibrations[i])) ++attack_votes;
+  }
+  return 2 * attack_votes > scores.size();
+}
+
 EnsembleDetector::EnsembleDetector(std::vector<Member> members)
     : members_(std::move(members)) {
   DECAM_REQUIRE(!members_.empty(), "ensemble needs at least one member");
   for (const Member& member : members_) {
     DECAM_REQUIRE(member.detector != nullptr, "null detector in ensemble");
+    calibrations_.push_back(member.calibration);
   }
 }
 
@@ -98,15 +110,7 @@ bool EnsembleDetector::is_attack(const Image& input) const {
 }
 
 bool EnsembleDetector::vote_scores(std::span<const double> member_scores) const {
-  DECAM_REQUIRE(member_scores.size() == members_.size(),
-                "score count must match member count");
-  std::size_t attack_votes = 0;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (core::is_attack(member_scores[i], members_[i].calibration)) {
-      ++attack_votes;
-    }
-  }
-  return 2 * attack_votes > members_.size();
+  return majority_vote(member_scores, calibrations_);
 }
 
 }  // namespace decam::core

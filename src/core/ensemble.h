@@ -16,12 +16,20 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/calibration.h"
 #include "core/detector.h"
 
 namespace decam::core {
+
+/// The ensemble's vote rule over precomputed scores: member i votes attack
+/// when `is_attack(scores[i], calibrations[i])`, and the verdict is attack
+/// only on a strict majority, so a tie (even member count) counts as
+/// benign. Throws if the two spans differ in length.
+bool majority_vote(std::span<const double> scores,
+                   std::span<const Calibration> calibrations);
 
 class EnsembleDetector {
  public:
@@ -62,8 +70,8 @@ class EnsembleDetector {
   /// every member (a member it does not cover scores a private context).
   AnalysisContextSpec context_spec() const;
 
-  /// Majority decision from precomputed member scores, in member order.
-  /// Lets the benches reuse cached scores instead of re-running detectors.
+  /// majority_vote() of precomputed member scores, in member order, against
+  /// the members' calibrations.
   bool vote_scores(std::span<const double> member_scores) const;
 
   /// Enables/disables short-circuit voting (default: enabled). Disable for
@@ -75,6 +83,7 @@ class EnsembleDetector {
 
  private:
   std::vector<Member> members_;
+  std::vector<Calibration> calibrations_;  // members_[i].calibration
   bool short_circuit_ = true;
 };
 

@@ -1,7 +1,7 @@
 // Negative baseline: Xiao et al. suggested (without experiments) comparing
 // the color histogram of the input with that of its downscaled form. Both
 // Quiring et al. and the Decamouflage paper report the metric does not
-// separate the classes; we ship it so bench/ablation_histogram can
+// separate the classes; we ship it so `paper ablation_histogram` can
 // reproduce that negative result instead of taking it on faith.
 #pragma once
 

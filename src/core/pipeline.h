@@ -1,4 +1,5 @@
-// End-to-end experiment pipeline shared by every bench binary.
+// End-to-end experiment pipeline shared by the `paper` table and figure
+// commands (bench/paper.cpp).
 //
 // One experiment = the paper's two-stage protocol:
 //   stage 1  generate the calibration dataset (regime A stand-in for the

@@ -6,7 +6,7 @@
 //
 // It works — the attack's payload never reaches the model — but it
 // modifies EVERY input, including benign ones, degrading what the CNN
-// sees. bench/ablation_prevention_quality quantifies that trade, which is
+// sees. `paper ablation_prevention_quality` quantifies that trade, which is
 // the paper's motivation for detecting instead of preventing.
 #pragma once
 

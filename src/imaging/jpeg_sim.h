@@ -3,7 +3,7 @@
 // DCT. No entropy coding (we only need the LOSS, not the byte stream).
 //
 // Why it exists: real upload pipelines recompress images before they ever
-// reach the CNN. bench/extension_postprocessing uses this to measure (a)
+// reach the CNN. `paper extension_postprocessing` uses this to measure (a)
 // how much recompression an image-scaling attack tolerates — empirically
 // the payload degrades GRACEFULLY, surviving moderate quality levels
 // (q >= ~40) and only dissolving under aggressive compression (q <= ~10),

@@ -1,6 +1,6 @@
 // Geometric transforms: crop, flips, 90-degree rotations. Besides being
 // standard library fare, they power the attack-fragility experiment
-// (bench/extension_fragility): the image-scaling attack embeds its payload
+// (`paper extension_fragility`): the image-scaling attack embeds its payload
 // at exact sampling-grid positions, so shifting the grid by a single pixel
 // (a 1-px crop) destroys it — while benign content is unaffected.
 #pragma once

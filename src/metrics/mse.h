@@ -1,7 +1,7 @@
 // Pixel-difference metrics: MSE (the paper's primary scaling/filtering
 // score, Eq. 5) and PSNR (evaluated in the paper's appendix and shown NOT
 // to separate benign from attack images — we reproduce that negative result
-// in bench/fig15_psnr_overlap).
+// in `paper fig15_psnr_overlap`).
 #pragma once
 
 #include "imaging/image.h"

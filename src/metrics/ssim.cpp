@@ -3,12 +3,6 @@
 #include "metrics/fused.h"
 
 namespace decam {
-namespace {
-
-constexpr double kC1 = (0.01 * 255.0) * (0.01 * 255.0);
-constexpr double kC2 = (0.03 * 255.0) * (0.03 * 255.0);
-
-}  // namespace
 
 double ssim(const Image& a, const Image& b) {
   DECAM_REQUIRE(a.same_shape(b), "ssim: shape mismatch");
@@ -18,35 +12,6 @@ double ssim(const Image& a, const Image& b) {
   // accumulation order, see the header contract there). The MSE that rides
   // along is two flops per pixel — not worth a second code path.
   return pair_stats(a, b).ssim;
-}
-
-double ssim_global(const Image& a, const Image& b) {
-  DECAM_REQUIRE(a.same_shape(b), "ssim_global: shape mismatch");
-  DECAM_REQUIRE(!a.empty(), "ssim_global of empty images");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const std::size_t n = a.size();
-  double mu_a = 0.0, mu_b = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mu_a += pa[i];
-    mu_b += pb[i];
-  }
-  mu_a /= static_cast<double>(n);
-  mu_b /= static_cast<double>(n);
-  double var_a = 0.0, var_b = 0.0, cov = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ea = pa[i] - mu_a;
-    const double eb = pb[i] - mu_b;
-    var_a += ea * ea;
-    var_b += eb * eb;
-    cov += ea * eb;
-  }
-  var_a /= static_cast<double>(n - 1);
-  var_b /= static_cast<double>(n - 1);
-  cov /= static_cast<double>(n - 1);
-  const double num = (2.0 * mu_a * mu_b + kC1) * (2.0 * cov + kC2);
-  const double den = (mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2);
-  return num / den;
 }
 
 }  // namespace decam

@@ -1,46 +1,16 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "obs/metrics.h"
 
 namespace decam::obs {
-namespace {
-
-void add_latency_row(report::Table& table, const std::string& name,
-                     const Histogram& histogram) {
-  table.add_row({name, std::to_string(histogram.count()),
-                 report::format_double(histogram.percentile(50.0)),
-                 report::format_double(histogram.percentile(95.0)),
-                 report::format_double(histogram.percentile(99.0)),
-                 report::format_double(histogram.max_ms()),
-                 report::format_double(histogram.sum_ms())});
-}
-
-report::Table make_latency_table() {
-  return report::Table(
-      {"metric", "count", "p50 ms", "p95 ms", "p99 ms", "max ms", "total ms"});
-}
-
-}  // namespace
 
 int table7_rank(std::string_view metric_name) {
   if (metric_name.find("csp") != std::string_view::npos) return 0;
   if (metric_name.find("mse") != std::string_view::npos) return 1;
   if (metric_name.find("ssim") != std::string_view::npos) return 2;
   return 3;
-}
-
-report::Table latency_table(const std::vector<std::string>& names) {
-  report::Table table = make_latency_table();
-  for (const std::string& name : names) {
-    const Histogram* histogram =
-        MetricsRegistry::instance().find_histogram(name);
-    if (histogram == nullptr || histogram->count() == 0) continue;
-    add_latency_row(table, name, *histogram);
-  }
-  return table;
 }
 
 report::Table latency_table_by_prefix(std::string_view prefix) {
@@ -55,34 +25,17 @@ report::Table latency_table_by_prefix(std::string_view prefix) {
               const int rb = table7_rank(b.first);
               return ra != rb ? ra < rb : a.first < b.first;
             });
-  report::Table table = make_latency_table();
+  report::Table table(
+      {"metric", "count", "p50 ms", "p95 ms", "p99 ms", "max ms", "total ms"});
   for (const auto& [name, histogram] : entries) {
-    add_latency_row(table, name, *histogram);
+    table.add_row({name, std::to_string(histogram->count()),
+                   report::format_double(histogram->percentile(50.0)),
+                   report::format_double(histogram->percentile(95.0)),
+                   report::format_double(histogram->percentile(99.0)),
+                   report::format_double(histogram->max_ms()),
+                   report::format_double(histogram->sum_ms())});
   }
   return table;
-}
-
-std::string render_metrics_report() {
-  std::ostringstream out;
-  const auto& registry = MetricsRegistry::instance();
-  const auto counters = registry.counter_values();
-  if (!counters.empty()) {
-    report::Table table({"counter", "value"});
-    for (const auto& [name, value] : counters) {
-      table.add_row({name, std::to_string(value)});
-    }
-    out << table.render();
-  }
-  const auto gauges = registry.gauge_values();
-  if (!gauges.empty()) {
-    report::Table table({"gauge", "value"});
-    for (const auto& [name, value] : gauges) {
-      table.add_row({name, report::format_double(value)});
-    }
-    out << table.render();
-  }
-  out << latency_table_by_prefix().render();
-  return out.str();
 }
 
 }  // namespace decam::obs

@@ -1,19 +1,12 @@
-// Human-readable exporter for the metrics registry, rendered with the same
-// box-drawn tables the bench binaries use.
+// Human-readable latency exporter for the metrics registry, rendered with
+// the same box-drawn tables the paper benches use.
 #pragma once
 
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "report/table.h"
 
 namespace decam::obs {
-
-/// Latency summary rows (count, p50/p95/p99, max, total) for the named
-/// registry histograms, in the given order. Unknown or empty histograms are
-/// skipped.
-report::Table latency_table(const std::vector<std::string>& names);
 
 /// Latency summary of every registry histogram whose name starts with
 /// `prefix` (empty = all). Rows are ordered by the paper's Table 7 cost
@@ -23,8 +16,5 @@ report::Table latency_table_by_prefix(std::string_view prefix = {});
 
 /// Table-7 cost rank of a metric name: csp=0, mse=1, ssim=2, other=3.
 int table7_rank(std::string_view metric_name);
-
-/// Full registry dump: counters, gauges, and the latency table.
-std::string render_metrics_report();
 
 }  // namespace decam::obs

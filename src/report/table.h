@@ -1,4 +1,4 @@
-// ASCII table rendering for the bench binaries: every table in the paper is
+// ASCII table rendering for the paper benches: every table in the paper is
 // regenerated as a box-drawn text table with the same rows and columns.
 #pragma once
 

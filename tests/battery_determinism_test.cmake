@@ -11,7 +11,8 @@ foreach(threads 1 4)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env
             DECAM_CACHE_DIR=${WORK_DIR}/threads${threads}
-            ${TABLE8} --quick --threads ${threads} --no-manifest
+            ${PAPER} table8_ensemble --quick --threads ${threads}
+            --no-manifest
     OUTPUT_QUIET
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)

@@ -200,7 +200,22 @@ TEST(EnsembleShortCircuit, DecisionMatchesFullVoteOnEveryPattern) {
     EXPECT_EQ(decision.attack, attack_votes >= 2) << "pattern " << pattern;
     EXPECT_EQ(decision.attack, ce.ensemble.is_attack(kDummy))
         << "pattern " << pattern;
+    // The free vote rule over cached scores is the same rule.
+    const std::vector<Calibration> calibrations(
+        3, Calibration{5.0, Polarity::HighIsAttack, 0.0});
+    EXPECT_EQ(majority_vote(scores, calibrations),
+              ce.ensemble.vote_scores(scores))
+        << "pattern " << pattern;
+    EXPECT_EQ(majority_vote(scores, calibrations), decision.attack)
+        << "pattern " << pattern;
   }
+  // Even member count: a 2-2 tie is not a strict majority.
+  const std::vector<Calibration> four(
+      4, Calibration{5.0, Polarity::HighIsAttack, 0.0});
+  EXPECT_FALSE(majority_vote(std::vector<double>{10, 10, 1, 1}, four));
+  EXPECT_TRUE(majority_vote(std::vector<double>{10, 10, 10, 1}, four));
+  EXPECT_THROW(majority_vote(std::vector<double>{10}, four),
+               std::invalid_argument);
 }
 
 // is_attack() is decide().attack on a Deferred context: once the first two

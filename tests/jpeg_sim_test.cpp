@@ -94,7 +94,7 @@ TEST(JpegRoundtrip, SmoothGradientBarelyChanges) {
 }
 
 TEST(JpegRoundtrip, AttackPayloadDegradesGracefullyWithQuality) {
-  // The deployment finding behind bench/extension_postprocessing: the
+  // The deployment finding behind `paper extension_postprocessing`: the
   // payload is NOT brittle to recompression — it degrades like ordinary
   // image content, surviving moderate quality and dissolving only under
   // aggressive compression. Recompression alone is not a defence.

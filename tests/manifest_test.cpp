@@ -1,6 +1,7 @@
 // Per-run manifest sidecars (bench/bench_common.h, schema
 // `decam-run-manifest-v1`): serialisation, schema validation, tamper
-// rejection, and the default path convention.
+// rejection, and the default path convention. Also the paper driver's flag
+// parsing: what --quick and --n record, and who picks the image count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "obs/metrics.h"
@@ -106,6 +108,52 @@ TEST(ManifestTest, WriteManifestRoundTripsThroughDisk) {
   content << in.rdbuf();
   EXPECT_EQ(validate_manifest_json(content.str()), "");
   std::filesystem::remove(path);
+}
+
+// parse_args over `words`, the first being the command name.
+BenchArgs parse(std::vector<std::string> words) {
+  std::vector<char*> argv;
+  for (std::string& word : words) argv.push_back(word.data());
+  return parse_args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgsTest, ExplicitCountIsNotQuick) {
+  const BenchArgs args = parse({"extension_runtime_attack", "--n", "12"});
+  EXPECT_FALSE(args.quick);
+  ASSERT_TRUE(args.n.has_value());
+  EXPECT_EQ(*args.n, 12);
+  EXPECT_EQ(args.config.target_width, 96);  // the standard geometry
+  EXPECT_EQ(with_default_count(args, 24).config.n_train, 12);
+}
+
+TEST(BenchArgsTest, QuickIsQuick) {
+  const BenchArgs args = parse({"table8_ensemble", "--quick"});
+  EXPECT_TRUE(args.quick);
+  EXPECT_FALSE(args.n.has_value());
+  EXPECT_EQ(args.config.target_width, 32);
+  EXPECT_EQ(with_default_count(args, 24).config.n_train, kQuickImages);
+  EXPECT_EQ(args.config.n_eval, kQuickImages);
+}
+
+TEST(BenchArgsTest, WithoutNTheCommandPicksTheCount) {
+  const BenchArgs args = parse({"ablation_filters"});
+  EXPECT_FALSE(args.n.has_value());
+  EXPECT_FALSE(args.quick);
+  const BenchArgs filters = with_default_count(args, 24);
+  EXPECT_EQ(filters.config.n_train, 24);
+  EXPECT_EQ(filters.config.n_eval, kStandardImages);
+  // An explicit count equal to the standard split is still honoured.
+  EXPECT_EQ(
+      with_default_count(parse({"ablation_filters", "--n", "50"}), 24)
+          .config.n_train,
+      50);
+}
+
+TEST(BenchArgsTest, ManifestPathFollowsTheCommand) {
+  EXPECT_EQ(parse({"fig12_csp_dist"}).manifest_path,
+            "MANIFEST_fig12_csp_dist.json");
+  EXPECT_EQ(parse({"all", "--manifest", "m.json"}).manifest_path, "m.json");
+  EXPECT_EQ(parse({"all", "--no-manifest"}).manifest_path, "");
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(PreprocessDefense, SqueezeRejectsBadBitCounts) {
 }
 
 TEST(PreprocessDefense, SpecGrammarRoundTrips) {
-  for (const std::string& spec :
+  for (const char* spec :
        {"none", "squeeze4", "median3", "gauss0.8", "jpeg75",
         "squeeze4+jpeg75", "median5+gauss1.5+jpeg90"}) {
     const DefenseChain chain = DefenseChain::parse(spec);
@@ -132,7 +132,7 @@ TEST(PreprocessDefense, SpecGrammarRoundTrips) {
 }
 
 TEST(PreprocessDefense, SpecGrammarRejectsGarbage) {
-  for (const std::string& spec :
+  for (const char* spec :
        {"", "pixmask", "squeeze", "squeeze0", "squeeze9", "squeeze4x",
         "median2.5", "median17", "gauss0", "gauss-1", "jpeg0", "jpeg101",
         "squeeze4+", "+jpeg75", "none+jpeg75", "jpeg75 "}) {
