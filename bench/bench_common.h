@@ -43,6 +43,7 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/thread_pool.h"
 
 // Build provenance baked in by bench/CMakeLists.txt so manifests can tell
@@ -606,18 +607,7 @@ namespace decam::bench::manifest {
 namespace detail {
 
 inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
-    }
-  }
-  return out;
+  return obs::json_escape(text);
 }
 
 }  // namespace detail

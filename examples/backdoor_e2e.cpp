@@ -15,15 +15,10 @@
 // Run:  ./backdoor_e2e [per_identity] [poison_count] [seed]
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "attack/scale_attack.h"
-#include "core/calibration.h"
-#include "core/ensemble.h"
-#include "core/filtering_detector.h"
-#include "core/scaling_detector.h"
-#include "core/steganalysis_detector.h"
+#include "core/scanner.h"
 #include "data/rng.h"
 #include "data/trigger.h"
 #include "imaging/scale.h"
@@ -125,32 +120,26 @@ int main(int argc, char** argv) {
   const double poisoned_clean_acc = poisoned_model.accuracy(test_set);
   const double poisoned_backdoor = backdoor_rate(poisoned_model, eval_rng, 30);
 
-  // --- Decamouflage sanitisation of the same corpus.
-  core::ScalingDetectorConfig scaling_config;
-  scaling_config.down_width = scaling_config.down_height = kModelSide;
-  scaling_config.metric = core::Metric::MSE;
-  auto scaling = std::make_shared<core::ScalingDetector>(scaling_config);
-  core::FilteringDetectorConfig filtering_config;
-  filtering_config.metric = core::Metric::SSIM;
-  auto filtering = std::make_shared<core::FilteringDetector>(filtering_config);
-  auto steganalysis = std::make_shared<core::SteganalysisDetector>();
-  std::vector<double> scaling_scores, filtering_scores;
-  for (int i = 0; i < 16; ++i) {
-    const ml::TrainingSample holdout = make_sample(i % 4, rng);
-    scaling_scores.push_back(scaling->score(holdout.image));
-    filtering_scores.push_back(filtering->score(holdout.image));
-  }
-  const core::EnsembleDetector decamouflage({
-      {scaling, core::calibrate_black_box(scaling_scores, 7.0,
-                                          core::Polarity::HighIsAttack)},
-      {filtering, core::calibrate_black_box(filtering_scores, 7.0,
-                                            core::Polarity::LowIsAttack)},
-      {steganalysis, core::Calibration{2.0, core::Polarity::HighIsAttack, 0}},
-  });
+  // --- Decamouflage sanitisation of the same corpus: calibrate on an
+  //     in-house benign hold-out, then quarantine every flagged image.
+  core::ScanConfig config;
+  config.model_width = config.model_height = kModelSide;
+  config.short_circuit = true;
+  std::vector<data::Rng> holdout_rngs;
+  for (int i = 0; i < 16; ++i) holdout_rngs.push_back(rng.fork());
+  const core::Scanner decamouflage(
+      config, core::Scanner::calibrate(
+                  config, holdout_rngs.size(),
+                  [&](std::size_t i) {
+                    data::Rng child = holdout_rngs[i];
+                    return data::generate_identity_portrait(
+                        static_cast<int>(i % 4), kPortraitSide, child);
+                  },
+                  7.0));
   std::vector<ml::TrainingSample> sanitized_train;
   int dropped_poison = 0, dropped_clean = 0;
   for (std::size_t i = 0; i < poisoned_train.size(); ++i) {
-    if (decamouflage.is_attack(poisoned_train[i].image)) {
+    if (decamouflage.scan(poisoned_train[i].image).attack) {
       (i >= clean_train.size() ? dropped_poison : dropped_clean) += 1;
     } else {
       sanitized_train.push_back(poisoned_train[i]);

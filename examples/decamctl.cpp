@@ -10,13 +10,17 @@
 //       and/or directories (directories expand to their .ppm/.pgm/.bmp
 //       files, sorted); multiple inputs are scored through the thread pool
 //       and reported one line per file in input order. --stats adds a
-//       per-detector latency table (Table 7 ordering); --json prints a
+//       per-detector latency table (Table 7 ordering; a short-circuit
+//       scan lists only the detectors it scored); --json prints a
 //       machine-readable report (scores, thresholds, verdict, latency-ms)
 //       — an object for one input, an array for several. Exit code: 1 if
-//       any file failed to load, else 3 if any file was flagged, else 0.
+//       any file failed to load or is not larger than the model input,
+//       else 3 if any file was flagged, else 0.
 //   decamctl calibrate <benign images...> --out FILE
-//                   [--percentile P] [--width W --height H] [--algo A]
-//       Build a black-box calibration profile from benign samples.
+//                   [--percentile P] [--margin M] [--width W --height H]
+//                   [--algo A] [--defense SPEC] [--threads N]
+//       Build a black-box calibration profile from benign samples, scored
+//       through the same defense chain `scan --defense` will use.
 //   decamctl downscale <image> <out> [--width W --height H] [--algo A]
 //       Show what the CNN would see (the pipeline's view).
 //   decamctl spectrum <image> <out>
@@ -24,21 +28,18 @@
 //
 // Images are read by extension: .ppm/.pgm via PNM, .bmp via BMP.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "attack/scale_attack.h"
 #include "core/calibration_io.h"
-#include "core/ensemble.h"
-#include "core/filtering_detector.h"
 #include "core/preprocess_defense.h"
-#include "core/scaling_detector.h"
-#include "core/steganalysis_detector.h"
+#include "core/scanner.h"
 #include "imaging/image_io.h"
 #include "imaging/kernels.h"
 #include "obs/memstats.h"
@@ -68,7 +69,8 @@ namespace {
       "       [--short-circuit] [--defense SPEC]\n"
       "       directories expand to their .ppm/.pgm/.bmp files (sorted);\n"
       "       several inputs are scanned in parallel, one line per file\n"
-      "       in input order; exit 1 = load failure, 3 = attack found;\n"
+      "       in input order; exit 1 = load failure or an image not\n"
+      "       larger than the model input, 3 = attack found;\n"
       "       --short-circuit stops scoring once the majority is decided\n"
       "       (skipped detectors report no score; verdict is unchanged);\n"
       "       --metrics-out writes an OpenMetrics exposition of every\n"
@@ -78,11 +80,13 @@ namespace {
       "       --defense runs every detector through a preprocessing chain\n"
       "       (spec grammar: none | step(+step)*, steps squeezeBITS,\n"
       "       medianK, gaussSIGMA, jpegQUALITY, e.g. squeeze4+jpeg75;\n"
-      "       NOTE: thresholds calibrated on raw images need re-calibration\n"
-      "       against the defended scores)\n"
+      "       NOTE: thresholds calibrated on raw images do not transfer;\n"
+      "       calibrate with the same --defense)\n"
       "  calibrate <benign...> --out F [--percentile P] [--margin M]\n"
-      "            [--width W]\n"
-      "            [--height H] [--algo A] [--threads N]\n"
+      "            [--width W] [--height H] [--algo A] [--threads N]\n"
+      "            [--defense SPEC]\n"
+      "       percentile in (0, 50], margin >= 1 (widens the thresholds\n"
+      "       away from the benign side)\n"
       "  downscale <image> <out> [--width W] [--height H] [--algo A]\n"
       "  spectrum <image> <out>\n"
       "  algos: nearest bilinear bicubic area lanczos4\n"
@@ -138,7 +142,19 @@ struct Options {
   bool short_circuit = false;
 };
 
+// A numeric flag's value: the whole token must parse and `valid` must
+// hold, else usage() (exit 2) before any image is read.
+template <typename T, typename Valid>
+T number(const std::string& token, Valid valid) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc{} || stop != end || !valid(value)) usage();
+  return value;
+}
+
 Options parse(int argc, char** argv, int first) {
+  const auto positive = [](int value) { return value >= 1; };
   Options options;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
@@ -159,24 +175,27 @@ Options parse(int argc, char** argv, int first) {
       return argv[++i];
     };
     if (arg == "--width") {
-      options.width = std::atoi(next().c_str());
+      options.width = number<int>(next(), positive);
     } else if (arg == "--height") {
-      options.height = std::atoi(next().c_str());
+      options.height = number<int>(next(), positive);
     } else if (arg == "--algo") {
       options.algo = parse_algo(next());
     } else if (arg == "--eps") {
-      options.eps = std::atof(next().c_str());
+      options.eps = number<double>(
+          next(), [](double eps) { return std::isfinite(eps) && eps >= 0.0; });
     } else if (arg == "--percentile") {
-      options.percentile = std::atof(next().c_str());
+      options.percentile = number<double>(
+          next(), [](double p) { return p > 0.0 && p <= 50.0; });
     } else if (arg == "--margin") {
-      options.margin = std::atof(next().c_str());
+      options.margin = number<double>(next(), [](double margin) {
+        return std::isfinite(margin) && margin >= 1.0;
+      });
     } else if (arg == "--profile") {
       options.profile = next();
     } else if (arg == "--out") {
       options.out = next();
     } else if (arg == "--threads") {
-      options.threads = std::atoi(next().c_str());
-      if (options.threads < 1) usage();
+      options.threads = number<int>(next(), positive);
     } else if (arg == "--metrics-out") {
       options.metrics_out = next();
     } else if (arg == "--stacks-out") {
@@ -218,39 +237,23 @@ int cmd_craft(const Options& options) {
   return 0;
 }
 
-struct Detectors {
-  std::shared_ptr<core::ScalingDetector> scaling;
-  std::shared_ptr<core::FilteringDetector> filtering;
-  std::shared_ptr<core::SteganalysisDetector> steganalysis;
-};
-
-Detectors make_detectors(const Options& options) {
-  core::ScalingDetectorConfig scaling_config;
-  scaling_config.down_width = options.width;
-  scaling_config.down_height = options.height;
-  scaling_config.down_algo = scaling_config.up_algo = options.algo;
-  scaling_config.metric = core::Metric::MSE;
-  core::FilteringDetectorConfig filtering_config;
-  filtering_config.metric = core::Metric::SSIM;
-  return {std::make_shared<core::ScalingDetector>(scaling_config),
-          std::make_shared<core::FilteringDetector>(filtering_config),
-          std::make_shared<core::SteganalysisDetector>()};
-}
-
-// Minimal JSON string escaping for paths and detector names.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
+// The deployed detector's settings from the flags. A bad --defense spec is
+// a usage error.
+core::ScanConfig scan_config(const Options& options) {
+  core::ScanConfig config;
+  config.model_width = options.width;
+  config.model_height = options.height;
+  config.scaler = options.algo;
+  config.short_circuit = options.short_circuit;
+  if (!options.defense.empty()) {
+    try {
+      config.defense = core::DefenseChain::parse(options.defense);
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "decamctl: bad --defense spec: %s\n", error.what());
+      std::exit(2);
     }
   }
-  return out;
+  return config;
 }
 
 // Directories expand to their image files (sorted for stable ordering);
@@ -278,104 +281,52 @@ std::vector<std::string> expand_scan_inputs(
   return files;
 }
 
-// Everything scan learns about one file; computed on any pool lane,
-// reported on the main thread in input order. A nullopt score means the
-// short circuit skipped that detector.
-struct ScanOutcome {
+// One scanned file, computed on any pool lane and reported on the main
+// thread in input order. A file that fails to load gets an error record.
+struct FileScan {
   std::string path;
-  std::string error;  // non-empty = the file could not be scanned
-  std::vector<std::optional<double>> scores;
-  std::vector<double> latencies_ms;
-  double total_ms = 0.0;
-  bool flagged = false;
+  core::ScanRecord record;
 };
 
-ScanOutcome scan_one(const std::string& path,
-                     const std::vector<core::EnsembleDetector::Member>& members,
-                     const core::EnsembleDetector& ensemble,
-                     bool short_circuit) {
-  ScanOutcome outcome;
-  outcome.path = path;
-  try {
-    const Image image = read_image(path);
-    auto& registry = obs::MetricsRegistry::instance();
-    outcome.scores.resize(members.size());
-    outcome.latencies_ms.resize(members.size(), 0.0);
-    if (short_circuit) {
-      // Short-circuit path: members score through a shared deferred
-      // context and stop once the majority is decided; skipped members
-      // never build their intermediates. Latency is the whole decision
-      // (the per-method Table 7 split does not apply to a shared pass).
-      const char* kName = "detector/ensemble";
-      obs::ScopedTimer timer(registry.histogram(kName), kName);
-      const core::EnsembleDetector::Decision decision =
-          ensemble.decide(image);
-      outcome.total_ms = timer.stop();
-      outcome.scores = decision.scores;
-      outcome.flagged = decision.attack;
-      return outcome;
-    }
-    // Score each detector independently (no shared context) so the
-    // recorded latencies keep the paper's Table 7 per-method semantics. The
-    // timer is histogram-only: the detector opens its own profile frame.
-    std::vector<double> raw(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      obs::ScopedTimer timer(
-          registry.histogram("detector/" + members[i].detector->name()));
-      raw[i] = members[i].detector->score(image);
-      outcome.scores[i] = raw[i];
-      outcome.latencies_ms[i] = timer.stop();
-      outcome.total_ms += outcome.latencies_ms[i];
-    }
-    outcome.flagged = ensemble.vote_scores(raw);
-  } catch (const std::exception& error) {
-    outcome.error = error.what();
-  }
-  return outcome;
+const char* polarity_name(core::Polarity polarity) {
+  return polarity == core::Polarity::HighIsAttack ? "high_is_attack"
+                                                  : "low_is_attack";
 }
 
 // One scan report as a JSON object; `pad` indents every line so the same
 // shape serves both the single-image object and array entries.
-void print_scan_json(const ScanOutcome& outcome,
-                     const std::vector<core::EnsembleDetector::Member>& members,
-                     const char* pad) {
-  if (!outcome.error.empty()) {
+void print_scan_json(const FileScan& scan, const char* pad) {
+  const core::ScanRecord& record = scan.record;
+  const std::string image = obs::json_escape(scan.path);
+  if (!record.error.empty()) {
     std::printf("%s{\n%s  \"image\": \"%s\",\n%s  \"error\": \"%s\"\n%s}",
-                pad, pad, json_escape(outcome.path).c_str(), pad,
-                json_escape(outcome.error).c_str(), pad);
+                pad, pad, image.c_str(), pad,
+                obs::json_escape(record.error).c_str(), pad);
     return;
   }
   std::printf("%s{\n%s  \"image\": \"%s\",\n%s  \"detectors\": [\n", pad, pad,
-              json_escape(outcome.path).c_str(), pad);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const core::Calibration& calibration = members[i].calibration;
-    if (!outcome.scores[i].has_value()) {
+              image.c_str(), pad);
+  for (std::size_t i = 0; i < record.members.size(); ++i) {
+    const core::MemberRecord& member = record.members[i];
+    const char* comma = i + 1 < record.members.size() ? "," : "";
+    if (!member.score) {
       std::printf(
           "%s    {\"name\": \"%s\", \"score\": null, \"threshold\": %.17g, "
           "\"polarity\": \"%s\", \"vote\": \"skipped\"}%s\n",
-          pad, json_escape(members[i].detector->name()).c_str(),
-          calibration.threshold,
-          calibration.polarity == core::Polarity::HighIsAttack
-              ? "high_is_attack"
-              : "low_is_attack",
-          i + 1 < members.size() ? "," : "");
+          pad, obs::json_escape(member.name).c_str(), member.threshold,
+          polarity_name(member.polarity), comma);
       continue;
     }
-    const bool vote = core::is_attack(*outcome.scores[i], calibration);
     std::printf(
         "%s    {\"name\": \"%s\", \"score\": %.17g, \"threshold\": %.17g, "
         "\"polarity\": \"%s\", \"vote\": \"%s\", \"latency_ms\": %.3f}%s\n",
-        pad, json_escape(members[i].detector->name()).c_str(),
-        *outcome.scores[i], calibration.threshold,
-        calibration.polarity == core::Polarity::HighIsAttack
-            ? "high_is_attack"
-            : "low_is_attack",
-        vote ? "attack" : "ok", outcome.latencies_ms[i],
-        i + 1 < members.size() ? "," : "");
+        pad, obs::json_escape(member.name).c_str(), *member.score,
+        member.threshold, polarity_name(member.polarity),
+        *member.vote ? "attack" : "ok", *member.ms, comma);
   }
   std::printf(
       "%s  ],\n%s  \"verdict\": \"%s\",\n%s  \"total_latency_ms\": %.3f\n%s}",
-      pad, pad, outcome.flagged ? "attack" : "benign", pad, outcome.total_ms,
+      pad, pad, record.attack ? "attack" : "benign", pad, record.total_ms,
       pad);
 }
 
@@ -387,59 +338,23 @@ int cmd_scan(const Options& options) {
     std::fprintf(stderr, "scan: no image files found\n");
     return 1;
   }
-  const Detectors detectors = make_detectors(options);
 
   core::CalibrationProfile profile;
   if (!options.profile.empty()) {
     profile = core::load_calibrations(options.profile);
   } else {
-    // Without a profile, fall back to the universal CSP threshold plus
-    // conservative generic thresholds (documented in EXPERIMENTS.md; for
-    // production use `decamctl calibrate` on in-house benign images).
-    profile["scaling/mse"] = {500.0, core::Polarity::HighIsAttack, 0.0};
-    profile["filtering/min/ssim"] = {0.45, core::Polarity::LowIsAttack, 0.0};
+    profile = core::Scanner::generic_profile();
     std::fprintf(stderr,
                  "note: no --profile given, using generic thresholds\n");
   }
-  profile.emplace("steganalysis/csp",
-                  core::Calibration{2.0, core::Polarity::HighIsAttack, 0.0});
-
-  std::vector<core::EnsembleDetector::Member> members;
-  for (const auto& detector :
-       std::initializer_list<std::shared_ptr<const core::Detector>>{
-           detectors.scaling, detectors.filtering, detectors.steganalysis}) {
-    const auto found = profile.find(detector->name());
-    if (found == profile.end()) {
-      std::fprintf(stderr, "profile has no entry for %s\n",
-                   detector->name().c_str());
-      return 1;
-    }
-    members.push_back({detector, found->second});
-  }
-
-  // A defense chain wraps every member AFTER the profile lookup (profiles
-  // key on the inner detector names). The wrapped names — e.g.
-  // "squeeze4>scaling/mse" — flow into the reports and latency metrics, so
-  // defended runs are visibly distinct from raw ones.
-  if (!options.defense.empty() && options.defense != "none") {
-    core::DefenseChain chain;
-    try {
-      chain = core::DefenseChain::parse(options.defense);
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "scan: bad --defense spec: %s\n", error.what());
-      return 2;
-    }
+  const core::ScanConfig config = scan_config(options);
+  if (!config.defense.empty()) {
     std::fprintf(stderr,
                  "note: scoring through defense '%s'; thresholds calibrated "
                  "on raw images may not transfer\n",
-                 chain.name().c_str());
-    for (auto& member : members) {
-      member.detector =
-          std::make_shared<core::DefendedDetector>(member.detector, chain);
-    }
+                 config.defense.name().c_str());
   }
-
-  const core::EnsembleDetector ensemble{members};
+  const core::Scanner scanner(config, profile);
 
   if (options.profile_tree || !options.stacks_out.empty()) {
     obs::set_profiling_enabled(true);
@@ -451,79 +366,76 @@ int cmd_scan(const Options& options) {
   // Fan the files out over the pool; parallel_map keeps input order. The
   // root span makes the whole scan one profile-tree node, so per-stage self
   // times sum to the scan wall time.
-  std::vector<ScanOutcome> outcomes;
+  std::vector<FileScan> scans;
   {
     DECAM_SPAN("scan");
-    outcomes = runtime::parallel_map(files, [&](const std::string& path) {
-      ScanOutcome outcome =
-          scan_one(path, members, ensemble, options.short_circuit);
+    scans = runtime::parallel_map(files, [&](const std::string& path) {
+      FileScan scan{path, {}};
+      try {
+        scan.record = scanner.scan(read_image(path));
+      } catch (const std::exception& error) {
+        scan.record.error = error.what();
+      }
       // Drain a pending SIGUSR1 between images so long scans can be dumped
       // mid-run (the exchange inside makes concurrent lanes race-free).
       obs::service_openmetrics_signal_dump();
-      return outcome;
+      return scan;
     });
   }
   obs::service_openmetrics_signal_dump();
 
   bool any_error = false;
   bool any_flagged = false;
-  for (const ScanOutcome& outcome : outcomes) {
-    any_error = any_error || !outcome.error.empty();
-    any_flagged = any_flagged || outcome.flagged;
+  for (const FileScan& scan : scans) {
+    any_error = any_error || !scan.record.error.empty();
+    any_flagged = any_flagged || scan.record.attack;
   }
 
-  if (outcomes.size() == 1 && !outcomes[0].error.empty()) {
+  if (scans.size() == 1 && !scans[0].record.error.empty()) {
     // Single-file failure keeps the historical diagnostic on stderr.
-    std::fprintf(stderr, "decamctl: %s\n", outcomes[0].error.c_str());
+    std::fprintf(stderr, "decamctl: %s\n", scans[0].record.error.c_str());
     return 1;
   }
 
   if (options.json) {
-    if (outcomes.size() == 1) {
-      print_scan_json(outcomes[0], members, "");
+    if (scans.size() == 1) {
+      print_scan_json(scans[0], "");
       std::printf("\n");
     } else {
       std::printf("[\n");
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        print_scan_json(outcomes[i], members, "  ");
-        std::printf("%s\n", i + 1 < outcomes.size() ? "," : "");
+      for (std::size_t i = 0; i < scans.size(); ++i) {
+        print_scan_json(scans[i], "  ");
+        std::printf("%s\n", i + 1 < scans.size() ? "," : "");
       }
       std::printf("]\n");
     }
-  } else if (outcomes.size() == 1) {
-    const ScanOutcome& outcome = outcomes[0];
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!outcome.scores[i].has_value()) {
+  } else if (scans.size() == 1) {
+    const core::ScanRecord& record = scans[0].record;
+    for (const core::MemberRecord& member : record.members) {
+      if (!member.score) {
         std::printf("%-18s skipped (majority already decided)\n",
-                    members[i].detector->name().c_str());
+                    member.name.c_str());
         continue;
       }
       std::printf("%-18s score=%-10.4g threshold=%-10.4g -> %s\n",
-                  members[i].detector->name().c_str(), *outcome.scores[i],
-                  members[i].calibration.threshold,
-                  core::is_attack(*outcome.scores[i], members[i].calibration)
-                      ? "ATTACK"
-                      : "ok");
+                  member.name.c_str(), *member.score, member.threshold,
+                  *member.vote ? "ATTACK" : "ok");
     }
-    std::printf("verdict: %s\n", outcome.flagged ? "ATTACK IMAGE" : "benign");
+    std::printf("verdict: %s\n", record.attack ? "ATTACK IMAGE" : "benign");
   } else {
     // One line per file, input order, votes inline.
-    for (const ScanOutcome& outcome : outcomes) {
-      if (!outcome.error.empty()) {
-        std::printf("%s\tERROR\t%s\n", outcome.path.c_str(),
-                    outcome.error.c_str());
+    for (const FileScan& scan : scans) {
+      if (!scan.record.error.empty()) {
+        std::printf("%s\tERROR\t%s\n", scan.path.c_str(),
+                    scan.record.error.c_str());
         continue;
       }
-      std::printf("%s\t%s", outcome.path.c_str(),
-                  outcome.flagged ? "ATTACK" : "benign");
-      for (std::size_t i = 0; i < members.size(); ++i) {
+      std::printf("%s\t%s", scan.path.c_str(),
+                  scan.record.attack ? "ATTACK" : "benign");
+      for (const core::MemberRecord& member : scan.record.members) {
         std::printf(
-            "\t%s=%s", members[i].detector->name().c_str(),
-            !outcome.scores[i].has_value()
-                ? "skipped"
-                : (core::is_attack(*outcome.scores[i], members[i].calibration)
-                       ? "ATTACK"
-                       : "ok"));
+            "\t%s=%s", member.name.c_str(),
+            !member.vote ? "skipped" : (*member.vote ? "ATTACK" : "ok"));
       }
       std::printf("\n");
     }
@@ -565,20 +477,11 @@ int cmd_scan(const Options& options) {
     std::fprintf(sink, "\ncache utilisation:\n%s",
                  cache_table.render().c_str());
 
-    // Ensemble counters: images scored plus, per method, how often the
-    // short circuit skipped it. Pre-resolving the skip counters keeps the
-    // rows visible (as zeros) even when nothing was skipped.
-    auto& registry = obs::MetricsRegistry::instance();
-    for (const auto& member : members) {
-      std::string method = member.detector->name();
-      if (const std::size_t slash = method.find('/');
-          slash != std::string::npos) {
-        method.resize(slash);
-      }
-      (void)registry.counter("battery/skip_" + method);
-    }
+    // Ensemble counters: how often the short circuit skipped each method
+    // (the ensemble registers every member's counter, so zeros show too).
     report::Table battery_table({"battery counter", "count"});
-    for (const auto& [name, value] : registry.counter_values()) {
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::instance().counter_values()) {
       if (name.rfind("battery/", 0) == 0) {
         battery_table.add_row({name, std::to_string(value)});
       }
@@ -611,41 +514,13 @@ int cmd_scan(const Options& options) {
 
 int cmd_calibrate(const Options& options) {
   if (options.positional.empty() || options.out.empty()) usage();
-  const Detectors detectors = make_detectors(options);
-  struct BenignScores {
-    double scaling = 0.0;
-    double filtering = 0.0;
-  };
-  const std::vector<BenignScores> scored = runtime::parallel_map(
-      options.positional, [&](const std::string& path) {
-        const Image benign = read_image(path);
-        return BenignScores{detectors.scaling->score(benign),
-                            detectors.filtering->score(benign)};
-      });
-  std::vector<double> scaling_scores, filtering_scores;
-  for (std::size_t i = 0; i < scored.size(); ++i) {
-    scaling_scores.push_back(scored[i].scaling);
-    filtering_scores.push_back(scored[i].filtering);
-    std::fprintf(stderr, "scored %s\n", options.positional[i].c_str());
+  const core::CalibrationProfile profile = core::Scanner::calibrate(
+      scan_config(options), options.positional.size(),
+      [&](std::size_t i) { return read_image(options.positional[i]); },
+      options.percentile, options.margin);
+  for (const std::string& path : options.positional) {
+    std::fprintf(stderr, "scored %s\n", path.c_str());
   }
-  core::CalibrationProfile profile;
-  profile[detectors.scaling->name()] = core::calibrate_black_box(
-      scaling_scores, options.percentile, core::Polarity::HighIsAttack);
-  profile[detectors.filtering->name()] = core::calibrate_black_box(
-      filtering_scores, options.percentile, core::Polarity::LowIsAttack);
-  if (options.margin != 1.0) {
-    // Small calibration sets underestimate the benign tails; the margin
-    // widens each threshold away from the benign side (attack scores sit
-    // orders of magnitude away, so detection power is unaffected).
-    if (options.margin < 1.0) {
-      std::fprintf(stderr, "margin must be >= 1\n");
-      return 1;
-    }
-    profile[detectors.scaling->name()].threshold *= options.margin;
-    profile[detectors.filtering->name()].threshold /= options.margin;
-  }
-  profile[detectors.steganalysis->name()] =
-      core::Calibration{2.0, core::Polarity::HighIsAttack, 0.0};
   core::save_calibrations(profile, options.out);
   std::printf("wrote %zu calibrations to %s (percentile %.1f%%, %zu benign "
               "samples)\n",

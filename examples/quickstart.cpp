@@ -2,8 +2,8 @@
 //
 //   1. Generate a "photo" and a malicious target.
 //   2. Craft an image-scaling attack (the wolf hidden in the sheep).
-//   3. Run all three Decamouflage detectors plus the ensemble on both the
-//      benign and the attack image.
+//   3. Run the Decamouflage scanner (three detectors, majority vote) on
+//      both the benign and the attack image.
 //   4. Write the images involved to ./quickstart_out/ as PPM files so you
 //      can look at them.
 //
@@ -11,17 +11,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
+#include <vector>
 
 #include "attack/scale_attack.h"
-#include "core/calibration.h"
-#include "core/ensemble.h"
-#include "core/filtering_detector.h"
-#include "core/scaling_detector.h"
-#include "core/steganalysis_detector.h"
+#include "core/scanner.h"
 #include "data/rng.h"
 #include "data/synth.h"
 #include "imaging/image_io.h"
+#include "imaging/scale.h"
 
 using namespace decam;
 
@@ -49,45 +46,34 @@ int main(int argc, char** argv) {
       "attack crafted: |scale(A)-T|_inf = %.2f, SSIM(A, source) = %.3f\n",
       attack.report.downscale_linf, attack.report.source_ssim);
 
-  // --- 3. Decamouflage. Configure the three detectors for the deployed
-  //        pipeline geometry, give them thresholds, take a majority vote.
-  core::ScalingDetectorConfig scaling_config;
-  scaling_config.down_width = scaling_config.down_height = 112;
-  scaling_config.metric = core::Metric::MSE;
-  auto scaling = std::make_shared<core::ScalingDetector>(scaling_config);
-
-  core::FilteringDetectorConfig filtering_config;
-  filtering_config.metric = core::Metric::SSIM;
-  auto filtering = std::make_shared<core::FilteringDetector>(filtering_config);
-
-  auto steganalysis = std::make_shared<core::SteganalysisDetector>();
-
-  // Quick black-box calibration from a handful of benign samples (a real
-  // deployment would use a larger hold-out set; see the benches).
-  std::vector<double> scaling_scores, filtering_scores;
+  // --- 3. Decamouflage: the three detectors for the deployed pipeline
+  //        geometry, thresholds from a quick black-box calibration on a
+  //        handful of benign samples (a real deployment would use a larger
+  //        hold-out set; see the benches), and a majority vote.
+  core::ScanConfig config;
+  config.model_width = config.model_height = 112;
   data::Rng calib_rng(seed + 2);
-  for (int i = 0; i < 8; ++i) {
-    data::Rng child = calib_rng.fork();
-    const Image benign = generate_scene(params, child);
-    scaling_scores.push_back(scaling->score(benign));
-    filtering_scores.push_back(filtering->score(benign));
-  }
-  const core::EnsembleDetector decamouflage({
-      {scaling, core::calibrate_black_box(scaling_scores, 10.0,
-                                          core::Polarity::HighIsAttack)},
-      {filtering, core::calibrate_black_box(filtering_scores, 10.0,
-                                            core::Polarity::LowIsAttack)},
-      {steganalysis, core::Calibration{2.0, core::Polarity::HighIsAttack, 0}},
-  });
+  std::vector<data::Rng> calib_rngs;
+  for (int i = 0; i < 8; ++i) calib_rngs.push_back(calib_rng.fork());
+  const core::Scanner decamouflage(
+      config, core::Scanner::calibrate(
+                  config, calib_rngs.size(),
+                  [&](std::size_t i) {
+                    data::Rng rng = calib_rngs[i];
+                    return generate_scene(params, rng);
+                  },
+                  10.0));
 
   for (const auto& [label, image] :
        {std::pair<const char*, const Image&>{"benign", scene},
         std::pair<const char*, const Image&>{"attack", attack.image}}) {
-    const auto votes = decamouflage.votes(image);
+    const core::ScanRecord record = decamouflage.scan(image);
+    const auto vote = [&](std::size_t i) {
+      return *record.members[i].vote ? "ATTACK" : "ok";
+    };
     std::printf("%s image: scaling=%s filtering=%s steganalysis=%s -> %s\n",
-                label, votes[0] ? "ATTACK" : "ok", votes[1] ? "ATTACK" : "ok",
-                votes[2] ? "ATTACK" : "ok",
-                decamouflage.is_attack(image) ? "REJECTED" : "accepted");
+                label, vote(0), vote(1), vote(2),
+                record.attack ? "REJECTED" : "accepted");
   }
 
   // --- 4. Artefacts for human eyes.
@@ -98,7 +84,9 @@ int main(int argc, char** argv) {
   write_pnm(attack.image, (out / "attack.ppm").string());
   Image downscaled = resize(attack.image, 112, 112, ScaleAlgo::Bilinear);
   write_pnm(downscaled.clamp(), (out / "attack_downscaled.ppm").string());
-  write_pnm(scaling->round_trip(attack.image).clamp(),
+  write_pnm(scale_round_trip(attack.image, 112, 112, ScaleAlgo::Bilinear,
+                             ScaleAlgo::Bilinear)
+                .clamp(),
             (out / "attack_roundtrip.ppm").string());
   std::printf("wrote scene/target/attack images to %s/\n",
               out.string().c_str());

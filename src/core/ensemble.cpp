@@ -1,7 +1,7 @@
 #include "core/ensemble.h"
 
 #include "common/error.h"
-#include "obs/metrics.h"
+#include "obs/clock.h"
 #include "obs/span.h"
 
 namespace decam::core {
@@ -37,6 +37,8 @@ EnsembleDetector::EnsembleDetector(std::vector<Member> members)
   for (const Member& member : members_) {
     DECAM_REQUIRE(member.detector != nullptr, "null detector in ensemble");
     calibrations_.push_back(member.calibration);
+    skip_counters_.push_back(&obs::MetricsRegistry::instance().counter(
+        skip_counter_name(*member.detector)));
   }
 }
 
@@ -46,18 +48,6 @@ AnalysisContextSpec EnsembleDetector::context_spec() const {
     member.detector->prime(spec);
   }
   return spec;
-}
-
-std::vector<bool> EnsembleDetector::votes(const Image& input) const {
-  DECAM_SPAN("ensemble/votes");
-  AnalysisContext context(input, context_spec());
-  std::vector<bool> result;
-  result.reserve(members_.size());
-  for (const Member& member : members_) {
-    result.push_back(
-        core::is_attack(member.detector->score(context), member.calibration));
-  }
-  return result;
 }
 
 // Evaluates members in order and stops as soon as the outcome is decided
@@ -72,6 +62,7 @@ EnsembleDetector::Decision EnsembleDetector::decide(
   const std::size_t m = members_.size();
   decision.scores.resize(m);
   decision.votes.resize(m);
+  decision.elapsed_ms.resize(m);
 
   std::size_t attack_votes = 0;
   std::size_t i = 0;
@@ -82,18 +73,16 @@ EnsembleDetector::Decision EnsembleDetector::decide(
       const bool decided_benign = 2 * (attack_votes + remaining) <= m;
       if (decided_attack || decided_benign) break;
     }
+    const double start_us = obs::now_us();
     const double score = members_[i].detector->score(context);
+    decision.elapsed_ms[i] = (obs::now_us() - start_us) / 1000.0;
     const bool vote = core::is_attack(score, members_[i].calibration);
     decision.scores[i] = score;
     decision.votes[i] = vote;
     attack_votes += vote ? 1 : 0;
   }
   decision.evaluated = i;
-  for (; i < m; ++i) {
-    obs::MetricsRegistry::instance()
-        .counter(skip_counter_name(*members_[i].detector))
-        .add();
-  }
+  for (; i < m; ++i) skip_counters_[i]->add();
   decision.attack = 2 * attack_votes > m;
   return decision;
 }
@@ -103,10 +92,6 @@ EnsembleDetector::Decision EnsembleDetector::decide(const Image& input) const {
   // construction of its intermediate (round trip / filter / spectrum).
   AnalysisContext context(input, context_spec(), AnalysisContext::Build::Deferred);
   return decide(context);
-}
-
-bool EnsembleDetector::is_attack(const Image& input) const {
-  return decide(input).attack;
 }
 
 bool EnsembleDetector::vote_scores(std::span<const double> member_scores) const {

@@ -12,6 +12,12 @@
 // only removes scores, which decide() reports as nullopt and the
 // `battery/skip_<method>` counters account for. Exact-ROC runs that need
 // every score disable it with set_short_circuit(false).
+//
+// decide() is the one scoring loop for both vote modes, so it also times
+// each member it scores. On one shared Deferred context a member's time
+// still includes building its own stage: the three methods read disjoint
+// stages (round trip, min filter, spectrum), which keeps the per-method
+// Table 7 split.
 #pragma once
 
 #include <memory>
@@ -21,6 +27,7 @@
 
 #include "core/calibration.h"
 #include "core/detector.h"
+#include "obs/metrics.h"
 
 namespace decam::core {
 
@@ -38,12 +45,14 @@ class EnsembleDetector {
     Calibration calibration;
   };
 
-  /// One member's outcome plus the overall verdict. `scores[i]` /
-  /// `votes[i]` are nullopt when member i was skipped by the short circuit.
+  /// One member's outcome plus the overall verdict. `scores[i]`,
+  /// `votes[i]` and `elapsed_ms[i]` are nullopt when member i was skipped
+  /// by the short circuit.
   struct Decision {
     bool attack = false;
     std::vector<std::optional<double>> scores;
     std::vector<std::optional<bool>> votes;
+    std::vector<std::optional<double>> elapsed_ms;  // wall time of score()
     std::size_t evaluated = 0;  // members actually scored
   };
 
@@ -51,19 +60,11 @@ class EnsembleDetector {
   /// benign — the conservative choice for FRR).
   explicit EnsembleDetector(std::vector<Member> members);
 
-  /// True when a strict majority of members flags the image — the verdict
-  /// of decide(input), so short-circuited members never build their stages.
-  bool is_attack(const Image& input) const;
-
   /// Full evaluation with per-member outcomes. From an Image the context is
   /// built Deferred, so skipped members never build their intermediates;
   /// the staged overload reuses whatever `context` already holds.
   Decision decide(const Image& input) const;
   Decision decide(AnalysisContext& context) const;
-
-  /// Individual member votes (for diagnostics and the examples). Always
-  /// evaluates every member, regardless of the short-circuit setting.
-  std::vector<bool> votes(const Image& input) const;
 
   /// The union of intermediates the members can reuse: each member primes
   /// the spec in turn, so one AnalysisContext built from the result serves
@@ -84,6 +85,9 @@ class EnsembleDetector {
  private:
   std::vector<Member> members_;
   std::vector<Calibration> calibrations_;  // members_[i].calibration
+  // battery/skip_<method> of members_[i], registered up front so reports
+  // list every member's counter, zero or not.
+  std::vector<obs::Counter*> skip_counters_;
   bool short_circuit_ = true;
 };
 

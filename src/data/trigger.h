@@ -2,8 +2,8 @@
 // scenario of the paper's Section II-B: the attacker stamps a visual
 // trigger (the "black-frame eye-glasses") onto victim images, then uses the
 // scaling attack to disguise the trigger image as the target identity. The
-// dataset_sanitizer example uses these helpers to build a poisoned corpus
-// and show Decamouflage filtering it out.
+// backdoor_e2e example uses these helpers to build a poisoned corpus, show
+// Decamouflage filtering it out and retrain without the backdoor.
 #pragma once
 
 #include "data/rng.h"

@@ -32,8 +32,11 @@ void bootstrap_tracing() {
                                     std::memory_order_relaxed);
 }
 
-// Minimal JSON string escaping: quotes, backslashes, control characters.
-void append_json_escaped(std::string& out, const std::string& text) {
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
   for (const char ch : text) {
     switch (ch) {
       case '"': out += "\\\""; break;
@@ -52,9 +55,8 @@ void append_json_escaped(std::string& out, const std::string& text) {
         }
     }
   }
+  return out;
 }
-
-}  // namespace
 
 bool tracing_enabled() {
   const int state = g_tracing.load(std::memory_order_relaxed);
@@ -130,14 +132,14 @@ std::string TraceBuffer::chrome_json() const {
     out += "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     out += number;
     out += ",\"args\":{\"name\":\"";
-    append_json_escaped(out, name);
+    out += json_escape(name);
     out += "\"}}";
   }
   for (const TraceEvent& event : events) {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\":\"";
-    append_json_escaped(out, event.name);
+    out += json_escape(event.name);
     out += "\",\"cat\":\"decam\",\"ph\":\"X\",\"pid\":1,\"tid\":";
     std::snprintf(number, sizeof(number), "%u", event.tid);
     out += number;

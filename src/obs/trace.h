@@ -20,6 +20,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -75,6 +76,11 @@ class TraceBuffer {
   std::vector<TraceEvent> events_;
   std::map<std::uint32_t, std::string> thread_names_;
 };
+
+/// `text` escaped for the inside of a JSON string literal: `"`, `\` and
+/// every byte below 0x20. Other bytes, multi-byte UTF-8 included, pass
+/// through unchanged.
+std::string json_escape(std::string_view text);
 
 /// Writes the buffer to DECAM_TRACE_FILE if tracing is enabled and the env
 /// var is set. Returns true when a file was written. Also registered to run

@@ -164,8 +164,20 @@ int default_thread_count() {
 namespace {
 
 std::mutex g_pool_mutex;
-std::unique_ptr<ThreadPool> g_pool;
 int g_requested = 0;  // 0 = follow default_thread_count()
+
+// The global pool's holder, guarded by g_pool_mutex. Workers name
+// themselves in the trace buffer and update registry gauges, even while
+// starting up, so the holder is a function-local static created after
+// those singletons: statics die in reverse order of creation, so at exit
+// the pool joins its workers before what they use is destroyed.
+std::unique_ptr<ThreadPool>& pool_slot() {
+  obs::TraceBuffer::instance();
+  queue_depth_gauge();
+  idle_workers_gauge();
+  static std::unique_ptr<ThreadPool> pool;
+  return pool;
+}
 
 int wanted_size() { return g_requested > 0 ? g_requested : default_thread_count(); }
 
@@ -173,23 +185,26 @@ int wanted_size() { return g_requested > 0 ? g_requested : default_thread_count(
 
 ThreadPool& global_pool() {
   std::lock_guard lock(g_pool_mutex);
-  if (!g_pool) {
-    g_pool = std::make_unique<ThreadPool>(wanted_size());
+  std::unique_ptr<ThreadPool>& pool = pool_slot();
+  if (!pool) {
+    pool = std::make_unique<ThreadPool>(wanted_size());
     obs::MetricsRegistry::instance().gauge("pool/size").set(
-        static_cast<double>(g_pool->size()));
+        static_cast<double>(pool->size()));
   }
-  return *g_pool;
+  return *pool;
 }
 
 void set_thread_count(int threads) {
   std::lock_guard lock(g_pool_mutex);
   g_requested = std::max(0, threads);
-  if (g_pool && g_pool->size() != wanted_size()) g_pool.reset();
+  std::unique_ptr<ThreadPool>& pool = pool_slot();
+  if (pool && pool->size() != wanted_size()) pool.reset();
 }
 
 int thread_count() {
   std::lock_guard lock(g_pool_mutex);
-  return g_pool ? g_pool->size() : wanted_size();
+  const std::unique_ptr<ThreadPool>& pool = pool_slot();
+  return pool ? pool->size() : wanted_size();
 }
 
 }  // namespace decam::runtime

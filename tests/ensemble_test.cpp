@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/filtering_detector.h"
 #include "core/scaling_detector.h"
@@ -37,22 +38,22 @@ const Image kDummy(4, 4, 1, 0.0f);
 TEST(Ensemble, UnanimousAttackVoteFlags) {
   const EnsembleDetector ensemble({member(10, 5), member(10, 5),
                                    member(10, 5)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(ensemble.decide(kDummy).attack);
 }
 
 TEST(Ensemble, MajorityWinsTwoToOne) {
   const EnsembleDetector ensemble({member(10, 5), member(10, 5),
                                    member(1, 5)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(ensemble.decide(kDummy).attack);
   const EnsembleDetector benign_majority({member(1, 5), member(1, 5),
                                           member(10, 5)});
-  EXPECT_FALSE(benign_majority.is_attack(kDummy));
+  EXPECT_FALSE(benign_majority.decide(kDummy).attack);
 }
 
 TEST(Ensemble, TieCountsAsBenign) {
   // Even membership with a 1-1 split: not a strict majority.
   const EnsembleDetector ensemble({member(10, 5), member(1, 5)});
-  EXPECT_FALSE(ensemble.is_attack(kDummy));
+  EXPECT_FALSE(ensemble.decide(kDummy).attack);
 }
 
 TEST(Ensemble, MixedPolaritiesVoteCorrectly) {
@@ -61,17 +62,18 @@ TEST(Ensemble, MixedPolaritiesVoteCorrectly) {
       {member(10, 5, Polarity::HighIsAttack),
        member(0.2, 0.5, Polarity::LowIsAttack),
        member(1, 5, Polarity::HighIsAttack)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(ensemble.decide(kDummy).attack);
 }
 
 TEST(Ensemble, VotesExposeIndividualDecisions) {
-  const EnsembleDetector ensemble({member(10, 5), member(1, 5),
-                                   member(7, 7)});
-  const std::vector<bool> votes = ensemble.votes(kDummy);
-  ASSERT_EQ(votes.size(), 3u);
-  EXPECT_TRUE(votes[0]);
-  EXPECT_FALSE(votes[1]);
-  EXPECT_TRUE(votes[2]);  // score == threshold counts as attack
+  EnsembleDetector ensemble({member(10, 5), member(1, 5), member(7, 7)});
+  ensemble.set_short_circuit(false);
+  const EnsembleDetector::Decision decision = ensemble.decide(kDummy);
+  ASSERT_EQ(decision.votes.size(), 3u);
+  EXPECT_EQ(decision.votes[0], std::optional<bool>(true));
+  EXPECT_EQ(decision.votes[1], std::optional<bool>(false));
+  // score == threshold counts as attack
+  EXPECT_EQ(decision.votes[2], std::optional<bool>(true));
 }
 
 TEST(Ensemble, VoteScoresBypassesDetectors) {
@@ -87,7 +89,7 @@ TEST(Ensemble, VoteScoresBypassesDetectors) {
 
 TEST(Ensemble, SingleMemberActsAsThatDetector) {
   const EnsembleDetector ensemble({member(10, 5)});
-  EXPECT_TRUE(ensemble.is_attack(kDummy));
+  EXPECT_TRUE(ensemble.decide(kDummy).attack);
 }
 
 TEST(Ensemble, ValidatesConstruction) {
@@ -145,6 +147,8 @@ TEST(EnsembleShortCircuit, BenignMajoritySkipsLastMember) {
   EXPECT_TRUE(decision.scores[1].has_value());
   EXPECT_FALSE(decision.scores[2].has_value());
   EXPECT_FALSE(decision.votes[2].has_value());
+  EXPECT_TRUE(decision.elapsed_ms[1].has_value());
+  EXPECT_FALSE(decision.elapsed_ms[2].has_value());
   EXPECT_EQ(ce.detectors[2]->calls, 0);
 }
 
@@ -198,7 +202,8 @@ TEST(EnsembleShortCircuit, DecisionMatchesFullVoteOnEveryPattern) {
     CountingEnsemble ce = counting_ensemble(scores);
     const EnsembleDetector::Decision decision = ce.ensemble.decide(kDummy);
     EXPECT_EQ(decision.attack, attack_votes >= 2) << "pattern " << pattern;
-    EXPECT_EQ(decision.attack, ce.ensemble.is_attack(kDummy))
+    ce.ensemble.set_short_circuit(false);
+    EXPECT_EQ(decision.attack, ce.ensemble.decide(kDummy).attack)
         << "pattern " << pattern;
     // The free vote rule over cached scores is the same rule.
     const std::vector<Calibration> calibrations(
@@ -218,9 +223,8 @@ TEST(EnsembleShortCircuit, DecisionMatchesFullVoteOnEveryPattern) {
                std::invalid_argument);
 }
 
-// is_attack() is decide().attack on a Deferred context: once the first two
-// members vote benign, the steganalysis member is skipped and its FFT never
-// runs.
+// decide(image) scores on a Deferred context: once the first two members
+// vote benign, the steganalysis member is skipped and its FFT never runs.
 TEST(EnsembleShortCircuit, IsAttackNeverBuildsASkippedMembersStage) {
   ScalingDetectorConfig scaling;
   scaling.down_width = scaling.down_height = 16;
@@ -242,7 +246,7 @@ TEST(EnsembleShortCircuit, IsAttackNeverBuildsASkippedMembersStage) {
   const obs::Histogram& spectrum =
       obs::MetricsRegistry::instance().histogram("context/spectrum");
   const std::uint64_t before = spectrum.count();
-  EXPECT_FALSE(ensemble.is_attack(image));
+  EXPECT_FALSE(ensemble.decide(image).attack);
   EXPECT_EQ(spectrum.count(), before);
 }
 

@@ -558,6 +558,22 @@ TEST_F(ObsTest, ChromeTraceJsonParsesBack) {
             names.end());
 }
 
+TEST_F(ObsTest, JsonEscapeCoversEveryControlByte) {
+  for (int byte = 0; byte < 0x20; ++byte) {
+    char expected[8];
+    std::snprintf(expected, sizeof(expected), "\\u%04x", byte);
+    if (byte == '\n') std::snprintf(expected, sizeof(expected), "\\n");
+    if (byte == '\r') std::snprintf(expected, sizeof(expected), "\\r");
+    if (byte == '\t') std::snprintf(expected, sizeof(expected), "\\t");
+    EXPECT_EQ(json_escape(std::string(1, static_cast<char>(byte))), expected)
+        << "byte " << byte;
+  }
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  // Multi-byte UTF-8 (2, 3 and 4 bytes) passes through unchanged.
+  const std::string utf8 = "caf\xc3\xa9 \xe6\x97\xa5 \xf0\x9f\x98\x80";
+  EXPECT_EQ(json_escape(utf8), utf8);
+}
+
 TEST_F(ObsTest, WriteChromeTraceProducesParseableFile) {
   set_tracing_enabled(true);
   { Span span("file_span"); }
