@@ -152,7 +152,8 @@ int main(int argc, char** argv) {
   }
   bench("rank/max/k9", big_px, [&] { (void)rank_filter(big, 9, RankOp::Max); });
   // The median entries run on the 8-bit quantised scene — the decoded-image
-  // grid every real scan presents, i.e. the Perreault–Hébert histogram
+  // grid every real scan presents, i.e. the Grid8 route: k = 3 measures the
+  // min/max selection network, k >= 5 the Perreault–Hébert histogram
   // path. The /grid16 and /exact variants pin the other two classifier
   // routes on the same geometry: half-stepping the u8 grid lands on i/256
   // values, and a single 0.3f nudge (not representable as i/256) pushes

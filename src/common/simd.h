@@ -2,7 +2,7 @@
 //
 // The per-tap inner loops of the imaging/metrics hot paths (resize tap
 // application, separable convolution, the fused pair-stats walk, and the
-// running-histogram merge of the median filter) funnel through a table of
+// row-start histogram rebuild of the median filter) funnel through a table of
 // function pointers resolved once at startup: AVX2 on x86-64 hosts that
 // support it, NEON on aarch64, and a portable scalar fallback everywhere.
 // `DECAM_SIMD=scalar|avx2|neon` overrides the choice per process (an
@@ -52,21 +52,9 @@ const char* to_string(Isa isa);
 struct SimdOps {
   const char* name;  // matches to_string() of the owning Isa
 
-  /// dst[i] += add[i] - sub[i] over uint16 bins (mod 2^16; exact whenever
-  /// the true result fits, which histogram counts do by construction).
-  void (*hist_merge_u16)(std::uint16_t* dst, const std::uint16_t* add,
-                         const std::uint16_t* sub, int n);
-  /// dst[i] += add[i] (same arithmetic as hist_merge_u16 without the sub).
+  /// dst[i] += add[i] over uint16 bins (mod 2^16; exact whenever the true
+  /// result fits, which histogram counts do by construction).
   void (*hist_add_u16)(std::uint16_t* dst, const std::uint16_t* add, int n);
-  /// One level of the two-level histogram median descent: the smallest
-  /// index i in [0, 16) whose inclusive prefix sum bins[0] + ... + bins[i]
-  /// exceeds `rank`, or 16 when the 16-bin total does not. `*below`
-  /// receives the prefix sum before that index (0 when i == 0, the total
-  /// when i == 16). Branch-free in every variant — the select runs per
-  /// output pixel and a data-dependent early exit would mispredict more
-  /// than it saves. Integer-exact, so parity across variants is trivial.
-  int (*hist_rank16_u16)(const std::uint16_t* bins, std::uint32_t rank,
-                         std::uint32_t* below);
 
   /// out[i] = (float)(w * (double)in[i])
   void (*weighted_assign_f32)(float* out, const float* in, double w, int n);

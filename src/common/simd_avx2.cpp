@@ -16,24 +16,6 @@
 namespace decam::simd::detail {
 namespace {
 
-void hist_merge_u16(std::uint16_t* dst, const std::uint16_t* add,
-                    const std::uint16_t* sub, int n) {
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(add + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sub + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_sub_epi16(_mm256_add_epi16(d, a), s));
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::uint16_t>(dst[i] + add[i] - sub[i]);
-  }
-}
-
 void hist_add_u16(std::uint16_t* dst, const std::uint16_t* add, int n) {
   int i = 0;
   for (; i + 16 <= n; i += 16) {
@@ -45,25 +27,6 @@ void hist_add_u16(std::uint16_t* dst, const std::uint16_t* add, int n) {
                         _mm256_add_epi16(d, a));
   }
   for (; i < n; ++i) dst[i] = static_cast<std::uint16_t>(dst[i] + add[i]);
-}
-
-int hist_rank16_u16(const std::uint16_t* bins, std::uint32_t rank,
-                    std::uint32_t* below) {
-  // Same branch-free scalar scan as the scalar table. A vector prefix-sum
-  // formulation was measured slower here: extracting the `below` prefix
-  // needs a store-then-narrow-reload of the prefix vector, and the
-  // store-forwarding stall costs more than sixteen scalar adds.
-  std::uint32_t cum = 0;
-  std::uint32_t pre = 0;
-  int idx = 0;
-  for (int i = 0; i < 16; ++i) {
-    cum += bins[i];
-    const bool le = cum <= rank;
-    idx += le ? 1 : 0;
-    pre = le ? cum : pre;
-  }
-  *below = pre;
-  return idx;
 }
 
 void weighted_assign_f32(float* out, const float* in, double w, int n) {
@@ -229,8 +192,7 @@ double pair_stats_vpass(const double* const* rows, const double* win,
 
 const SimdOps& avx2_ops() {
   static const SimdOps ops = {
-      "avx2",          hist_merge_u16,    hist_add_u16,
-      hist_rank16_u16,
+      "avx2", hist_add_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass,

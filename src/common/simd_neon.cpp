@@ -14,56 +14,12 @@
 namespace decam::simd::detail {
 namespace {
 
-void hist_merge_u16(std::uint16_t* dst, const std::uint16_t* add,
-                    const std::uint16_t* sub, int n) {
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint16x8_t d = vld1q_u16(dst + i);
-    const uint16x8_t a = vld1q_u16(add + i);
-    const uint16x8_t s = vld1q_u16(sub + i);
-    vst1q_u16(dst + i, vsubq_u16(vaddq_u16(d, a), s));
-  }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::uint16_t>(dst[i] + add[i] - sub[i]);
-  }
-}
-
 void hist_add_u16(std::uint16_t* dst, const std::uint16_t* add, int n) {
   int i = 0;
   for (; i + 8 <= n; i += 8) {
     vst1q_u16(dst + i, vaddq_u16(vld1q_u16(dst + i), vld1q_u16(add + i)));
   }
   for (; i < n; ++i) dst[i] = static_cast<std::uint16_t>(dst[i] + add[i]);
-}
-
-int hist_rank16_u16(const std::uint16_t* bins, std::uint32_t rank,
-                    std::uint32_t* below) {
-  // Inclusive u32 prefix sums of the 16 bins across four quads (lane-shift
-  // adds plus a carried quad total), then a branch-free count of prefixes
-  // <= rank; integer-exact, so parity with the other variants is trivial.
-  const uint16x8_t v0 = vld1q_u16(bins);
-  const uint16x8_t v1 = vld1q_u16(bins + 8);
-  uint32x4_t q[4] = {vmovl_u16(vget_low_u16(v0)), vmovl_u16(vget_high_u16(v0)),
-                     vmovl_u16(vget_low_u16(v1)),
-                     vmovl_u16(vget_high_u16(v1))};
-  const uint32x4_t zero = vdupq_n_u32(0);
-  std::uint32_t carry = 0;
-  std::uint32_t pre[17];
-  pre[0] = 0;
-  int idx = 0;
-  const uint32x4_t rankv = vdupq_n_u32(rank);
-  for (int s = 0; s < 4; ++s) {
-    uint32x4_t x = q[s];
-    x = vaddq_u32(x, vextq_u32(zero, x, 3));  // shift left one lane
-    x = vaddq_u32(x, vextq_u32(zero, x, 2));  // shift left two lanes
-    x = vaddq_u32(x, vdupq_n_u32(carry));
-    carry = vgetq_lane_u32(x, 3);
-    vst1q_u32(pre + 1 + 4 * s, x);
-    const uint32x4_t le = vcleq_u32(x, rankv);  // all-ones lanes where <=
-    idx += static_cast<int>(vaddvq_u32(vshrq_n_u32(le, 31)));
-  }
-  *below = pre[idx];
-  return idx;
 }
 
 // Widen two float lanes to a float64x2.
@@ -242,8 +198,7 @@ double pair_stats_vpass(const double* const* rows, const double* win,
 
 const SimdOps& neon_ops() {
   static const SimdOps ops = {
-      "neon",          hist_merge_u16,    hist_add_u16,
-      hist_rank16_u16,
+      "neon", hist_add_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass,

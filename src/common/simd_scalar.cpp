@@ -9,32 +9,10 @@
 namespace decam::simd::detail {
 namespace {
 
-void hist_merge_u16(std::uint16_t* dst, const std::uint16_t* add,
-                    const std::uint16_t* sub, int n) {
-  for (int i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::uint16_t>(dst[i] + add[i] - sub[i]);
-  }
-}
-
 void hist_add_u16(std::uint16_t* dst, const std::uint16_t* add, int n) {
   for (int i = 0; i < n; ++i) {
     dst[i] = static_cast<std::uint16_t>(dst[i] + add[i]);
   }
-}
-
-int hist_rank16_u16(const std::uint16_t* bins, std::uint32_t rank,
-                    std::uint32_t* below) {
-  std::uint32_t cum = 0;
-  std::uint32_t pre = 0;
-  int idx = 0;
-  for (int i = 0; i < 16; ++i) {
-    cum += bins[i];
-    const bool le = cum <= rank;
-    idx += le ? 1 : 0;
-    pre = le ? cum : pre;
-  }
-  *below = pre;
-  return idx;
 }
 
 void weighted_assign_f32(float* out, const float* in, double w, int n) {
@@ -133,8 +111,7 @@ double pair_stats_vpass(const double* const* rows, const double* win,
 
 const SimdOps& scalar_ops() {
   static const SimdOps ops = {
-      "scalar",        hist_merge_u16,    hist_add_u16,
-      hist_rank16_u16,
+      "scalar", hist_add_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass,

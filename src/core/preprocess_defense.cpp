@@ -12,41 +12,42 @@
 namespace decam::core {
 namespace {
 
+// True when v is an integer in [lo, hi]. The range compares come first
+// and are false for NaN, so only in-range values ever reach an int cast
+// (apply_step); casting an out-of-range double is undefined behaviour.
+bool integer_in(double v, int lo, int hi) {
+  return v >= lo && v <= hi && v == std::trunc(v);
+}
+
 // Step parameter validation lives in one place so the DefenseChain
 // constructor (programmatic use) and parse() (spec strings) reject the same
 // inputs with the same message.
 void validate_step(const DefenseStep& step) {
   switch (step.kind) {
-    case DefenseKind::Squeeze: {
-      const int bits = static_cast<int>(step.param);
-      if (step.param != bits || bits < 1 || bits > 8) {
+    case DefenseKind::Squeeze:
+      if (!integer_in(step.param, 1, 8)) {
         throw std::invalid_argument(
             "defense: squeeze bits must be an integer in [1, 8]");
       }
       return;
-    }
-    case DefenseKind::Median: {
-      const int k = static_cast<int>(step.param);
-      if (step.param != k || k < 1 || k > 15) {
+    case DefenseKind::Median:
+      if (!integer_in(step.param, 1, 15)) {
         throw std::invalid_argument(
             "defense: median window must be an integer in [1, 15]");
       }
       return;
-    }
     case DefenseKind::Gaussian:
       if (!(step.param > 0.0) || step.param > 16.0) {
         throw std::invalid_argument(
             "defense: gauss sigma must be in (0, 16]");
       }
       return;
-    case DefenseKind::Jpeg: {
-      const int quality = static_cast<int>(step.param);
-      if (step.param != quality || quality < 1 || quality > 100) {
+    case DefenseKind::Jpeg:
+      if (!integer_in(step.param, 1, 100)) {
         throw std::invalid_argument(
             "defense: jpeg quality must be an integer in [1, 100]");
       }
       return;
-    }
   }
   throw std::invalid_argument("defense: unknown step kind");
 }
@@ -165,8 +166,12 @@ DefenseChain DefenseChain::parse(const std::string& spec) {
 }
 
 Image DefenseChain::apply(const Image& input) const {
-  Image out = input;
-  for (const DefenseStep& step : steps_) out = apply_step(out, step);
+  if (steps_.empty()) return input;
+  // The first step reads `input` itself; every step returns a new image.
+  Image out = apply_step(input, steps_.front());
+  for (std::size_t i = 1; i < steps_.size(); ++i) {
+    out = apply_step(out, steps_[i]);
+  }
   return out;
 }
 

@@ -179,6 +179,68 @@ void rank_median_exact(const Image& img, int k, Image& out) {
   }
 }
 
+// Values are exactly integral in [0, 255] on the Grid8 path
+// (classify_median_path), so the u8 index plane is a lossless relabeling.
+void relabel_u8(const float* plane, std::uint8_t* idx, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[i] = static_cast<std::uint8_t>(static_cast<int>(plane[i]));
+  }
+}
+
+// ------------------------------------------------ 3x3 selection network --
+//
+// The k = 3 Grid8 median without a histogram: sort each column of the
+// (clamped) 3-row window into lo <= mid <= hi, then the window median is
+// med3(max3(lo), med3(mid), min3(hi)) over the three columns. Each column
+// sort is shared by the three outputs whose windows hold it. Min/max only,
+// so the result is one of the window's own samples, and the loops over
+// uint8_t vectorize as written (pminub/pmaxub at the -O3 the imaging build
+// uses). Columns past the right edge replicate column w-1, matching the
+// clamped window.
+inline std::uint8_t med3(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
+  return std::max(std::min(a, b), std::min(std::max(a, b), c));
+}
+
+void rank_median3_grid8(const Image& img, Image& out) {
+  const int w = img.width();
+  const int h = img.height();
+  const std::size_t padded = static_cast<std::size_t>(w) + 2;
+  std::vector<std::uint8_t> idx(img.plane_size());
+  std::vector<std::uint8_t> lo(padded);
+  std::vector<std::uint8_t> mid(padded);
+  std::vector<std::uint8_t> hi(padded);
+
+  for (int c = 0; c < img.channels(); ++c) {
+    relabel_u8(img.plane(c).data(), idx.data(), idx.size());
+    for (int y = 0; y < h; ++y) {
+      const std::uint8_t* r0 = idx.data() + static_cast<std::size_t>(y) * w;
+      const std::uint8_t* r1 =
+          idx.data() + static_cast<std::size_t>(std::min(y + 1, h - 1)) * w;
+      const std::uint8_t* r2 =
+          idx.data() + static_cast<std::size_t>(std::min(y + 2, h - 1)) * w;
+      for (int x = 0; x < w; ++x) {
+        const std::uint8_t a = std::min(r0[x], r1[x]);
+        const std::uint8_t b = std::max(r0[x], r1[x]);
+        lo[x] = std::min(a, r2[x]);
+        mid[x] = std::max(a, std::min(b, r2[x]));
+        hi[x] = std::max(b, r2[x]);
+      }
+      lo[w] = lo[w + 1] = lo[w - 1];
+      mid[w] = mid[w + 1] = mid[w - 1];
+      hi[w] = hi[w + 1] = hi[w - 1];
+      float* out_row = out.row(y, c).data();
+      for (int x = 0; x < w; ++x) {
+        const std::uint8_t max_lo =
+            std::max(std::max(lo[x], lo[x + 1]), lo[x + 2]);
+        const std::uint8_t med_mid = med3(mid[x], mid[x + 1], mid[x + 2]);
+        const std::uint8_t min_hi =
+            std::min(std::min(hi[x], hi[x + 1]), hi[x + 2]);
+        out_row[x] = static_cast<float>(med3(max_lo, med_mid, min_hi));
+      }
+    }
+  }
+}
+
 // ------------------------------------------- running-histogram median --
 //
 // Perreault & Hébert 2007: one histogram per image column, maintained
@@ -193,7 +255,7 @@ void rank_median_exact(const Image& img, int k, Image& out) {
 // column (fine 0..255, coarse 256..271); the row-start rebuild is a SIMD
 // sweep (simd::ops().hist_add_u16) and both rank descents are branch-free
 // — on x86-64 an inlined SSE2 prefix-sum descent, elsewhere the scalar
-// algorithm of the simd::SimdOps::hist_rank16_u16 contract.
+// hist_rank16 below. This path serves every Grid8 median with k != 3.
 //
 // Counts are uint16: the kernel histogram holds exactly k*k samples
 // (clamped borders re-count edge pixels), so k <= 255 guarantees no
@@ -206,9 +268,9 @@ constexpr int kSegBins8 = 16;  // fine bins per coarse segment
 
 // One level of the two-level rank descent: smallest index whose inclusive
 // prefix sum exceeds `r` (16 when none does), with `*below` receiving the
-// prefix sum before it — the simd::SimdOps::hist_rank16_u16 contract,
-// inlined here because it runs twice per output pixel. Counts are
-// integers, so both formulations below are exact and interchangeable.
+// prefix sum before it. It runs twice per output pixel, so it is inlined
+// here. Counts are integers, so both formulations below are exact and
+// interchangeable.
 // The SSE2 path keeps prefix sums in u16 lanes, which is valid because
 // the k <= 255 routing guard bounds every window total by k*k <= 65025.
 #if defined(__SSE2__)
@@ -333,10 +395,8 @@ void rank_median_hist8(const Image& img, int k, Image& out) {
   };
 
   // Two-level descent at window position x: branch-free coarse rank, lazy
-  // sync of the winning segment, branch-free fine rank within it. The
-  // descents are inlined (an indirect SimdOps call per level would cost
-  // more than the scan) and use the hist_rank16_u16 algorithm the parity
-  // tests pin; results are integer counts, identical on every path.
+  // sync of the winning segment, branch-free fine rank within it. Results
+  // are integer counts, identical on every path.
   const auto select = [&](int x) {
     std::uint32_t below = 0;
     const int s = hist_rank16(kern.data() + kFineBins8, rank, &below);
@@ -349,12 +409,7 @@ void rank_median_hist8(const Image& img, int k, Image& out) {
 #endif
 
   for (int c = 0; c < img.channels(); ++c) {
-    // Values are exactly integral in [0, 255] (classify_median_path), so
-    // the u8 index plane is a lossless relabeling.
-    const float* plane = img.plane(c).data();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      idx[i] = static_cast<std::uint8_t>(static_cast<int>(plane[i]));
-    }
+    relabel_u8(img.plane(c).data(), idx.data(), idx.size());
 
     // Prime the column histograms with window rows of y = 0 (clamped).
     std::fill(cols.begin(), cols.end(), std::uint16_t{0});
@@ -682,7 +737,11 @@ void rank_median(const Image& img, int k, Image& out) {
   median_path_counter(path).add();
   switch (path) {
     case MedianPath::Grid8:
-      rank_median_hist8(img, k, out);
+      if (k == 3) {
+        rank_median3_grid8(img, out);
+      } else {
+        rank_median_hist8(img, k, out);
+      }
       break;
     case MedianPath::Grid16:
       rank_median_hist16(img, k, out);
@@ -696,23 +755,30 @@ void rank_median(const Image& img, int k, Image& out) {
 }  // namespace
 
 MedianPath classify_median_path(const Image& img) {
-  // grid8 implies grid16 (v integral in [0,255] => v*256 integral in
-  // [0,65280]), so the scan can stop as soon as grid16 fails.
+  // Each block is one branch-free pass of compares, so it vectorizes; the
+  // scan stops between blocks once grid16 fails, since grid8 implies
+  // grid16 (v integral in [0,255] => v*256 integral in [0,65280]).
+  // Integrality is (x + 2^23) - 2^23 == x: for 0 <= x <= 2^23 the add
+  // rounds x to an integer and the subtract is exact. Every compare is
+  // false for NaN, and a NaN or infinity also fails a range compare, so
+  // no value needs an int cast. -0.0 passes as 0.
+  constexpr float kRound = 8388608.0f;  // 2^23
   bool grid8 = true;
   const float* data = img.data();
   const std::size_t n = img.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = data[i];
-    // Range checks are false for NaN; the int casts below are reached only
-    // for finite in-range values.
-    const float scaled = v * 256.0f;  // power-of-two scale: exact
-    if (!(scaled >= 0.0f && scaled <= 65535.0f &&
-          static_cast<float>(static_cast<int>(scaled)) == scaled)) {
-      return MedianPath::Exact;
+  for (std::size_t start = 0; start < n; start += kMedianClassifyBlock) {
+    const std::size_t end = std::min(n, start + kMedianClassifyBlock);
+    int on16 = 1;  // int, not bool: GCC vectorizes only the int reduction
+    int on8 = 1;
+    for (std::size_t i = start; i < end; ++i) {
+      const float v = data[i];
+      const float scaled = v * 256.0f;  // power-of-two scale: exact
+      on16 &= (scaled >= 0.0f) & (scaled <= 65535.0f) &
+              ((scaled + kRound) - kRound == scaled);
+      on8 &= (v <= 255.0f) & ((v + kRound) - kRound == v);
     }
-    if (grid8) {
-      grid8 = v <= 255.0f && static_cast<float>(static_cast<int>(v)) == v;
-    }
+    if (on16 == 0) return MedianPath::Exact;
+    grid8 = grid8 && on8 != 0;
   }
   return grid8 ? MedianPath::Grid8 : MedianPath::Grid16;
 }

@@ -3,9 +3,9 @@
 // Algorithm 2 uses k = 2), median, or maximum (the paper's Fig. 4
 // comparison and the ablation benches sweep all three) — onto the
 // per-operation fast paths below: van Herk/Gil–Werman scanline passes for
-// min/max, a running-histogram median (or the exact sorted-window fallback)
-// for median. Box/Gaussian blur support the synthetic dataset generator and
-// robustness experiments.
+// min/max; for median a 3x3 min/max selection network, a running-histogram
+// median, or the exact sorted-window fallback. Box/Gaussian blur support
+// the synthetic dataset generator and robustness experiments.
 //
 // Border handling: edge replication (same as the clamped taps used by the
 // scalers), window anchored at the top-left as in erode/dilate with an
@@ -24,19 +24,27 @@
 // additions; its outputs may differ from the naive sum by a last-ulp
 // rounding step, i.e. a max abs error on the order of 1e-6 of full scale.
 //
-// Float -> histogram eligibility (median): Image stores floats, but the
-// histogram median needs a finite bin grid, so rank_filter classifies the
-// image once per call (classify_median_path). A plane whose values are all
-// exactly integral in [0, 255] takes the 8-bit Perreault–Hébert path; one
+// Float -> grid eligibility (median): Image stores floats, but the fast
+// medians work on a finite value grid, so rank_filter classifies the image
+// once per call (classify_median_path). An image whose values are all
+// exactly integral in [0, 255] is Grid8: k = 3 runs the selection network
+// (column sort, then med3(max3(lo), med3(mid), min3(hi))) on the u8
+// relabeling, every other k the 8-bit Perreault–Hébert histogram. One
 // whose values are all exactly i/256 for integral i in [0, 65535] (v * 256
 // is a power-of-two scale, so the test and the relabeling are both exact)
-// takes the 16-bit histogram path; anything else — including NaN, negative
-// or out-of-range values — falls back to the exact sorted-window median.
-// Every path returns an actual sample of the window, and bin -> float
-// reconstruction is exact on both grids, so the result is bit-identical to
-// the naive filter no matter which path ran. The rank_median/{grid8,
-// grid16, exact} counters record the routing.
+// takes the 16-bit histogram path; anything else — including NaN, infinite,
+// negative or out-of-range values — falls back to the exact sorted-window
+// median. The classifier runs in blocks of kMedianClassifyBlock samples:
+// each block is a branch-free pass of compares (integrality tested as
+// (x + 2^23) - 2^23 == x, no int casts), and the scan stops only between
+// blocks, once a block leaves the 16-bit grid. Every path returns an
+// actual sample of the window, and u8/bin -> float reconstruction is exact
+// on both grids, so the result is bit-identical to the naive filter no
+// matter which path ran. The rank_median/{grid8, grid16, exact} counters
+// record the routing.
 #pragma once
+
+#include <cstddef>
 
 #include "imaging/image.h"
 
@@ -45,8 +53,11 @@ namespace decam {
 enum class RankOp { Min, Median, Max };
 
 /// Which median implementation an image is eligible for (see the
-/// float -> histogram eligibility contract above).
+/// float -> grid eligibility contract above).
 enum class MedianPath { Grid8, Grid16, Exact };
+
+/// Samples per classify_median_path block (the early-exit granularity).
+inline constexpr std::size_t kMedianClassifyBlock = 1024;
 
 /// One-pass classifier over every plane; exposed for tests and benches.
 MedianPath classify_median_path(const Image& img);

@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/rng.h"
@@ -130,7 +132,16 @@ Image random_grid16_image(int w, int h, int c, std::uint64_t seed) {
 }
 
 TEST(RankFilterParity, MedianGrid8MatchesReferenceExactly) {
-  for (const Shape& s : kRankShapes) {
+  // Besides kRankShapes: widths around the 16-byte vectors of the k = 3
+  // selection network and its two replicated columns, heights around its
+  // clamped 3-row window.
+  std::vector<Shape> shapes(std::begin(kRankShapes), std::end(kRankShapes));
+  for (const int w : {1, 2, 3, 4, 15, 16, 17, 31, 32, 33, 64, 65}) {
+    for (const int h : {1, 2, 3, 5}) {
+      for (const int c : {1, 3}) shapes.push_back({w, h, c});
+    }
+  }
+  for (const Shape& s : shapes) {
     const Image img = random_grid8_image(s.w, s.h, s.c, 4000u + s.w * 7u + s.h);
     ASSERT_EQ(classify_median_path(img), MedianPath::Grid8);
     for (const int k : kGridKs) {
@@ -140,6 +151,22 @@ TEST(RankFilterParity, MedianGrid8MatchesReferenceExactly) {
                            std::to_string(s.h) + "x" + std::to_string(s.c) +
                            " k=" + std::to_string(k));
     }
+  }
+}
+
+TEST(RankFilterParity, Median3NetworkMatchesReferenceOnEveryBinaryImage) {
+  // The k = 3 Grid8 median is a min/max network, so by the 0-1 principle
+  // matching the reference on every {0, 255} input proves it for all
+  // inputs: the window at (0, 0) of a 3x3 image is all nine pixels, and
+  // the other eight windows cover the clamped-border layouts. The two
+  // values are also the ends of the u8 relabeling.
+  for (int bits = 0; bits < 512; ++bits) {
+    Image img(3, 3, 1);
+    for (int i = 0; i < 9; ++i) img.data()[i] = (bits >> i) & 1 ? 255.0f : 0.0f;
+    ASSERT_EQ(classify_median_path(img), MedianPath::Grid8);
+    expect_identical(rank_filter(img, 3, RankOp::Median),
+                     testref::rank_filter(img, 3, RankOp::Median),
+                     "binary image " + std::to_string(bits));
   }
 }
 
@@ -178,9 +205,12 @@ TEST(MedianClassifier, RoutesByRepresentability) {
     img.plane(0)[4] = v;
     return img;
   };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   EXPECT_EQ(classify_median_path(one_pixel(0.0f)), MedianPath::Grid8);
+  EXPECT_EQ(classify_median_path(one_pixel(-0.0f)), MedianPath::Grid8);
   EXPECT_EQ(classify_median_path(one_pixel(255.0f)), MedianPath::Grid8);
   EXPECT_EQ(classify_median_path(one_pixel(0.5f)), MedianPath::Grid16);
+  EXPECT_EQ(classify_median_path(one_pixel(255.5f)), MedianPath::Grid16);
   EXPECT_EQ(classify_median_path(one_pixel(65535.0f / 256.0f)),
             MedianPath::Grid16);  // top of the 16-bit grid
   EXPECT_EQ(classify_median_path(one_pixel(0.3f)), MedianPath::Exact);
@@ -188,12 +218,12 @@ TEST(MedianClassifier, RoutesByRepresentability) {
   EXPECT_EQ(classify_median_path(one_pixel(256.0f)),
             MedianPath::Exact);  // integral but past the grid top
   EXPECT_EQ(classify_median_path(one_pixel(300.25f)), MedianPath::Exact);
+  EXPECT_EQ(classify_median_path(one_pixel(1e30f)), MedianPath::Exact);
   EXPECT_EQ(classify_median_path(
                 one_pixel(std::numeric_limits<float>::quiet_NaN())),
             MedianPath::Exact);
-  EXPECT_EQ(
-      classify_median_path(one_pixel(std::numeric_limits<float>::infinity())),
-      MedianPath::Exact);
+  EXPECT_EQ(classify_median_path(one_pixel(kInf)), MedianPath::Exact);
+  EXPECT_EQ(classify_median_path(one_pixel(-kInf)), MedianPath::Exact);
 
   // Multi-channel: the coarsest plane decides for the whole image.
   Image mixed(4, 4, 2);
@@ -202,6 +232,30 @@ TEST(MedianClassifier, RoutesByRepresentability) {
   EXPECT_EQ(classify_median_path(mixed), MedianPath::Grid16);
   mixed.plane(1)[0] = 0.1f;
   EXPECT_EQ(classify_median_path(mixed), MedianPath::Exact);
+}
+
+TEST(MedianClassifier, OneSampleDecidesAtEveryBlockEdge) {
+  // The classifier exits early only between kMedianClassifyBlock-sample
+  // blocks, so a single disqualifying sample must count wherever it sits:
+  // first and last sample of the image, and both sides of a block edge.
+  Image img(40, 40, 2);  // 3200 samples: three full blocks and a partial one
+  for (float& v : img.plane(0)) v = 9.0f;
+  for (float& v : img.plane(1)) v = 200.0f;
+  const std::size_t n = img.size();
+  ASSERT_GT(n, 3 * kMedianClassifyBlock);
+  ASSERT_EQ(classify_median_path(img), MedianPath::Grid8);
+  const std::size_t b = kMedianClassifyBlock;
+  for (const std::size_t i : {std::size_t{0}, b - 1, b, 2 * b - 1, 2 * b,
+                              3 * b - 1, 3 * b, n - 1}) {
+    for (const auto& [value, want] :
+         {std::pair{0.3f, MedianPath::Exact},
+          std::pair{0.5f, MedianPath::Grid16}}) {
+      Image probe = img;
+      probe.data()[i] = value;
+      EXPECT_EQ(classify_median_path(probe), want)
+          << "sample " << value << " at index " << i;
+    }
+  }
 }
 
 TEST(RankFilterParity, ConstantImageIsFixedPoint) {

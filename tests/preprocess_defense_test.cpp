@@ -135,7 +135,8 @@ TEST(PreprocessDefense, SpecGrammarRejectsGarbage) {
   for (const char* spec :
        {"", "pixmask", "squeeze", "squeeze0", "squeeze9", "squeeze4x",
         "median2.5", "median17", "gauss0", "gauss-1", "jpeg0", "jpeg101",
-        "squeeze4+", "+jpeg75", "none+jpeg75", "jpeg75 "}) {
+        "squeeze4+", "+jpeg75", "none+jpeg75", "jpeg75 ", "median1e300",
+        "squeezeinf", "jpegnan", "median-inf"}) {
     EXPECT_THROW(DefenseChain::parse(spec), std::invalid_argument)
         << "spec '" << spec << "'";
   }

@@ -138,51 +138,11 @@ void expect_bits_equal(const std::vector<T>& got, const std::vector<T>& want,
 TEST_F(SimdParity, HistOps) {
   for (const int n : kSizes) {
     const auto add = random_u16(n, 10u + n);
-    const auto sub = random_u16(n, 20u + n);
     auto a = random_u16(n, 30u + n);
     auto b = a;
-    scalar_->hist_merge_u16(a.data(), add.data(), sub.data(), n);
-    native_->hist_merge_u16(b.data(), add.data(), sub.data(), n);
-    expect_bits_equal(a, b, "hist_merge_u16 n=" + std::to_string(n));
     scalar_->hist_add_u16(a.data(), add.data(), n);
     native_->hist_add_u16(b.data(), add.data(), n);
     expect_bits_equal(a, b, "hist_add_u16 n=" + std::to_string(n));
-  }
-}
-
-TEST_F(SimdParity, HistRank16) {
-  data::Rng rng(99);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::uint16_t bins[16];
-    std::uint32_t total = 0;
-    for (std::uint16_t& b : bins) {
-      b = static_cast<std::uint16_t>(
-          rng.next_range(0.0, trial % 3 == 0 ? 3.0 : 65536.0));
-      total += b;
-    }
-    const std::uint32_t ranks[] = {0u, total / 2, total ? total - 1 : 0u,
-                                   total, total + 5u};
-    for (const std::uint32_t rank : ranks) {
-      std::uint32_t below_s = 0, below_n = 0;
-      const int idx_s = scalar_->hist_rank16_u16(bins, rank, &below_s);
-      const int idx_n = native_->hist_rank16_u16(bins, rank, &below_n);
-      EXPECT_EQ(idx_s, idx_n) << "trial " << trial << " rank " << rank;
-      EXPECT_EQ(below_s, below_n) << "trial " << trial << " rank " << rank;
-      // Contract check against a naive scan.
-      std::uint32_t cum = 0;
-      int want = 16;
-      std::uint32_t want_below = total;
-      for (int i = 0; i < 16; ++i) {
-        if (cum + bins[i] > rank) {
-          want = i;
-          want_below = cum;
-          break;
-        }
-        cum += bins[i];
-      }
-      EXPECT_EQ(idx_s, want) << "trial " << trial << " rank " << rank;
-      EXPECT_EQ(below_s, want_below) << "trial " << trial << " rank " << rank;
-    }
   }
 }
 
