@@ -1,9 +1,11 @@
 // Measures the cost of the observability probes themselves, backing the
-// "near-zero overhead when disabled" requirement (DESIGN.md §7): a disabled
-// DECAM_SPAN must stay in the nanoseconds (one relaxed atomic load + branch)
-// so instrumenting the imaging/signal kernels cannot shift the Table 7
-// numbers, and the enabled paths (trace ring, profile tree, histograms)
-// must stay cheap enough to leave on in production scans.
+// "near-zero overhead when disabled" requirement (DESIGN.md §7): a
+// DECAM_SPAN with both sinks off must stay in the nanoseconds (one relaxed
+// atomic load + branch) so instrumenting the imaging/signal kernels cannot
+// shift the Table 7 numbers, and the enabled paths (trace buffer, profile
+// tree, histograms) must stay cheap enough to leave on in production
+// scans. The span entries switch each sink on in process
+// (set_tracing_enabled / set_profiling_enabled), whatever the environment.
 //
 //   obs_overhead [--quick] [--json] [--out FILE] [--filter SUBSTR]
 //                [--regress-against FILE]

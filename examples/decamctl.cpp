@@ -506,7 +506,6 @@ int cmd_scan(const Options& options) {
     std::fprintf(stderr, "wrote OpenMetrics exposition to %s\n",
                  options.metrics_out.c_str());
   }
-  obs::flush_trace();
   // Shell-friendly: load failures dominate, then detections.
   if (any_error) return 1;
   return any_flagged ? 3 : 0;

@@ -89,7 +89,7 @@ void AnalysisContext::ensure(AnalysisStage stage) {
 void AnalysisContext::build_round_trip() {
   static auto& round_trip_hist =
       obs::MetricsRegistry::instance().histogram("context/round_trip");
-  obs::ScopedTimer timer(round_trip_hist, "context/round_trip");
+  obs::Span span("context/round_trip", &round_trip_hist);
   if (!spec_.up_algo) {
     downscaled_ = resize(*input_, spec_.down_width, spec_.down_height,
                          spec_.down_algo);
@@ -108,7 +108,7 @@ void AnalysisContext::build_round_trip() {
 void AnalysisContext::build_filter() {
   static auto& filter_hist =
       obs::MetricsRegistry::instance().histogram("context/filter");
-  obs::ScopedTimer timer(filter_hist, "context/filter");
+  obs::Span span("context/filter", &filter_hist);
   filtered_ = rank_filter(*input_, spec_.filter_window, spec_.filter_op);
   add_bytes(image_bytes(filtered_));
 }
@@ -116,7 +116,7 @@ void AnalysisContext::build_filter() {
 void AnalysisContext::build_spectrum() {
   static auto& spectrum_hist =
       obs::MetricsRegistry::instance().histogram("context/spectrum");
-  obs::ScopedTimer timer(spectrum_hist, "context/spectrum");
+  obs::Span span("context/spectrum", &spectrum_hist);
   spectrum_ = centered_log_spectrum(*input_);
   add_bytes(image_bytes(spectrum_));
 }

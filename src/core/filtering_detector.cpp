@@ -11,6 +11,7 @@ FilteringDetector::FilteringDetector(FilteringDetectorConfig config)
   DECAM_REQUIRE(config.window >= 1, "filter window must be >= 1");
   DECAM_REQUIRE(config.metric == Metric::MSE || config.metric == Metric::SSIM,
                 "filtering detector uses MSE or SSIM");
+  span_name_ = "detector/" + name();
 }
 
 Image FilteringDetector::filtered(const Image& input) const {
@@ -18,8 +19,7 @@ Image FilteringDetector::filtered(const Image& input) const {
 }
 
 double FilteringDetector::reduce(const AnalysisContext& context) const {
-  DECAM_SPAN(config_.metric == Metric::MSE ? "detector/filtering/mse"
-                                           : "detector/filtering/ssim");
+  DECAM_SPAN(span_name_);
   const Image& input = context.input();
   return config_.metric == Metric::MSE ? mse(input, context.filtered())
                                        : ssim(input, context.filtered());

@@ -39,6 +39,9 @@ class FilteringDetector final : public Detector {
   double reduce(const AnalysisContext& context) const override;
 
   FilteringDetectorConfig config_;
+  // "detector/" + name(): built once, so a span with both sinks off
+  // allocates nothing.
+  std::string span_name_;
 };
 
 }  // namespace decam::core

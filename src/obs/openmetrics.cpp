@@ -4,12 +4,12 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 
 #include "common/error.h"
 #include "obs/memstats.h"
 #include "obs/metrics.h"
+#include "obs/sink.h"
 
 namespace decam::obs {
 namespace {
@@ -112,10 +112,7 @@ std::string export_openmetrics() {
 }
 
 void write_openmetrics(const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) throw IoError(path.string() + ": cannot open for writing");
-  out << export_openmetrics();
-  if (!out) throw IoError(path.string() + ": short write");
+  write_text_file(path, export_openmetrics());
 }
 
 void install_openmetrics_signal_handler(const std::filesystem::path& path) {

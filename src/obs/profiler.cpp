@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-
-#include "common/error.h"
 
 namespace decam::obs {
 namespace detail {
@@ -33,15 +29,6 @@ namespace {
 
 using detail::ProfileNode;
 
-bool env_truthy(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
-// -1 = not yet read from the environment (same protocol as the trace gate).
-std::atomic<int> g_profiling{-1};
-
 // One tree per thread that ever recorded a stage. Trees are kept alive past
 // thread exit (shared_ptr in the registry) so a final export still sees
 // worker stages. `mutex` guards child insertion and snapshot traversal;
@@ -58,8 +45,10 @@ struct ProfileRegistry {
 };
 
 ProfileRegistry& registry() {
-  static ProfileRegistry instance;
-  return instance;
+  // Immortal, like MetricsRegistry: the exit flush (obs/sink.h) reads it
+  // after static destruction has begun.
+  static ProfileRegistry* instance = new ProfileRegistry();
+  return *instance;
 }
 
 ThreadProfile& thread_profile() {
@@ -72,15 +61,26 @@ ThreadProfile& thread_profile() {
   return *profile;
 }
 
-void flush_at_exit() { flush_profile(); }
+// The child `name` of `parent` in `profile`'s tree, created on first visit.
+// Only the owning thread inserts into its own maps, so the lock-free find
+// can race only with a concurrent snapshot (also a reader).
+ProfileNode* child_of(ThreadProfile& profile, ProfileNode* parent,
+                      std::string_view name) {
+  const auto found = parent->children.find(name);
+  if (found != parent->children.end()) return found->second.get();
+  auto created = std::make_unique<ProfileNode>();
+  created->name = std::string(name);
+  created->parent = parent;
+  ProfileNode* node = created.get();
+  std::lock_guard lock(profile.mutex);
+  parent->children.emplace(node->name, std::move(created));
+  return node;
+}
 
-void bootstrap_profiling() {
-  registry();  // outlive the atexit handler (reverse destruction order)
-  std::atexit(flush_at_exit);
-  int expected = -1;
-  g_profiling.compare_exchange_strong(
-      expected, env_truthy("DECAM_PROFILE") ? 1 : 0,
-      std::memory_order_relaxed);
+// `stage`'s path (a node of any thread's tree) in `profile`'s tree.
+ProfileNode* same_path(ThreadProfile& profile, const ProfileNode* stage) {
+  if (stage->parent == nullptr) return &profile.root;
+  return child_of(profile, same_path(profile, stage->parent), stage->name);
 }
 
 // ------------------------------------------------------------- merging --
@@ -143,44 +143,12 @@ void flatten(const MergedNode& node, const std::string& path, int depth,
 
 }  // namespace
 
-bool profiling_enabled() {
-  const int state = g_profiling.load(std::memory_order_relaxed);
-  if (state >= 0) return state != 0;
-  bootstrap_profiling();
-  return g_profiling.load(std::memory_order_relaxed) != 0;
-}
-
-void set_profiling_enabled(bool enabled) {
-  profiling_enabled();  // ensure the atexit flush is registered
-  g_profiling.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-std::string profile_file_path() {
-  const char* value = std::getenv("DECAM_PROFILE_FILE");
-  return value == nullptr ? std::string() : std::string(value);
-}
-
 namespace detail {
 
 ProfileNode* profile_enter(std::string_view name) {
   ThreadProfile& profile = thread_profile();
-  ProfileNode* parent = profile.current;
-  // Lock-free lookup: only this thread inserts into its own maps, so a plain
-  // find can race only with a concurrent snapshot (also a reader).
-  const auto found = parent->children.find(name);
-  ProfileNode* node;
-  if (found != parent->children.end()) {
-    node = found->second.get();
-  } else {
-    auto created = std::make_unique<ProfileNode>();
-    created->name = std::string(name);
-    created->parent = parent;
-    node = created.get();
-    std::lock_guard lock(profile.mutex);
-    parent->children.emplace(node->name, std::move(created));
-  }
-  profile.current = node;
-  return node;
+  profile.current = child_of(profile, profile.current, name);
+  return profile.current;
 }
 
 void profile_exit(ProfileNode* node, double elapsed_us) {
@@ -189,6 +157,26 @@ void profile_exit(ProfileNode* node, double elapsed_us) {
       static_cast<std::uint64_t>(std::max(elapsed_us, 0.0) * 1e3),
       std::memory_order_relaxed);
   thread_profile().current = node->parent;
+}
+
+const ProfileNode* open_stage() {
+  if (!profiling_enabled()) return nullptr;
+  const ProfileNode* current = thread_profile().current;
+  return current->parent != nullptr ? current : nullptr;
+}
+
+// Another thread's `name` and `parent` never change after the node is
+// created, and the caller hands `stage` over through the pool queue's
+// mutex, so reading its path here is race-free.
+StageScope::StageScope(const ProfileNode* stage) {
+  if (stage == nullptr) return;
+  ThreadProfile& profile = thread_profile();
+  previous_ = profile.current;
+  profile.current = same_path(profile, stage);
+}
+
+StageScope::~StageScope() {
+  if (previous_ != nullptr) thread_profile().current = previous_;
 }
 
 }  // namespace detail
@@ -275,22 +263,6 @@ report::Table render_profile_tree() {
   return table;
 }
 
-report::Table render_profile_hotspots(std::size_t limit) {
-  std::vector<ProfileEntry> entries = profile_snapshot();
-  std::sort(entries.begin(), entries.end(),
-            [](const ProfileEntry& a, const ProfileEntry& b) {
-              return a.self_ms > b.self_ms;
-            });
-  if (limit > 0 && entries.size() > limit) entries.resize(limit);
-  report::Table table({"stage", "count", "self ms", "total ms"});
-  for (const ProfileEntry& entry : entries) {
-    table.add_row({entry.path, std::to_string(entry.count),
-                   report::format_double(entry.self_ms),
-                   report::format_double(entry.total_ms)});
-  }
-  return table;
-}
-
 std::string collapsed_stacks() {
   std::string out;
   for (const ProfileEntry& entry : profile_snapshot()) {
@@ -306,31 +278,7 @@ std::string collapsed_stacks() {
 }
 
 void write_collapsed_stacks(const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) throw IoError(path.string() + ": cannot open for writing");
-  out << collapsed_stacks();
-  if (!out) throw IoError(path.string() + ": short write");
-}
-
-bool flush_profile() {
-  if (!profiling_enabled()) return false;
-  const std::string path = profile_file_path();
-  if (path.empty()) return false;
-  const std::string stacks = collapsed_stacks();
-  if (stacks.empty()) return false;
-  try {
-    std::ofstream out(path);
-    if (!out) throw IoError(path + ": cannot open for writing");
-    out << stacks;
-    if (!out) throw IoError(path + ": short write");
-  } catch (const IoError& error) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr, "decam: profile not written: %s\n", error.what());
-    }
-    return false;
-  }
-  return true;
+  write_text_file(path, collapsed_stacks());
 }
 
 }  // namespace decam::obs

@@ -1,22 +1,20 @@
 // Hierarchical stage profiler — a low-overhead call tree built from the
-// same Span/ScopedTimer probes that feed tracing (DESIGN.md §7).
+// same Span probes that feed tracing (DESIGN.md §7).
 //
 // Every thread owns a private tree of ProfileNodes keyed by (parent, stage
 // name). Entering a span walks one pointer down (creating the child on first
 // visit), leaving it adds the elapsed time and count with relaxed atomics —
 // no locks on the hot path, no per-event allocation after the first visit of
-// a stage. Exporters merge all thread trees into one by stage path, derive
-// per-stage self time (total minus children), and render either a table
-// sorted by self time or the collapsed-stack text format flamegraph.pl and
+// a stage. A runtime pool lane re-enters its caller's open stage first
+// (StageScope), so work fanned out over the pool lands under the stage that
+// fanned it out. Exporters merge all thread trees into one by stage path,
+// derive per-stage self time (total minus children), and render either an
+// indented tree or the collapsed-stack text format flamegraph.pl and
 // speedscope consume ("a;b;c <self_us>" per line).
 //
-// Gates mirror tracing:
-//  - runtime: DECAM_PROFILE env var (unset / "" / "0" = off), overridable in
-//    process via set_profiling_enabled(); disabled cost is one relaxed
-//    atomic load + branch per span;
-//  - file:    DECAM_PROFILE_FILE names a collapsed-stack destination written
-//    automatically at process exit (or earlier via flush_profile());
-//  - compile time: -DDECAM_OBS_DISABLED removes the probes entirely.
+// The profiler records while its sink is on (obs/sink.h: DECAM_PROFILE_FILE,
+// or set_profiling_enabled); off, a span costs one relaxed atomic load and
+// a branch. The exit flush writes the collapsed stacks to DECAM_PROFILE_FILE.
 //
 // Snapshots may run while other threads record: counters are relaxed
 // atomics, so a merged tree is a statistically consistent view, not a
@@ -29,34 +27,44 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/sink.h"
 #include "report/table.h"
 
 namespace decam::obs {
-
-/// True when span probes also feed the profiler call tree. First call reads
-/// DECAM_PROFILE once; set_profiling_enabled() overrides afterwards.
-bool profiling_enabled();
-
-/// Programmatic override of the DECAM_PROFILE gate (frontends, tests).
-void set_profiling_enabled(bool enabled);
-
-/// Value of DECAM_PROFILE_FILE, or empty when unset.
-std::string profile_file_path();
 
 namespace detail {
 
 struct ProfileNode;
 
 /// Pushes `name` as the calling thread's current stage and returns the
-/// node to hand back to profile_exit. Returns nullptr when profiling is
-/// disabled (the caller skips the exit). Span/ScopedTimer call these; user
-/// code should use the DECAM_SPAN macro instead.
+/// node to hand back to profile_exit. Span calls these; user code should
+/// use the DECAM_SPAN macro instead.
 ProfileNode* profile_enter(std::string_view name);
 
 /// Pops the stage entered as `node`, attributing `elapsed_us` to it. Must
 /// run on the thread that called profile_enter, in LIFO order (guaranteed
 /// by the RAII probes).
 void profile_exit(ProfileNode* node, double elapsed_us);
+
+/// The calling thread's innermost open stage, or nullptr when profiling is
+/// off or no stage is open. Costs one relaxed load when profiling is off.
+const ProfileNode* open_stage();
+
+/// Re-enters `stage` — another thread's open stage — in the calling
+/// thread's tree for the object's lifetime, so spans opened meanwhile nest
+/// under the same path, then restores the thread's previous stage.
+/// Re-entered frames add no count and no time: the owning thread's frames
+/// keep its wall time. A null `stage` does nothing.
+class StageScope {
+ public:
+  explicit StageScope(const ProfileNode* stage);
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+  ~StageScope();
+
+ private:
+  ProfileNode* previous_ = nullptr;  // nullptr: nothing re-entered
+};
 
 }  // namespace detail
 
@@ -75,17 +83,13 @@ struct ProfileEntry {
 /// sorted by name.
 std::vector<ProfileEntry> profile_snapshot();
 
-/// Drops every recorded stage on every thread (counts and structure);
-/// in-flight spans still exit cleanly. Tests and epoch-based services.
+/// Zeroes every stage's count and time on every thread, keeping the tree
+/// so in-flight spans still exit cleanly. Tests and epoch-based services.
 void reset_profile();
 
 /// The merged tree as an indented table sorted depth-first, children by
 /// descending self time: stage, count, total ms, self ms, self %.
 report::Table render_profile_tree();
-
-/// The merged profile as a flat table of the `limit` largest self-time
-/// stages (0 = all), descending — "where do the microseconds actually go".
-report::Table render_profile_hotspots(std::size_t limit = 0);
 
 /// Collapsed-stack text export: one "path;to;stage <self_us>" line per
 /// stage with nonzero self time. Feed to flamegraph.pl or speedscope.
@@ -93,11 +97,5 @@ std::string collapsed_stacks();
 
 /// Writes collapsed_stacks() to `path` (throws IoError on failure).
 void write_collapsed_stacks(const std::filesystem::path& path);
-
-/// Writes the collapsed stacks to DECAM_PROFILE_FILE if profiling is
-/// enabled, the env var is set, and anything was recorded. Registered to
-/// run at process exit, so `DECAM_PROFILE=1 DECAM_PROFILE_FILE=s.txt
-/// <binary>` needs no cooperation from the binary.
-bool flush_profile();
 
 }  // namespace decam::obs

@@ -6,15 +6,15 @@
 
 namespace decam::obs {
 
-Span::Span(std::string_view name) {
-  const bool traced = tracing_enabled();
-  const bool profiled = profiling_enabled();
-  if (!traced && !profiled) return;
-  if (traced) {
+Span::Span(std::string_view name, Histogram* histogram)
+    : histogram_(histogram) {
+  const unsigned sinks = enabled_sinks();
+  if (sinks == 0 && histogram == nullptr) return;
+  if ((sinks & kTraceSink) != 0) {
     name_ = name;
     traced_ = true;
   }
-  if (profiled) frame_ = detail::profile_enter(name);
+  if ((sinks & kProfileSink) != 0) frame_ = detail::profile_enter(name);
   start_us_ = now_us();
   active_ = true;
 }
@@ -22,43 +22,15 @@ Span::Span(std::string_view name) {
 void Span::finish() {
   if (!active_) return;
   active_ = false;
-  const double end_us = now_us();
-  // The profile frame must pop even if the gates flipped mid-span, so the
+  const double elapsed_us = now_us() - start_us_;
+  if (histogram_ != nullptr) histogram_->record(elapsed_us / 1000.0);
+  // The profile frame must pop even if the sinks switched mid-span, so the
   // thread's stage stack stays balanced.
-  if (frame_ != nullptr) detail::profile_exit(frame_, end_us - start_us_);
+  if (frame_ != nullptr) detail::profile_exit(frame_, elapsed_us);
   if (traced_) {
     TraceBuffer::instance().add(
-        {std::move(name_), start_us_, end_us - start_us_, current_tid()});
+        {std::move(name_), start_us_, elapsed_us, current_tid()});
   }
-}
-
-ScopedTimer::ScopedTimer(std::string_view metric)
-    : histogram_(&MetricsRegistry::instance().histogram(metric)),
-      span_name_(metric) {
-  if (profiling_enabled()) frame_ = detail::profile_enter(metric);
-  start_us_ = now_us();
-}
-
-ScopedTimer::ScopedTimer(Histogram& histogram, std::string_view span_name)
-    : histogram_(&histogram), span_name_(span_name) {
-  if (!span_name_.empty() && profiling_enabled()) {
-    frame_ = detail::profile_enter(span_name);
-  }
-  start_us_ = now_us();
-}
-
-double ScopedTimer::stop() {
-  if (!running_) return elapsed_ms_;
-  running_ = false;
-  const double end_us = now_us();
-  elapsed_ms_ = (end_us - start_us_) / 1000.0;
-  histogram_->record(elapsed_ms_);
-  if (frame_ != nullptr) detail::profile_exit(frame_, end_us - start_us_);
-  if (!span_name_.empty() && tracing_enabled()) {
-    TraceBuffer::instance().add(
-        {std::move(span_name_), start_us_, end_us - start_us_, current_tid()});
-  }
-  return elapsed_ms_;
 }
 
 }  // namespace decam::obs

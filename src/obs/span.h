@@ -1,17 +1,15 @@
-// RAII timing primitives.
-//
-//   Span        — probe-only: when tracing is enabled (obs/trace.h) the
-//                 scope becomes a Chrome trace event; when profiling is
-//                 enabled (obs/profiler.h) it becomes a node of the stage
-//                 call tree; when both are disabled the constructor is two
-//                 relaxed atomic loads and a branch.
-//   ScopedTimer — always times its scope into a MetricsRegistry histogram
-//                 (callers ask for stats explicitly), and additionally
-//                 feeds the trace buffer and profiler when those are on.
-//
-// Instrument library hot paths with the DECAM_SPAN macro so a build with
-// -DDECAM_OBS_DISABLED (CMake -DDECAM_OBS=OFF) compiles the probes out
-// entirely.
+// The one timing probe. A Span times its scope; when it finishes it
+// records the scope in
+//   - the registry histogram handed to its constructor, if any: the
+//     scope's ms, whether or not a sink is on (callers ask for these
+//     stats explicitly);
+//   - the stage profiler (obs/profiler.h), while its sink is on: one node
+//     of the call tree;
+//   - the trace buffer (obs/trace.h), while its sink is on: one Chrome
+//     trace event.
+// The sinks are switched in obs/sink.h. With both off and no histogram,
+// the constructor is one relaxed atomic load and a branch. Instrument
+// library hot paths with the DECAM_SPAN macro.
 #pragma once
 
 #include <string>
@@ -27,46 +25,23 @@ struct ProfileNode;  // obs/profiler.h
 
 class Span {
  public:
-  explicit Span(std::string_view name);
+  explicit Span(std::string_view name, Histogram* histogram = nullptr);
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span() { finish(); }
 
-  /// Ends the span early (records the trace event / profile frame once).
+  /// Ends the span early: records the histogram sample, pops the profile
+  /// frame and appends the trace event, once.
   void finish();
   bool active() const { return active_; }
 
  private:
-  std::string name_;
+  std::string name_;  // kept only while tracing
+  Histogram* histogram_;
   detail::ProfileNode* frame_ = nullptr;
   double start_us_ = 0.0;
   bool active_ = false;
   bool traced_ = false;
-};
-
-class ScopedTimer {
- public:
-  /// Times into MetricsRegistry histogram `metric` (and a trace event /
-  /// profile frame of the same name when tracing / profiling is enabled).
-  explicit ScopedTimer(std::string_view metric);
-  /// Times into a caller-held histogram; `span_name` empty suppresses the
-  /// trace event and the profile frame.
-  explicit ScopedTimer(Histogram& histogram, std::string_view span_name = {});
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { stop(); }
-
-  /// Stops the clock, records, and returns the elapsed milliseconds.
-  /// Subsequent calls return the first result without re-recording.
-  double stop();
-
- private:
-  Histogram* histogram_;
-  std::string span_name_;
-  detail::ProfileNode* frame_ = nullptr;
-  double start_us_;
-  double elapsed_ms_ = 0.0;
-  bool running_ = true;
 };
 
 }  // namespace decam::obs
@@ -74,15 +49,7 @@ class ScopedTimer {
 #define DECAM_OBS_CONCAT_INNER(a, b) a##b
 #define DECAM_OBS_CONCAT(a, b) DECAM_OBS_CONCAT_INNER(a, b)
 
-#ifndef DECAM_OBS_DISABLED
 /// Marks the enclosing scope as a trace span and profiler stage (no-op
-/// unless DECAM_TRACE / DECAM_PROFILE).
+/// while both sinks are off).
 #define DECAM_SPAN(name) \
   ::decam::obs::Span DECAM_OBS_CONCAT(decam_obs_span_, __LINE__)(name)
-/// Times the enclosing scope into the named registry histogram.
-#define DECAM_TIMER(metric) \
-  ::decam::obs::ScopedTimer DECAM_OBS_CONCAT(decam_obs_timer_, __LINE__)(metric)
-#else
-#define DECAM_SPAN(name) ((void)0)
-#define DECAM_TIMER(metric) ((void)0)
-#endif

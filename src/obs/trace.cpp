@@ -1,38 +1,10 @@
 #include "obs/trace.h"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 
-#include "common/error.h"
 #include "obs/clock.h"
 
 namespace decam::obs {
-namespace {
-
-bool env_truthy(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
-// -1 = not yet read from the environment.
-std::atomic<int> g_tracing{-1};
-
-void flush_at_exit() { flush_trace(); }
-
-void bootstrap_tracing() {
-  // Touch the singletons so their function-local statics outlive the atexit
-  // handler (statics are destroyed in reverse construction order).
-  TraceBuffer::instance();
-  std::atexit(flush_at_exit);
-  int expected = -1;
-  g_tracing.compare_exchange_strong(expected, env_truthy("DECAM_TRACE") ? 1 : 0,
-                                    std::memory_order_relaxed);
-}
-
-}  // namespace
 
 std::string json_escape(std::string_view text) {
   std::string out;
@@ -58,32 +30,15 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-bool tracing_enabled() {
-  const int state = g_tracing.load(std::memory_order_relaxed);
-  if (state >= 0) return state != 0;
-  bootstrap_tracing();
-  return g_tracing.load(std::memory_order_relaxed) != 0;
-}
-
-void set_tracing_enabled(bool enabled) {
-  // Run the bootstrap first so the atexit flush is registered even when the
-  // gate was never consulted through the environment.
-  tracing_enabled();
-  g_tracing.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-std::string trace_file_path() {
-  const char* value = std::getenv("DECAM_TRACE_FILE");
-  return value == nullptr ? std::string() : std::string(value);
-}
-
 void set_current_thread_name(std::string name) {
   TraceBuffer::instance().set_thread_name(current_tid(), std::move(name));
 }
 
 TraceBuffer& TraceBuffer::instance() {
-  static TraceBuffer buffer;
-  return buffer;
+  // Immortal, like MetricsRegistry: pool workers and the exit flush
+  // (obs/sink.h) use it after static destruction has begun.
+  static TraceBuffer* buffer = new TraceBuffer();
+  return *buffer;
 }
 
 void TraceBuffer::add(TraceEvent event) {
@@ -153,30 +108,7 @@ std::string TraceBuffer::chrome_json() const {
 
 void TraceBuffer::write_chrome_trace(
     const std::filesystem::path& path) const {
-  std::ofstream out(path);
-  if (!out) throw IoError(path.string() + ": cannot open for writing");
-  out << chrome_json();
-  if (!out) throw IoError(path.string() + ": short write");
-}
-
-bool flush_trace() {
-  if (!tracing_enabled()) return false;
-  const std::string path = trace_file_path();
-  if (path.empty()) return false;
-  if (TraceBuffer::instance().size() == 0) return false;
-  try {
-    TraceBuffer::instance().write_chrome_trace(path);
-  } catch (const IoError& error) {
-    // Exit paths must not throw, but a requested trace silently vanishing
-    // is worse than a stderr line. Warn once: an explicit flush and the
-    // atexit flush would otherwise both report the same bad path.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr, "decam: trace not written: %s\n", error.what());
-    }
-    return false;
-  }
-  return true;
+  write_text_file(path, chrome_json());
 }
 
 }  // namespace decam::obs

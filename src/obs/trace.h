@@ -1,18 +1,11 @@
 // Trace-event collection and Chrome trace export.
 //
 // Spans (obs/span.h) append completed TraceEvents to the global TraceBuffer
-// when tracing is enabled. The buffer serialises to the Chrome trace-event
-// JSON format ("X" complete events), loadable in chrome://tracing or Perfetto
-// for flamegraph-style inspection of a detection run.
-//
-// Gates:
-//  - runtime: DECAM_TRACE env var (unset / "" / "0" = off), overridable in
-//    process via set_tracing_enabled();
-//  - file:    DECAM_TRACE_FILE names the JSON destination; the buffer is
-//    flushed there automatically at process exit, or earlier via
-//    flush_trace();
-//  - compile time: building with -DDECAM_OBS_DISABLED turns the DECAM_SPAN /
-//    DECAM_TIMER macros into no-ops (CMake option DECAM_OBS=OFF).
+// while the trace sink is on (obs/sink.h: DECAM_TRACE_FILE, or
+// set_tracing_enabled). The buffer serialises to the Chrome trace-event
+// JSON format ("X" complete events), loadable in chrome://tracing or
+// Perfetto for flamegraph-style inspection of a detection run; the exit
+// flush writes it to DECAM_TRACE_FILE.
 #pragma once
 
 #include <cstdint>
@@ -24,18 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/sink.h"
+
 namespace decam::obs {
-
-/// True when span collection is on. First call reads DECAM_TRACE once;
-/// set_tracing_enabled() overrides afterwards. The steady-state cost is one
-/// relaxed atomic load.
-bool tracing_enabled();
-
-/// Programmatic override of the DECAM_TRACE gate (frontends, tests).
-void set_tracing_enabled(bool enabled);
-
-/// Value of DECAM_TRACE_FILE, or empty when unset.
-std::string trace_file_path();
 
 /// Labels the calling thread's trace timeline (runtime pool workers register
 /// as "decam-worker-N"). Exported as Chrome "thread_name" metadata so worker
@@ -81,11 +65,5 @@ class TraceBuffer {
 /// every byte below 0x20. Other bytes, multi-byte UTF-8 included, pass
 /// through unchanged.
 std::string json_escape(std::string_view text);
-
-/// Writes the buffer to DECAM_TRACE_FILE if tracing is enabled and the env
-/// var is set. Returns true when a file was written. Also registered to run
-/// at process exit, so `DECAM_TRACE=1 DECAM_TRACE_FILE=t.json <binary>`
-/// needs no cooperation from the binary.
-bool flush_trace();
 
 }  // namespace decam::obs

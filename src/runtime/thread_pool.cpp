@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "runtime/parallel.h"
 
@@ -125,9 +126,15 @@ void parallel_for_impl(ThreadPool& pool, std::size_t count,
   const int lanes = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(pool.size()), count));
   state->pending = lanes - 1;
+  // Pool lanes record their spans under the caller's open profile stage,
+  // so the profile keeps one tree across threads (DESIGN.md §7).
+  const obs::detail::ProfileNode* stage = obs::detail::open_stage();
   for (int k = 0; k + 1 < lanes; ++k) {
-    pool.submit([state, lane] {
-      lane();
+    pool.submit([state, lane, stage] {
+      {
+        const obs::detail::StageScope in_caller_stage(stage);
+        lane();
+      }
       std::lock_guard lock(state->mutex);
       --state->pending;
       state->done.notify_one();
@@ -166,15 +173,11 @@ namespace {
 std::mutex g_pool_mutex;
 int g_requested = 0;  // 0 = follow default_thread_count()
 
-// The global pool's holder, guarded by g_pool_mutex. Workers name
-// themselves in the trace buffer and update registry gauges, even while
-// starting up, so the holder is a function-local static created after
-// those singletons: statics die in reverse order of creation, so at exit
-// the pool joins its workers before what they use is destroyed.
+// The global pool's holder, guarded by g_pool_mutex. Workers, even while
+// starting up, use only immortal obs singletons (the trace buffer, the
+// metrics and profile registries), so the pool may join them at exit in
+// any static-destruction order.
 std::unique_ptr<ThreadPool>& pool_slot() {
-  obs::TraceBuffer::instance();
-  queue_depth_gauge();
-  idle_workers_gauge();
   static std::unique_ptr<ThreadPool> pool;
   return pool;
 }

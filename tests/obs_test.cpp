@@ -208,7 +208,7 @@ class JsonParser {
 };
 
 // Restores the tracing gate and empties the buffer around each test so the
-// tests compose regardless of execution order or the DECAM_TRACE env var.
+// tests compose regardless of execution order or DECAM_TRACE_FILE.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -502,23 +502,27 @@ TEST_F(ObsTest, SpanNestingProducesContainedEvents) {
   EXPECT_EQ(inner.tid, outer.tid);
 }
 
+// A Span with a histogram records its ms whether or not a sink is on.
 TEST_F(ObsTest, ScopedTimerRecordsHistogramAndOptionalTrace) {
   Histogram histogram;
   {
-    ScopedTimer timer(histogram, "timed");
+    Span span("timed", &histogram);
+    EXPECT_TRUE(span.active());
     busy_wait_us(200.0);
-    const double elapsed = timer.stop();
-    EXPECT_GE(elapsed, 0.2);
-    EXPECT_DOUBLE_EQ(timer.stop(), elapsed);  // idempotent
+    span.finish();
+    span.finish();  // idempotent
   }
-  EXPECT_EQ(histogram.count(), 1u);           // stop() recorded exactly once
+  EXPECT_EQ(histogram.count(), 1u);  // recorded exactly once
+  EXPECT_GE(histogram.sum_ms(), 0.2);
   EXPECT_EQ(TraceBuffer::instance().size(), 0u);  // tracing off: no event
 
   set_tracing_enabled(true);
-  { ScopedTimer timer(histogram, "timed"); }
+  { Span span("timed", &histogram); }
   set_tracing_enabled(false);
   EXPECT_EQ(histogram.count(), 2u);
-  EXPECT_EQ(TraceBuffer::instance().size(), 1u);
+  const std::vector<TraceEvent> events = TraceBuffer::instance().snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "timed");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Hierarchical stage profiler (obs/profiler.h): tree construction from
-// nested spans, cross-thread merging, self-time arithmetic, the collapsed
-// stack export, and snapshot-while-recording safety.
+// nested spans, cross-thread merging, pool lanes under the caller's stage,
+// self-time arithmetic, the collapsed stack export, and
+// snapshot-while-recording safety.
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 #include <sstream>
 #include <thread>
 
+#include "core/filtering_detector.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "runtime/parallel.h"
 
 namespace decam::obs {
 namespace {
@@ -199,8 +202,62 @@ TEST_F(ProfilerTest, RenderedTablesContainStages) {
   }
   EXPECT_NE(render_profile_tree().render().find("pt_render"),
             std::string::npos);
-  EXPECT_NE(render_profile_hotspots(5).render().find("pt_render"),
-            std::string::npos);
+}
+
+// A pool lane re-enters the caller's open stage, so fanned-out work nests
+// under it instead of starting a second root on each worker.
+TEST_F(ProfilerTest, PoolLanesRecordUnderTheCallersStage) {
+  runtime::ThreadPool pool(4);
+  const auto spin_in = [](const char* stage) {
+    return [stage](std::size_t) {
+      DECAM_SPAN(stage);
+      busy_wait_us(500);
+    };
+  };
+  {
+    DECAM_SPAN("pt_outer");
+    runtime::parallel_for(pool, std::size_t{0}, std::size_t{16},
+                          spin_in("pt_inner"));
+  }
+  std::vector<ProfileEntry> entries = profile_snapshot();
+  const ProfileEntry* outer = find_entry(entries, "pt_outer");
+  const ProfileEntry* inner = find_entry(entries, "pt_outer;pt_inner");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->count, 1u);  // re-entered frames add no count
+  EXPECT_EQ(inner->count, 16u);
+  EXPECT_EQ(find_entry(entries, "pt_inner"), nullptr);
+
+  // The lanes left the stage: work fanned out outside any span records at
+  // the root.
+  runtime::parallel_for(pool, std::size_t{0}, std::size_t{16},
+                        spin_in("pt_after"));
+  entries = profile_snapshot();
+  const ProfileEntry* after = find_entry(entries, "pt_after");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->count, 16u);
+  EXPECT_EQ(find_entry(entries, "pt_outer;pt_after"), nullptr);
+}
+
+// A detector's frame carries its full name, the one the Scanner's
+// `detector/<name>` histogram uses, so min, median and max filters differ.
+TEST_F(ProfilerTest, FilteringDetectorFrameCarriesItsName) {
+  core::FilteringDetectorConfig config;
+  config.op = RankOp::Max;
+  config.metric = core::Metric::SSIM;
+  const core::FilteringDetector detector(config);
+  Image image(32, 32, 3);
+  for (int y = 0; y < 32; ++y) {
+    for (int x = 0; x < 32; ++x) {
+      image.at(x, y, 1) = static_cast<float>((x * y) % 7);
+    }
+  }
+  (void)detector.score(image);
+  const std::vector<ProfileEntry> entries = profile_snapshot();
+  const ProfileEntry* frame =
+      find_entry(entries, "detector/filtering/max/ssim");
+  ASSERT_NE(frame, nullptr);
+  EXPECT_EQ(frame->count, 1u);
 }
 
 // Snapshots are documented to run concurrently with recording threads
