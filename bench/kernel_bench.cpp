@@ -24,7 +24,8 @@
 // noise-level performance gate, and it must tolerate the quick run's
 // smaller inputs and a different host class. Spectrum benchmarks therefore
 // use the same fixed geometries in quick and full modes — they are the
-// entries whose regime (radix-4 vs Bluestein) depends on the exact size.
+// entries whose regime (Stockham on 7-smooth sides vs Bluestein on sides
+// with a prime factor above 7) depends on the exact size.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -187,26 +188,30 @@ int main(int argc, char** argv) {
                [&] { (void)gaussian_blur(big, 1.5); });
 
   // --- FFT log-spectrum (steganalysis detection) ---------------------------
-  // Fixed geometries in both modes: the FFT regime (planned radix-4 vs
-  // Bluestein) depends on the exact side length, so quick-mode scaling would
-  // silently benchmark a different code path (192 is not a power of two) and
-  // break the --regress-against comparison with the committed full-run
-  // baseline. Sizes cover the planned real-input pow2 path at two scales,
-  // the CNN input geometry (224 = 2^5 * 7, mixed-composite Bluestein), and a
-  // large odd Bluestein side.
+  // Fixed geometries in both modes: the FFT regime (Stockham vs Bluestein)
+  // depends on the exact side length, so quick-mode scaling would silently
+  // benchmark a different code path and break the --regress-against
+  // comparison with the committed full-run baseline. Sizes cover the
+  // power-of-two Stockham path at two scales, the 7-smooth mixed-radix
+  // path at the CNN input geometry (224 = 2^5 * 7) and at Table 7's 448²
+  // (2^6 * 7, also a batch_mixed geometry), and Bluestein on a prime side
+  // (449, convolution padded to 900 = 2^2 * 3^2 * 5^2).
   {
     const Image pow2_512 = resize(big, 512, 512, ScaleAlgo::Bilinear);
     const Image pow2_256 = resize(big, 256, 256, ScaleAlgo::Bilinear);
     const Image cnn_224 = resize(big, 224, 224, ScaleAlgo::Bilinear);
-    const Image odd_450 = resize(big, 450, 450, ScaleAlgo::Bilinear);
+    const Image smooth_448 = resize(big, 448, 448, ScaleAlgo::Bilinear);
+    const Image prime_449 = resize(big, 449, 449, ScaleAlgo::Bilinear);
     bench("spectrum/pow2", pow2_512.plane_size(),
           [&] { (void)centered_log_spectrum(pow2_512); });
     bench("spectrum/pow2_256", pow2_256.plane_size(),
           [&] { (void)centered_log_spectrum(pow2_256); });
     bench("spectrum/cnn224", cnn_224.plane_size(),
           [&] { (void)centered_log_spectrum(cnn_224); });
-    bench("spectrum/bluestein", odd_450.plane_size(),
-          [&] { (void)centered_log_spectrum(odd_450); });
+    bench("spectrum/smooth448", smooth_448.plane_size(),
+          [&] { (void)centered_log_spectrum(smooth_448); });
+    bench("spectrum/bluestein", prime_449.plane_size(),
+          [&] { (void)centered_log_spectrum(prime_449); });
   }
 
   // --- one full battery score (everything a `decamctl scan` pays) ---------

@@ -2,7 +2,9 @@
 // detection method x metric, measured with google-benchmark on a fixed
 // synthetic scene. Absolute milliseconds depend on the host CPU; the shape
 // to reproduce is the ordering CSP << MSE variants << SSIM variants (the
-// paper measures 3 ms / ~11 ms / ~137-174 ms on an i5-7500).
+// paper measures 3 ms / ~11 ms / ~137-174 ms on an i5-7500). The 448² scene
+// is 2^6 * 7 per side, a mixed-radix FFT length: here CSP lands below both
+// SSIM variants but above both MSE variants (EXPERIMENTS.md, Table 7).
 //
 // After the benchmarks the binary prints a per-kernel breakdown
 // (context/round_trip, context/filter, context/spectrum) from the obs

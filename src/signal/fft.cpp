@@ -81,7 +81,7 @@ void fft2d(std::vector<Complex>& data, int width, int height, bool inverse) {
   }
 }
 
-void fft2d(const Image& img, std::vector<Complex>& out) {
+void fft2d_half_plane(const Image& img, std::vector<Complex>& out) {
   DECAM_SPAN("signal/fft2d");
   DECAM_REQUIRE(!img.empty(), "fft2d of empty image");
   DECAM_REQUIRE(img.channels() == 1 || img.channels() == 3,
@@ -103,6 +103,10 @@ void fft2d(const Image& img, std::vector<Complex>& out) {
     return static_cast<double>(y);
   };
 
+  // Columns 0..w/2 carry all the information of a real input; only they
+  // are untangled and column-transformed.
+  const int x_end = w / 2 + 1;
+
   // Row pass, two real rows per complex transform: z = row0 + i*row1 costs
   // one FFT; the two spectra untangle through Hermitian symmetry
   //   F0[k] = (Z[k] + conj(Z[w-k])) / 2,  F1[k] = -i (Z[k] - conj(Z[w-k])) / 2.
@@ -121,7 +125,7 @@ void fft2d(const Image& img, std::vector<Complex>& out) {
     Complex* o1 = out.data() + i1;
     o0[0] = Complex(z[0].real(), 0.0);
     o1[0] = Complex(z[0].imag(), 0.0);
-    for (int k = 1; k < w; ++k) {
+    for (int k = 1; k < x_end; ++k) {
       const Complex a = z[static_cast<std::size_t>(k)];
       const Complex bk = std::conj(z[static_cast<std::size_t>(w - k)]);
       const Complex sum = a + bk;
@@ -136,21 +140,26 @@ void fft2d(const Image& img, std::vector<Complex>& out) {
       z[static_cast<std::size_t>(x)] = Complex(luma(i0 + x), 0.0);
     }
     row_fft(z.data());
-    std::copy_n(z.data(), stride, out.data() + i0);
+    std::copy_n(z.data(), x_end, out.data() + i0);
   }
 
   if (h > 1) {
-    // Columns 0..w/2 carry all the information of a real input; the rest
-    // follow from F[y][x] = conj(F[(h-y) mod h][w-x]).
     const PlannedFft col_fft(static_cast<std::size_t>(h), false);
-    const int x_end = w / 2 + 1;
     fft_columns(out.data(), w, h, 0, x_end, col_fft);
-    for (int yy = 0; yy < h; ++yy) {
-      const std::size_t ym = yy == 0 ? 0 : static_cast<std::size_t>(h - yy);
-      const Complex* src = out.data() + ym * stride;
-      Complex* dst = out.data() + static_cast<std::size_t>(yy) * stride;
-      for (int x = x_end; x < w; ++x) dst[x] = std::conj(src[w - x]);
-    }
+  }
+}
+
+void fft2d(const Image& img, std::vector<Complex>& out) {
+  fft2d_half_plane(img, out);
+  // The right half follows from F[y][x] = conj(F[(h-y) mod h][w-x]).
+  const int w = img.width();
+  const int h = img.height();
+  const std::size_t stride = static_cast<std::size_t>(w);
+  for (int y = 0; y < h; ++y) {
+    const std::size_t ym = y == 0 ? 0 : static_cast<std::size_t>(h - y);
+    const Complex* src = out.data() + ym * stride;
+    Complex* dst = out.data() + static_cast<std::size_t>(y) * stride;
+    for (int x = w / 2 + 1; x < w; ++x) dst[x] = std::conj(src[w - x]);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "signal/fft_plan.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <list>
 #include <map>
@@ -15,153 +14,230 @@
 namespace decam {
 namespace {
 
-bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+// Divides out 2, 3, 5 and 7: true when nothing else is left.
+bool is_smooth(std::size_t n) {
+  if (n == 0) return false;
+  for (const std::size_t p : {2, 3, 5, 7}) {
+    while (n % p == 0) n /= p;
+  }
+  return n == 1;
+}
 
 // ----------------------------------------------------------- plan build --
 
 FftPlan make_fft_plan(std::size_t n, bool inverse) {
-  DECAM_REQUIRE(is_pow2(n), "power-of-two plan for non-power-of-two length");
+  DECAM_REQUIRE(is_smooth(n), "smooth FFT plan for a length with a prime "
+                              "factor above 7");
   FftPlan plan;
   plan.n = n;
   plan.inverse = inverse;
-  plan.log2n = std::countr_zero(n);
 
-  plan.bitrev.resize(n);
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    plan.bitrev[i] = static_cast<std::uint32_t>(j);
+  std::vector<std::uint32_t> radices;
+  std::size_t rest = n;
+  for (; rest % 4 == 0; rest /= 4) radices.push_back(4);
+  if (rest % 2 == 0) {
+    radices.push_back(2);
+    rest /= 2;
+  }
+  for (const std::uint32_t r : {3u, 5u, 7u}) {
+    for (; rest % r == 0; rest /= r) radices.push_back(r);
   }
 
-  // Radix-4 stages combine length-L sub-transforms into 4L. When log2(n) is
-  // odd a twiddle-free radix-2 stage runs first (DIT) or last (DIF), so the
-  // radix-4 ladder starts at L = 2 instead of 1.
   const double sign = inverse ? 1.0 : -1.0;
-  std::size_t L = (plan.log2n & 1) ? 2 : 1;
-  for (; L * 4 <= n; L *= 4) {
-    plan.stages.emplace_back(static_cast<std::uint32_t>(L),
-                             static_cast<std::uint32_t>(plan.twiddles.size()));
+  std::size_t length = n;  // sub-transform length entering the stage
+  std::size_t stride = 1;  // number of interleaved sub-transforms
+  for (const std::uint32_t r : radices) {
+    const std::size_t m = length / r;
+    plan.stages.push_back({r, static_cast<std::uint32_t>(m),
+                           static_cast<std::uint32_t>(stride),
+                           static_cast<std::uint32_t>(plan.twiddles.size())});
+    // Row p - 1 holds W^(p*k) for p in [1, m); the p = 0 butterflies skip
+    // the multiply.
     const double base =
-        sign * 2.0 * std::numbers::pi / static_cast<double>(4 * L);
-    for (std::size_t k = 0; k < L; ++k) {
-      const double a = base * static_cast<double>(k);
-      plan.twiddles.emplace_back(std::cos(a), std::sin(a));
-      plan.twiddles.emplace_back(std::cos(2 * a), std::sin(2 * a));
-      plan.twiddles.emplace_back(std::cos(3 * a), std::sin(3 * a));
+        sign * 2.0 * std::numbers::pi / static_cast<double>(length);
+    for (std::size_t p = 1; p < m; ++p) {
+      for (std::size_t k = 1; k < r; ++k) {
+        const double a = base * static_cast<double>((p * k) % length);
+        plan.twiddles.emplace_back(std::cos(a), std::sin(a));
+      }
     }
+    length = m;
+    stride *= r;
   }
   return plan;
 }
 
-// DIT radix-2 stage over adjacent pairs (twiddle-free: W^0 only).
-inline void radix2_pairs(Complex* a, std::size_t n) {
-  for (std::size_t i = 0; i < n; i += 2) {
-    const Complex u = a[i];
-    const Complex v = a[i + 1];
-    a[i] = u + v;
-    a[i + 1] = u - v;
-  }
-}
-
-// Shared radix-4 butterfly core. Sub-blocks within a 4L group sit in
-// bit-reversed residue order (0, 2, 1, 3): block 1 holds residue 2, block 2
-// holds residue 1 — in DIT that reorders the *reads*, in DIF the *writes*.
-// `j` below is W^L = exp(sign*i*pi/2) = (0, sign).
+// ------------------------------------------------------------ butterflies --
 //
 // The arithmetic is spelled out on explicit doubles: std::complex
 // operator* compiles to a NaN-recovery branch around __muldc3 (Annex G
 // semantics), which blocks vectorisation and costs a call on every
-// butterfly. Plain real/imag products have no such path.
+// butterfly. Plain real/imag products have no such path. `sign` is -1 for
+// the forward transform and +1 for the inverse.
 
-void dit_stages(const FftPlan& plan, Complex* a) {
-  const std::size_t n = plan.n;
-  if (plan.log2n & 1) radix2_pairs(a, n);
-  const double s = plan.inverse ? 1.0 : -1.0;
-  for (const auto& [L32, off] : plan.stages) {
-    const std::size_t L = L32;
-    const Complex* stage_tw = plan.twiddles.data() + off;
-    for (std::size_t i = 0; i < n; i += 4 * L) {
-      Complex* p0 = a + i;
-      Complex* p1 = a + i + L;
-      Complex* p2 = a + i + 2 * L;
-      Complex* p3 = a + i + 3 * L;
-      const Complex* w = stage_tw;
-      for (std::size_t k = 0; k < L; ++k, w += 3) {
-        const double t0r = p0[k].real(), t0i = p0[k].imag();
-        // residue 1 lives in block 2, residue 2 in block 1
-        const double x1r = p2[k].real(), x1i = p2[k].imag();
-        const double x2r = p1[k].real(), x2i = p1[k].imag();
-        const double x3r = p3[k].real(), x3i = p3[k].imag();
-        const double t1r = x1r * w[0].real() - x1i * w[0].imag();
-        const double t1i = x1r * w[0].imag() + x1i * w[0].real();
-        const double t2r = x2r * w[1].real() - x2i * w[1].imag();
-        const double t2i = x2r * w[1].imag() + x2i * w[1].real();
-        const double t3r = x3r * w[2].real() - x3i * w[2].imag();
-        const double t3i = x3r * w[2].imag() + x3i * w[2].real();
-        const double u0r = t0r + t2r, u0i = t0i + t2i;
-        const double u1r = t0r - t2r, u1i = t0i - t2i;
-        const double u2r = t1r + t3r, u2i = t1i + t3i;
-        const double u3r = t1r - t3r, u3i = t1i - t3i;
-        const double ju3r = -s * u3i, ju3i = s * u3r;
-        p0[k] = Complex(u0r + u2r, u0i + u2i);
-        p1[k] = Complex(u1r + ju3r, u1i + ju3i);
-        p2[k] = Complex(u0r - u2r, u0i - u2i);
-        p3[k] = Complex(u1r - ju3r, u1i - ju3i);
+// cos and sin of 2*pi*k/R for k in [1, R/2], correctly rounded.
+template <int R>
+struct Roots;
+template <>
+struct Roots<3> {
+  static constexpr double c[] = {-0.5};
+  static constexpr double s[] = {0.8660254037844386};
+};
+template <>
+struct Roots<5> {
+  static constexpr double c[] = {0.30901699437494745, -0.8090169943749475};
+  static constexpr double s[] = {0.9510565162951535, 0.5877852522924731};
+};
+template <>
+struct Roots<7> {
+  static constexpr double c[] = {0.6234898018587335, -0.2225209339563144,
+                                 -0.9009688679024191};
+  static constexpr double s[] = {0.7818314824680298, 0.9749279121818236,
+                                 0.4338837391175581};
+};
+
+// In-place R-point DFT of (re, im), W = exp(sign*2*pi*i/R).
+template <int R>
+inline void small_dft(double (&re)[R], double (&im)[R], double sign) {
+  if constexpr (R == 2) {
+    const double r0 = re[0] + re[1], i0 = im[0] + im[1];
+    re[1] = re[0] - re[1];
+    im[1] = im[0] - im[1];
+    re[0] = r0;
+    im[0] = i0;
+  } else if constexpr (R == 4) {
+    const double u0r = re[0] + re[2], u0i = im[0] + im[2];
+    const double u1r = re[0] - re[2], u1i = im[0] - im[2];
+    const double u2r = re[1] + re[3], u2i = im[1] + im[3];
+    const double u3r = re[1] - re[3], u3i = im[1] - im[3];
+    // W^1 = (0, sign)
+    const double ju3r = -sign * u3i, ju3i = sign * u3r;
+    re[0] = u0r + u2r;
+    im[0] = u0i + u2i;
+    re[1] = u1r + ju3r;
+    im[1] = u1i + ju3i;
+    re[2] = u0r - u2r;
+    im[2] = u0i - u2i;
+    re[3] = u1r - ju3r;
+    im[3] = u1i - ju3i;
+  } else {
+    // Odd R: pair input j with R - j, t_j = a_j + a_{R-j} and
+    // d_j = a_j - a_{R-j}. For k in [1, R/2], with sums over j in [1, R/2],
+    //   X[k]     = a0 + sum cos(2pi jk/R) t_j + i sign sum sin(2pi jk/R) d_j
+    //   X[R - k] = the same with the sine term subtracted.
+    constexpr int H = R / 2;
+    double tr[H], ti[H], dr[H], di[H];
+    double b0r = re[0], b0i = im[0];
+    for (int j = 1; j <= H; ++j) {
+      tr[j - 1] = re[j] + re[R - j];
+      ti[j - 1] = im[j] + im[R - j];
+      dr[j - 1] = re[j] - re[R - j];
+      di[j - 1] = im[j] - im[R - j];
+      b0r += tr[j - 1];
+      b0i += ti[j - 1];
+    }
+    for (int k = 1; k <= H; ++k) {
+      double mr = re[0], mi = im[0], nr = 0.0, ni = 0.0;
+      for (int j = 1; j <= H; ++j) {
+        // Reduce jk mod R into [1, R/2]: cos is even, sin odd about R/2.
+        const int jk = (j * k) % R;
+        const bool upper = jk > H;
+        const int idx = upper ? R - jk : jk;
+        const double c = Roots<R>::c[idx - 1];
+        const double s = upper ? -Roots<R>::s[idx - 1] : Roots<R>::s[idx - 1];
+        mr += c * tr[j - 1];
+        mi += c * ti[j - 1];
+        nr += s * dr[j - 1];
+        ni += s * di[j - 1];
+      }
+      nr *= sign;
+      ni *= sign;
+      re[k] = mr - ni;
+      im[k] = mi + nr;
+      re[R - k] = mr + ni;
+      im[R - k] = mi - nr;
+    }
+    re[0] = b0r;
+    im[0] = b0i;
+  }
+}
+
+// The butterflies of one p across the `stride` interleaved sub-transforms:
+// inputs in[q + span*j], outputs out[q + stride*k], twiddles w[k - 1].
+template <int R, bool kTwiddled>
+inline void butterflies(std::size_t stride, std::size_t span,
+                        const Complex* in, Complex* out, const Complex* w,
+                        double sign) {
+  for (std::size_t q = 0; q < stride; ++q) {
+    double re[R], im[R];
+    for (int j = 0; j < R; ++j) {
+      re[j] = in[q + span * j].real();
+      im[j] = in[q + span * j].imag();
+    }
+    small_dft<R>(re, im, sign);
+    out[q] = Complex(re[0], im[0]);
+    for (int k = 1; k < R; ++k) {
+      if constexpr (kTwiddled) {
+        const double wr = w[k - 1].real(), wi = w[k - 1].imag();
+        out[q + stride * k] =
+            Complex(re[k] * wr - im[k] * wi, re[k] * wi + im[k] * wr);
+      } else {
+        out[q + stride * k] = Complex(re[k], im[k]);
       }
     }
   }
 }
 
-void dif_stages(const FftPlan& plan, Complex* a) {
-  const std::size_t n = plan.n;
-  const double s = plan.inverse ? 1.0 : -1.0;
-  for (auto it = plan.stages.rbegin(); it != plan.stages.rend(); ++it) {
-    const std::size_t L = it->first;
-    const Complex* stage_tw = plan.twiddles.data() + it->second;
-    for (std::size_t i = 0; i < n; i += 4 * L) {
-      Complex* p0 = a + i;
-      Complex* p1 = a + i + L;
-      Complex* p2 = a + i + 2 * L;
-      Complex* p3 = a + i + 3 * L;
-      const Complex* w = stage_tw;
-      for (std::size_t k = 0; k < L; ++k, w += 3) {
-        const double a0r = p0[k].real(), a0i = p0[k].imag();
-        const double a1r = p1[k].real(), a1i = p1[k].imag();
-        const double a2r = p2[k].real(), a2i = p2[k].imag();
-        const double a3r = p3[k].real(), a3i = p3[k].imag();
-        const double u0r = a0r + a2r, u0i = a0i + a2i;
-        const double u1r = a0r - a2r, u1i = a0i - a2i;
-        const double u2r = a1r + a3r, u2i = a1i + a3i;
-        const double u3r = a1r - a3r, u3i = a1i - a3i;
-        const double ju3r = -s * u3i, ju3i = s * u3r;
-        const double c2r = u0r - u2r, c2i = u0i - u2i;
-        const double c1r = u1r + ju3r, c1i = u1i + ju3i;
-        const double c3r = u1r - ju3r, c3i = u1i - ju3i;
-        p0[k] = Complex(u0r + u2r, u0i + u2i);  // residue 0 -> block 0
-        p1[k] = Complex(c2r * w[1].real() - c2i * w[1].imag(),
-                        c2r * w[1].imag() + c2i * w[1].real());
-        p2[k] = Complex(c1r * w[0].real() - c1i * w[0].imag(),
-                        c1r * w[0].imag() + c1i * w[0].real());
-        p3[k] = Complex(c3r * w[2].real() - c3i * w[2].imag(),
-                        c3r * w[2].imag() + c3i * w[2].real());
-      }
-    }
+// One Stockham stage, x -> y (FftPlan::Stage documents the indexing). With
+// m = 1 — always the last stage — every butterfly writes the positions it
+// read, so x == y is allowed.
+template <int R>
+void run_stage(const FftPlan::Stage& st, const Complex* tw, double sign,
+               const Complex* x, Complex* y) {
+  const std::size_t m = st.m;
+  const std::size_t stride = st.stride;
+  const std::size_t span = stride * m;
+  butterflies<R, false>(stride, span, x, y, nullptr, sign);
+  for (std::size_t p = 1; p < m; ++p) {
+    butterflies<R, true>(stride, span, x + stride * p, y + stride * R * p,
+                         tw + (p - 1) * (R - 1), sign);
   }
-  if (plan.log2n & 1) radix2_pairs(a, n);
+}
+
+// Every stage, no normalisation. Stages alternate between `data` and
+// scratch; the last one (m = 1) runs in place when its input is `data`, so
+// the result always lands in `data` without a copy.
+void run_stages(const FftPlan& plan, Complex* data) {
+  if (plan.stages.empty()) return;
+  thread_local std::vector<Complex> scratch;
+  if (scratch.size() < plan.n) scratch.resize(plan.n);
+  const double sign = plan.inverse ? 1.0 : -1.0;
+  const Complex* src = data;
+  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+    const FftPlan::Stage& st = plan.stages[i];
+    const bool last = i + 1 == plan.stages.size();
+    Complex* dst = last || src != data ? data : scratch.data();
+    const Complex* tw = plan.twiddles.data() + st.twiddle_offset;
+    switch (st.radix) {
+      case 2: run_stage<2>(st, tw, sign, src, dst); break;
+      case 3: run_stage<3>(st, tw, sign, src, dst); break;
+      case 4: run_stage<4>(st, tw, sign, src, dst); break;
+      case 5: run_stage<5>(st, tw, sign, src, dst); break;
+      default: run_stage<7>(st, tw, sign, src, dst); break;
+    }
+    src = dst;
+  }
 }
 
 // ----------------------------------------------------------------- cache --
 
 // Heap held by a cached plan, for the resident-bytes gauges. A Bluestein
-// plan's convolution sub-plans are shared_ptrs into the power-of-two cache
+// plan's convolution sub-plans are shared_ptrs into the smooth-length cache
 // and are counted there, not here — summing both gauges never double
 // counts.
 std::uint64_t plan_bytes(const FftPlan& plan) {
-  return plan.bitrev.capacity() * sizeof(std::uint32_t) +
-         plan.twiddles.capacity() * sizeof(Complex) +
-         plan.stages.capacity() *
-             sizeof(std::pair<std::uint32_t, std::uint32_t>);
+  return plan.twiddles.capacity() * sizeof(Complex) +
+         plan.stages.capacity() * sizeof(FftPlan::Stage);
 }
 
 std::uint64_t plan_bytes(const BluesteinPlan& plan) {
@@ -251,7 +327,7 @@ class PlanLruCache {
   std::uint64_t resident_bytes_ = 0;
 };
 
-PlanLruCache<FftPlan>& pow2_cache() {
+PlanLruCache<FftPlan>& smooth_cache() {
   static PlanLruCache<FftPlan> cache;
   static const bool source_registered = [] {
     obs::register_memory_source(
@@ -288,7 +364,8 @@ BluesteinPlan make_bluestein_plan(std::size_t n, bool inverse) {
                          static_cast<double>(n);
     plan.chirp[k] = Complex(std::cos(angle), std::sin(angle));
   }
-  plan.m = std::bit_ceil(2 * n - 1);
+  plan.m = 2 * n - 1;
+  while (!is_smooth(plan.m)) ++plan.m;
   plan.conv_forward = get_fft_plan(plan.m, false);
   plan.conv_inverse = get_fft_plan(plan.m, true);
   plan.kernel.assign(plan.m, Complex(0, 0));
@@ -296,10 +373,9 @@ BluesteinPlan make_bluestein_plan(std::size_t n, bool inverse) {
   for (std::size_t k = 1; k < n; ++k) {
     plan.kernel[k] = plan.kernel[plan.m - k] = std::conj(plan.chirp[k]);
   }
-  // Stored DIF-transformed (bit-reversed order) with the convolution's 1/m
-  // folded in: per call, both inner transforms skip permutation and no
-  // normalisation pass is needed.
-  fft_exec_dif_noperm(*plan.conv_forward, plan.kernel.data());
+  // Stored transformed with the convolution's 1/m folded in, so the
+  // per-call inverse transform needs no normalisation pass.
+  run_stages(*plan.conv_forward, plan.kernel.data());
   const double inv_m = 1.0 / static_cast<double>(plan.m);
   for (Complex& v : plan.kernel) v *= inv_m;
   return plan;
@@ -312,7 +388,7 @@ std::shared_ptr<const FftPlan> get_fft_plan(std::size_t n, bool inverse) {
   static auto& hits = registry.counter("fft_plan_cache/hits");
   static auto& misses = registry.counter("fft_plan_cache/misses");
   static auto& evictions = registry.counter("fft_plan_cache/evictions");
-  return pow2_cache().get(n, inverse, make_fft_plan, hits, misses, evictions);
+  return smooth_cache().get(n, inverse, make_fft_plan, hits, misses, evictions);
 }
 
 std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
@@ -325,39 +401,23 @@ std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
                                evictions);
 }
 
-FftPlanCacheStats fft_plan_cache_stats() { return pow2_cache().stats(); }
+FftPlanCacheStats fft_plan_cache_stats() { return smooth_cache().stats(); }
 
 FftPlanCacheStats bluestein_plan_cache_stats() {
   return bluestein_cache().stats();
 }
 
 void clear_fft_plan_caches() {
-  pow2_cache().clear();
+  smooth_cache().clear();
   bluestein_cache().clear();
 }
 
 void fft_exec(const FftPlan& plan, Complex* data) {
-  const std::size_t n = plan.n;
-  if (n <= 1) return;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::uint32_t j = plan.bitrev[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  dit_stages(plan, data);
+  run_stages(plan, data);
   if (plan.inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) data[i] *= inv_n;
+    const double inv_n = 1.0 / static_cast<double>(plan.n);
+    for (std::size_t i = 0; i < plan.n; ++i) data[i] *= inv_n;
   }
-}
-
-void fft_exec_dif_noperm(const FftPlan& plan, Complex* data) {
-  if (plan.n <= 1) return;
-  dif_stages(plan, data);
-}
-
-void fft_exec_dit_noperm(const FftPlan& plan, Complex* data) {
-  if (plan.n <= 1) return;
-  dit_stages(plan, data);
 }
 
 void bluestein_exec(const BluesteinPlan& plan, Complex* data) {
@@ -378,14 +438,14 @@ void bluestein_exec(const BluesteinPlan& plan, Complex* data) {
     x[k] = Complex(ar * cr - ai * ci, ar * ci + ai * cr);
   }
   std::fill(x + n, x + m, Complex(0, 0));
-  fft_exec_dif_noperm(*plan.conv_forward, x);
+  run_stages(*plan.conv_forward, x);
   const Complex* kernel = plan.kernel.data();
   for (std::size_t k = 0; k < m; ++k) {
     const double ar = x[k].real(), ai = x[k].imag();
     const double kr = kernel[k].real(), ki = kernel[k].imag();
     x[k] = Complex(ar * kr - ai * ki, ar * ki + ai * kr);
   }
-  fft_exec_dit_noperm(*plan.conv_inverse, x);
+  run_stages(*plan.conv_inverse, x);  // 1/m lives in the kernel
   const double scale =
       plan.inverse ? 1.0 / static_cast<double>(n) : 1.0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -399,16 +459,16 @@ void bluestein_exec(const BluesteinPlan& plan, Complex* data) {
 PlannedFft::PlannedFft(std::size_t n, bool inverse) : n_(n) {
   DECAM_REQUIRE(n >= 1, "fft of empty signal");
   if (n == 1) return;
-  if (is_pow2(n)) {
-    pow2_ = get_fft_plan(n, inverse);
+  if (is_smooth(n)) {
+    smooth_ = get_fft_plan(n, inverse);
   } else {
     bluestein_ = get_bluestein_plan(n, inverse);
   }
 }
 
 void PlannedFft::operator()(Complex* data) const {
-  if (pow2_) {
-    fft_exec(*pow2_, data);
+  if (smooth_) {
+    fft_exec(*smooth_, data);
   } else if (bluestein_) {
     bluestein_exec(*bluestein_, data);
   }

@@ -3,14 +3,16 @@
 //
 // A transform of length n always does the same twiddle arithmetic and the
 // same data shuffle; only the samples change. Plans hoist everything
-// sample-independent out of the hot loop: the bit-reversal permutation, the
-// per-stage radix-4/radix-2 twiddle tables, and (for Bluestein lengths) the
-// chirp sequence plus the pre-transformed convolution kernel. A 2-D
-// transform of an H x W image reuses two plans H + W times, and a dataset
-// sweep reuses them thousands of times, so plans live in a bounded
-// thread-safe LRU cache (same shape as the resize kernel-table cache in
-// imaging/kernels.cpp) and are handed out as shared_ptr — eviction can never
-// invalidate a plan mid-transform.
+// sample-independent out of the hot loop: the radix factorisation and the
+// per-stage twiddle tables of a Stockham autosort transform for every
+// 7-smooth length (prime factors 2, 3, 5 and 7 only), and for every other
+// length a Bluestein chirp sequence plus the pre-transformed kernel of its
+// convolution, which runs at a 7-smooth length. A 2-D transform of an H x W
+// image reuses two plans H + W times, and a dataset sweep reuses them
+// thousands of times, so plans live in a bounded thread-safe LRU cache (same
+// shape as the resize kernel-table cache in imaging/kernels.cpp) and are
+// handed out as shared_ptr — eviction can never invalidate a plan
+// mid-transform.
 #pragma once
 
 #include <complex>
@@ -22,42 +24,48 @@ namespace decam {
 
 using Complex = std::complex<double>;
 
-/// Plan for one power-of-two length + direction: the bit-reversal
-/// permutation and the twiddle tables of an iterative mixed radix-4/radix-2
-/// decomposition (one radix-2 stage when log2(n) is odd, radix-4 for the
-/// rest — ~25% fewer complex multiplies than all-radix-2, and table lookups
-/// replace the serial `w *= wlen` recurrence).
+/// Plan for one 7-smooth length + direction: a Stockham autosort
+/// decomposition into radix-4 stages first, then at most one radix-2 stage,
+/// then radix 3, 5 and 7. Each stage reads one buffer and writes the other
+/// in natural order, so no bit-reversal pass exists.
 struct FftPlan {
+  /// One stage splits each of `stride` interleaved sub-transforms of length
+  /// radix * m into `radix` sub-transforms of length m: input element
+  /// q + stride * (p + j * m) feeds output q + stride * (radix * p + k),
+  /// scaled by the twiddle W^(p * k) of the stage length radix * m.
+  struct Stage {
+    std::uint32_t radix = 0;
+    std::uint32_t m = 0;
+    std::uint32_t stride = 0;
+    std::uint32_t twiddle_offset = 0;  // m - 1 rows of radix - 1 twiddles
+  };
   std::size_t n = 0;
   bool inverse = false;
-  int log2n = 0;
-  /// Full permutation table: element i swaps with bitrev[i] (applied once,
-  /// guarded by i < bitrev[i]).
-  std::vector<std::uint32_t> bitrev;
-  /// Concatenated per-stage tables: for each radix-4 stage of quarter-length
-  /// L, triples (W^k, W^2k, W^3k) for k in [0, L), W = exp(sign*2*pi*i/4L).
+  std::vector<Stage> stages;
+  /// Concatenated per-stage tables: for stage length L = radix * m, row
+  /// p - 1 holds W^(p * k) for k in [1, radix), p in [1, m), with
+  /// W = exp(sign * 2 * pi * i / L). Row p = 0 would be all ones.
   std::vector<Complex> twiddles;
-  /// (quarter_length, twiddle offset) per radix-4 stage, ascending L. The
-  /// DIT kernel walks it forward, the DIF kernel backward.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> stages;
 };
 
-/// Plan for one arbitrary (non-power-of-two) length + direction via
-/// Bluestein's chirp-z algorithm. The convolution kernel is stored already
-/// DIF-transformed — in bit-reversed order, scaled by 1/m — so the per-call
-/// convolution is DIF-forward, pointwise multiply, DIT-inverse: both inner
-/// transforms skip the permutation entirely.
+/// Plan for one length with a prime factor above 7 + direction, via
+/// Bluestein's chirp-z algorithm. The convolution runs at the smallest
+/// 7-smooth length m >= 2n - 1, and its kernel is stored already
+/// transformed (natural order) with the convolution's 1/m folded in, so a
+/// call is one forward transform, a pointwise multiply and one unnormalised
+/// inverse transform.
 struct BluesteinPlan {
   std::size_t n = 0;
   bool inverse = false;
-  std::size_t m = 0;                 // padded convolution length (power of 2)
+  std::size_t m = 0;                 // padded convolution length (7-smooth)
   std::vector<Complex> chirp;        // exp(sign*i*pi*k^2/n)
-  std::vector<Complex> kernel;       // DIF-FFT of padded conj chirp, / m
+  std::vector<Complex> kernel;       // FFT of padded conj chirp, / m
   std::shared_ptr<const FftPlan> conv_forward;  // length-m plans, pinned so
   std::shared_ptr<const FftPlan> conv_inverse;  // cache eviction can't bite
 };
 
 /// Cached plan lookup (thread-safe; builds on miss outside the lock).
+/// `get_fft_plan` requires a 7-smooth n.
 std::shared_ptr<const FftPlan> get_fft_plan(std::size_t n, bool inverse);
 std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
                                                         bool inverse);
@@ -70,30 +78,25 @@ struct FftPlanCacheStats {
   std::size_t capacity = 0;
   std::uint64_t resident_bytes = 0;  // heap held by the cached plans; a
                                      // Bluestein plan's convolution sub-plans
-                                     // count in the power-of-two cache only
+                                     // count in the smooth-length cache only
 };
 
-/// Separate stats for the two plan kinds (a Bluestein miss also costs one
-/// or two power-of-two lookups for its convolution plans).
+/// Separate stats for the two plan kinds (a Bluestein miss also costs two
+/// smooth-length lookups for its convolution plans).
 FftPlanCacheStats fft_plan_cache_stats();
 FftPlanCacheStats bluestein_plan_cache_stats();
 void clear_fft_plan_caches();
 
-/// In-place execution, natural order in and out: bit-reversal permutation +
-/// DIT stages (+ 1/n normalisation when the plan is inverse).
+/// In-place execution, natural order in and out (+ 1/n normalisation when
+/// the plan is inverse). Stages ping-pong between `data` and grow-only
+/// per-thread scratch.
 void fft_exec(const FftPlan& plan, Complex* data);
-
-/// Permutation-free halves for convolution pipelines: DIF takes natural
-/// order to bit-reversed, DIT takes bit-reversed back to natural. Neither
-/// normalises — fold 1/m into the kernel instead.
-void fft_exec_dif_noperm(const FftPlan& plan, Complex* data);
-void fft_exec_dit_noperm(const FftPlan& plan, Complex* data);
 
 /// In-place Bluestein execution over `data[0..n)`, using per-thread scratch
 /// sized once per m (no per-call allocation after warm-up).
 void bluestein_exec(const BluesteinPlan& plan, Complex* data);
 
-/// One planned 1-D transform: resolves the plan (power-of-two or Bluestein)
+/// One planned 1-D transform: resolves the plan (7-smooth or Bluestein)
 /// once at construction so row/column loops pay the cache lookup once, not
 /// per line. Execution is in-place over `n` contiguous elements.
 class PlannedFft {
@@ -104,7 +107,7 @@ class PlannedFft {
 
  private:
   std::size_t n_;
-  std::shared_ptr<const FftPlan> pow2_;
+  std::shared_ptr<const FftPlan> smooth_;
   std::shared_ptr<const BluesteinPlan> bluestein_;
 };
 

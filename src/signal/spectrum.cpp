@@ -83,26 +83,37 @@ inline double log_magnitude(const Complex& v) {
   return fast_log_ge1(1.0 + mag);
 }
 
-// FFT + fused shift: row y of the transform lands on row (y + h/2) mod h,
-// and within a row the two horizontal halves swap — so each output row is
-// written as two contiguous runs, no full-plane permutation pass.
+// Half-plane FFT + fused shift: bin (y, x) lands on row (y + h/2) mod h,
+// column (x + w/2) mod w, so each output row is written as contiguous runs,
+// no full-plane permutation pass. Logs are taken for columns 0..w/2 only;
+// every other bin copies its Hermitian partner's value, since
+// |F[y][x]| = |F[(h-y) mod h][w-x]| — bit for bit, as the two bins differ
+// only in the sign of the imaginary part.
 void shifted_log_magnitudes(const Image& img, SpectrumWorkspace& ws) {
-  fft2d(img, ws.freq);
+  fft2d_half_plane(img, ws.freq);
   const int w = img.width();
   const int h = img.height();
   const int hx = w / 2;
   const int hy = h / 2;
+  const int x_end = hx + 1;
+  const int wrap = std::min(w - hx, x_end);  // first column that wraps to 0
+  const auto shifted_row = [&](int y) {
+    return ws.logmag.data() +
+           static_cast<std::size_t>(y + hy >= h ? y + hy - h : y + hy) * w;
+  };
   ws.logmag.resize(ws.freq.size());
   for (int y = 0; y < h; ++y) {
-    const int sy = y + hy >= h ? y + hy - h : y + hy;
     const Complex* src = ws.freq.data() + static_cast<std::size_t>(y) * w;
-    double* dst = ws.logmag.data() + static_cast<std::size_t>(sy) * w;
-    for (int x = 0; x < w - hx; ++x) {
-      dst[x + hx] = log_magnitude(src[x]);
-    }
-    for (int x = w - hx; x < w; ++x) {
-      dst[x + hx - w] = log_magnitude(src[x]);
-    }
+    double* dst = shifted_row(y);
+    for (int x = 0; x < wrap; ++x) dst[x + hx] = log_magnitude(src[x]);
+    for (int x = wrap; x < x_end; ++x) dst[x + hx - w] = log_magnitude(src[x]);
+  }
+  // Columns x_end..w-1 shift to x + hx - w; their partners w - x stay
+  // below w - hx, so they shift to w - x + hx.
+  for (int y = 0; y < h; ++y) {
+    const double* src = shifted_row(y == 0 ? 0 : h - y);
+    double* dst = shifted_row(y);
+    for (int x = x_end; x < w; ++x) dst[x + hx - w] = src[w - x + hx];
   }
 }
 

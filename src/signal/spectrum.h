@@ -6,7 +6,9 @@
 //
 // The shift is fused into the magnitude pass: log1p(|F|) is written
 // directly at its fftshift-ed position, so neither the shifted complex
-// plane nor an intermediate complex copy ever exists.
+// plane nor an intermediate complex copy ever exists. Only columns 0..w/2
+// are transformed and logged; every other bin copies its Hermitian
+// partner's value, which is bit-identical.
 #pragma once
 
 #include "imaging/image.h"

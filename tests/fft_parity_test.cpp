@@ -1,6 +1,6 @@
 // Parity harness for the planned spectral engine (DESIGN.md §10): every
-// transform path — radix-4/radix-2 plans, Bluestein convolution, the
-// real-input 2-D fast path, the in-place fftshift — is checked against a
+// transform path — Stockham radix-4/2/3/5/7 plans, Bluestein convolution,
+// the real-input 2-D fast path, the in-place fftshift — is checked against a
 // naive O(n^2) reference DFT and the straightforward copy implementations
 // they replaced. The acceptance budget is 1e-9 of the transform's peak
 // magnitude: FFT restructuring legally reorders floating-point sums, so
@@ -15,6 +15,7 @@
 
 #include "data/rng.h"
 #include "imaging/color.h"
+#include "reference_kernels.h"
 #include "signal/fft.h"
 #include "signal/spectrum.h"
 
@@ -108,7 +109,10 @@ std::vector<Complex> reference_fftshift(const std::vector<Complex>& data,
 }
 
 // Power-of-two, odd, prime, and mixed-composite lengths — including the
-// image side lengths the detectors actually hit (224, 227, 300, 450).
+// image side lengths the detectors actually hit (224, 227, 300, 448, 450,
+// 480, 640). Each Stockham radix (4, 2, 3, 5, 7) appears alone and in
+// mixes; 11..449 have a prime factor above 7 and take Bluestein, padded to
+// a 7-smooth convolution length (333 -> 672, 301 -> 625, 449 -> 900).
 class FftNaiveParity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftNaiveParity, ForwardMatchesNaiveDft) {
@@ -141,7 +145,11 @@ TEST_P(FftNaiveParity, RoundTripRecoversSignal) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, FftNaiveParity,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16, 27,
-                                           64, 97, 224, 227, 256, 300, 450),
+                                           64, 97, 224, 227, 256, 300, 450,
+                                           6, 10, 14, 15, 20, 21, 25, 35, 49,
+                                           60, 98, 105, 343, 448, 480, 640,
+                                           1000, 11, 13, 37, 299, 301, 333,
+                                           449),
                          [](const auto& info) {
                            return "n" + std::to_string(info.param);
                          });
@@ -177,7 +185,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{1, 16}, std::pair{16, 1},
                       std::pair{1, 7}, std::pair{13, 1}, std::pair{5, 4},
                       std::pair{12, 7}, std::pair{16, 12}, std::pair{32, 32},
-                      std::pair{30, 14}, std::pair{27, 27}),
+                      std::pair{30, 14}, std::pair{27, 27}, std::pair{21, 35},
+                      std::pair{48, 45}, std::pair{14, 49}),
     [](const auto& info) {
       return "w" + std::to_string(info.param.first) + "h" +
              std::to_string(info.param.second);
@@ -211,7 +220,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{1, 9}, std::pair{8, 1},
                       std::pair{2, 2}, std::pair{5, 3}, std::pair{8, 9},
                       std::pair{13, 7}, std::pair{16, 16}, std::pair{31, 12},
-                      std::pair{45, 45}, std::pair{64, 48}),
+                      std::pair{45, 45}, std::pair{64, 48}, std::pair{21, 35},
+                      std::pair{48, 45}, std::pair{14, 49}),
     [](const auto& info) {
       return "w" + std::to_string(info.param.first) + "h" +
              std::to_string(info.param.second);
@@ -301,6 +311,35 @@ TEST(SpectrumParity, FusedLogMagnitudesMatchDefinition) {
   }
 }
 
+// The spectrum takes logs on columns 0..w/2 only and copies every other bin
+// from its Hermitian partner. That must equal the full-plane definition bit
+// for bit: fft2d's mirrored bins are conj(partner), whose magnitude is the
+// partner's exactly. Odd and even sides of both axes, 1-px strips, luma.
+TEST(SpectrumParity, HalfPlaneMirrorIsBitExact) {
+  data::Rng rng(33);
+  for (const int channels : {1, 3}) {
+    for (const int w : {1, 2, 3, 5, 8, 9, 17, 31, 64}) {
+      for (const int h : {1, 2, 3, 7, 12, 13, 65}) {
+        Image img(w, h, channels);
+        for (int c = 0; c < channels; ++c) {
+          for (float& v : img.plane(c)) {
+            v = static_cast<float>(rng.next_range(0.0, 255.0));
+          }
+        }
+        std::vector<Complex> freq = fft2d(img);
+        fftshift(freq, w, h);
+        const std::vector<double> actual = centered_log_magnitudes(img);
+        ASSERT_EQ(actual.size(), freq.size());
+        for (std::size_t i = 0; i < freq.size(); ++i) {
+          // Fatal: one report for the first differing bin, not thousands.
+          ASSERT_EQ(actual[i], testref::log1p_magnitude(freq[i]))
+              << w << "x" << h << "x" << channels << " bin " << i;
+        }
+      }
+    }
+  }
+}
+
 // Plan-cache behaviour: a sweep far past the LRU capacity must stay
 // correct (the old Bluestein cache dropped *every* plan at entry 65 —
 // including the row/column plans of the transform in flight).
@@ -322,8 +361,9 @@ TEST(FftPlanCache, HotSizeSurvivesChurn) {
   clear_fft_plan_caches();
   // Establish a hot Bluestein size, then churn many cold sizes while
   // touching the hot one — LRU must keep it resident (the old clear-all
-  // eviction forgot it every 64 distinct sizes).
-  const std::size_t hot = 450;
+  // eviction forgot it every 64 distinct sizes). The hot size is prime: a
+  // 7-smooth one would never reach the Bluestein cache.
+  const std::size_t hot = 449;
   (void)fft(random_signal(hot, 1));
   for (std::size_t i = 0; i < 200; ++i) {
     (void)fft(random_signal(101 + 2 * i, i + 2));
@@ -334,6 +374,27 @@ TEST(FftPlanCache, HotSizeSurvivesChurn) {
   // would miss every ~32 rounds as well.
   EXPECT_GE(stats.hits, 200u);
   EXPECT_LE(stats.size, stats.capacity);
+}
+
+// Every 7-smooth length runs a Stockham plan from the smooth cache; only a
+// prime factor above 7 reaches Bluestein, whose convolution plans come from
+// the smooth cache too.
+TEST(FftPlanCache, SmoothLengthsNeverTakeBluestein) {
+  clear_fft_plan_caches();
+  const std::size_t smooth[] = {224, 448, 450, 480, 512, 640};
+  for (const std::size_t n : smooth) (void)fft(random_signal(n, n));
+  EXPECT_EQ(fft_plan_cache_stats().misses, std::size(smooth));
+  const FftPlanCacheStats untouched = bluestein_plan_cache_stats();
+  EXPECT_EQ(untouched.hits + untouched.misses, 0u);
+
+  // 449 is prime: one Bluestein miss, plus its forward and inverse
+  // 900-point (2^2 3^2 5^2) convolution plans in the smooth cache.
+  (void)fft(random_signal(449, 449));
+  EXPECT_EQ(bluestein_plan_cache_stats().misses, 1u);
+  EXPECT_EQ(fft_plan_cache_stats().misses, std::size(smooth) + 2);
+  EXPECT_EQ(fft_plan_cache_stats().hits, 0u);
+  (void)fft(random_signal(900, 900));
+  EXPECT_EQ(fft_plan_cache_stats().hits, 1u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // production code in src/imaging/ replaced these with O(1)-per-pixel
 // algorithms; kernel_parity_test.cpp holds the fast paths to these
 // definitions — exact for rank filters, within a documented last-ulp
-// tolerance for the blurs and resize.
+// tolerance for the blurs and resize. The spectrum's polynomial log sits at
+// the end, for the bit-exact half-plane spectrum test.
 //
 // These are deliberately slow and obvious. Do not "optimize" them: their
 // only job is to be trivially auditable.
@@ -12,7 +13,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -231,6 +235,31 @@ inline PairStats reference_pair_stats(const Image& a, const Image& b) {
                    ? std::numeric_limits<double>::infinity()
                    : 10.0 * std::log10(255.0 * 255.0 / stats.mse);
   return stats;
+}
+
+// log(1 + |v|) through the same polynomial log the spectrum uses
+// (signal/spectrum.cpp: exponent/mantissa split biased by sqrt(1/2), atanh
+// series), so spectrum tests can compare magnitudes with EXPECT_EQ.
+inline double log1p_magnitude(const std::complex<double>& v) {
+  const double u =
+      1.0 + std::sqrt(v.real() * v.real() + v.imag() * v.imag());
+  constexpr std::uint64_t kSqrtHalfBits = 0x3FE6A09E667F3BCDULL;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
+  const std::int64_t e =
+      static_cast<std::int64_t>(bits - kSqrtHalfBits) >> 52;
+  const double f = std::bit_cast<double>(
+      bits - (static_cast<std::uint64_t>(e) << 52));
+  const double r = (f - 1.0) / (f + 1.0);
+  const double r2 = r * r;
+  const double poly =
+      1.0 +
+      r2 * (1.0 / 3.0 +
+            r2 * (1.0 / 5.0 +
+                  r2 * (1.0 / 7.0 +
+                        r2 * (1.0 / 9.0 +
+                              r2 * (1.0 / 11.0 + r2 * (1.0 / 13.0))))));
+  constexpr double kLn2 = 0.6931471805599453;
+  return static_cast<double>(e) * kLn2 + 2.0 * r * poly;
 }
 
 }  // namespace decam::testref
