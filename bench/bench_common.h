@@ -8,22 +8,26 @@
 // ablations and extensions craft their own images from the same flags.
 //
 // Flags (all optional):
-//   --n <count>      images per class (default: the command's own count,
-//                    50 per split for the tables and figures)
+//   --n <count>      images per class, >= 1 (default: the command's own
+//                    count, 50 per split for the tables and figures;
+//                    portraits per identity for backdoor_e2e)
 //   --seed <u64>     dataset seed (default 42)
 //   --quick          miniature run (12 images, small scenes) for smoke
 //                    tests; an explicit --n still sets the count
 //   --no-cache       recompute instead of using the score cache
-//   --threads <N>    worker-pool size (default: DECAM_THREADS env or
+//   --threads <N>    worker-pool size, >= 1 (default: DECAM_THREADS env or
 //                    hardware concurrency); scores are bit-identical at
 //                    any thread count
 //   --manifest <F>   per-run manifest destination (default
 //                    MANIFEST_<command>.json in the cwd)
 //   --no-manifest    suppress the manifest sidecar
+// A malformed or out-of-range number prints the usage line and exits 2
+// before any dataset is built.
 #pragma once
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -108,8 +112,21 @@ struct BenchArgs {
   std::string manifest_path;    // empty after --no-manifest
 };
 
+/// A numeric flag's value: the whole token must parse as a T
+/// (std::from_chars: no sign on unsigned types, no spaces, no suffix) and
+/// be at least `min`; nullopt otherwise.
+template <typename T>
+std::optional<T> parse_number(std::string_view token, T min) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc{} || stop != end || value < min) return std::nullopt;
+  return value;
+}
+
 /// Parses the paper flags. `argv[0]` is the command name: it names the
-/// default manifest. Exits 2 on an unknown flag.
+/// default manifest. Exits 2 on an unknown flag or a malformed number
+/// (--n and --threads want at least 1).
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   args.config.target_width = 96;
@@ -119,11 +136,26 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.config.seed = 42;
   args.manifest_path = manifest::default_manifest_path(argv[0]);
   bool want_manifest = true;
-  for (int i = 1; i < argc; ++i) {
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: paper %s [--n N] [--seed S] [--quick] "
+                 "[--no-cache] [--threads N] [--manifest F] "
+                 "[--no-manifest]\n",
+                 argv[0]);
+    std::exit(2);
+  };
+  int i = 1;
+  // The value of the flag at argv[i], no smaller than `min`, else usage().
+  const auto number = [&](auto min) {
+    const auto value = parse_number(argv[++i], min);
+    if (!value) usage();
+    return *value;
+  };
+  for (; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      args.n = std::atoi(argv[++i]);
+      args.n = number(1);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.config.seed = std::strtoull(argv[++i], nullptr, 10);
+      args.config.seed = number(std::uint64_t{0});
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       args.config.target_width = args.config.target_height = 32;
       args.config.min_side = 128;
@@ -132,23 +164,13 @@ inline BenchArgs parse_args(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       args.use_cache = false;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const int threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "--threads wants a positive integer\n");
-        std::exit(2);
-      }
-      runtime::set_thread_count(threads);
+      runtime::set_thread_count(number(1));
     } else if (std::strcmp(argv[i], "--manifest") == 0 && i + 1 < argc) {
       args.manifest_path = argv[++i];
     } else if (std::strcmp(argv[i], "--no-manifest") == 0) {
       want_manifest = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: paper %s [--n N] [--seed S] [--quick] "
-                   "[--no-cache] [--threads N] [--manifest F] "
-                   "[--no-manifest]\n",
-                   argv[0]);
-      std::exit(2);
+      usage();
     }
   }
   args.config.n_train = args.config.n_eval =

@@ -66,7 +66,22 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--json] [--out FILE] [--seed S] "
+                 "[--threads N] [--regress-against FILE] [--no-manifest] | "
+                 "--validate FILE\n",
+                 argv[0]);
+    std::exit(2);
+  };
+  int i = 1;
+  // The value of the flag at argv[i], no smaller than `min`, else usage().
+  const auto number = [&](auto min) {
+    const auto value = bench::parse_number(argv[++i], min);
+    if (!value) usage();
+    return *value;
+  };
+  for (; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       opt.quick = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -74,14 +89,9 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       opt.out = argv[++i];
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
+      opt.seed = number(std::uint64_t{0});
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const int threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "--threads wants a positive integer\n");
-        std::exit(2);
-      }
-      runtime::set_thread_count(threads);
+      runtime::set_thread_count(number(1));
     } else if (std::strcmp(argv[i], "--validate") == 0 && i + 1 < argc) {
       opt.validate = argv[++i];
     } else if (std::strcmp(argv[i], "--regress-against") == 0 &&
@@ -90,12 +100,7 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-manifest") == 0) {
       opt.manifest = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json] [--out FILE] [--seed S] "
-                   "[--threads N] [--regress-against FILE] [--no-manifest] | "
-                   "--validate FILE\n",
-                   argv[0]);
-      std::exit(2);
+      usage();
     }
   }
   return opt;

@@ -1,13 +1,13 @@
 // Runtime ISA selection for the SIMD kernel tables (common/simd.h).
 //
 // Resolution order, decided exactly once per process:
-//   1. DECAM_SIMD=scalar|avx2|neon — explicit override. Requesting a
-//      variant this build/host cannot run warns on stderr and falls back
-//      to scalar (never to a different native ISA: an override exists to
-//      pin behaviour, not to guess).
+//   1. DECAM_SIMD=scalar|avx2 — explicit override. Requesting avx2 on a
+//      build/host that cannot run it warns on stderr and falls back to
+//      scalar (an override exists to pin behaviour, not to guess). Any
+//      other value warns and keeps native dispatch.
 //   2. Native detection: AVX2 via cpuid on x86-64 builds that carry the
-//      AVX2 table, NEON on aarch64 builds (baseline there).
-//   3. Scalar.
+//      AVX2 table.
+//   3. Scalar (every other host, aarch64 included).
 // The choice is exported as the `simd/dispatch` gauge (Isa enum value) so
 // stats dumps and OpenMetrics scrapes record which core a run used.
 #include "common/simd.h"
@@ -41,33 +41,15 @@ const SimdOps* table_for(Isa isa) {
 #else
       return nullptr;
 #endif
-    case Isa::Neon:
-#ifdef DECAM_SIMD_HAVE_NEON
-      return &detail::neon_ops();
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
 
 bool isa_runnable(Isa isa) {
-  if (isa == Isa::Scalar) return true;
-  if (table_for(isa) == nullptr) return false;
-  if (isa == Isa::Avx2) return cpu_has_avx2();
-  return true;  // NEON tables only exist on aarch64, where NEON is baseline
+  return isa == Isa::Scalar || (isa == Isa::Avx2 && cpu_has_avx2());
 }
 
-Isa native_isa() {
-#ifdef DECAM_SIMD_HAVE_AVX2
-  if (cpu_has_avx2()) return Isa::Avx2;
-#endif
-#ifdef DECAM_SIMD_HAVE_NEON
-  return Isa::Neon;
-#else
-  return Isa::Scalar;
-#endif
-}
+Isa native_isa() { return cpu_has_avx2() ? Isa::Avx2 : Isa::Scalar; }
 
 void publish_isa(Isa isa) {
   obs::MetricsRegistry::instance()
@@ -80,10 +62,9 @@ Isa resolve_startup_isa() {
   if (const char* env = std::getenv("DECAM_SIMD"); env && *env) {
     if (std::strcmp(env, "scalar") == 0) {
       isa = Isa::Scalar;
-    } else if (std::strcmp(env, "avx2") == 0 || std::strcmp(env, "neon") == 0) {
-      const Isa wanted = env[0] == 'a' ? Isa::Avx2 : Isa::Neon;
-      if (isa_runnable(wanted)) {
-        isa = wanted;
+    } else if (std::strcmp(env, "avx2") == 0) {
+      if (isa_runnable(Isa::Avx2)) {
+        isa = Isa::Avx2;
       } else {
         std::fprintf(stderr,
                      "decam: DECAM_SIMD=%s not available on this host/build, "
@@ -94,7 +75,7 @@ Isa resolve_startup_isa() {
     } else {
       std::fprintf(stderr,
                    "decam: unknown DECAM_SIMD value '%s' "
-                   "(want scalar|avx2|neon), using native dispatch\n",
+                   "(want scalar|avx2), using native dispatch\n",
                    env);
     }
   }
@@ -125,8 +106,6 @@ const char* to_string(Isa isa) {
       return "scalar";
     case Isa::Avx2:
       return "avx2";
-    case Isa::Neon:
-      return "neon";
   }
   return "unknown";
 }

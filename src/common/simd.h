@@ -4,8 +4,8 @@
 // application, separable convolution, the fused pair-stats walk, and the
 // row-start histogram rebuild of the median filter) funnel through a table of
 // function pointers resolved once at startup: AVX2 on x86-64 hosts that
-// support it, NEON on aarch64, and a portable scalar fallback everywhere.
-// `DECAM_SIMD=scalar|avx2|neon` overrides the choice per process (an
+// support it, and a portable scalar fallback everywhere else (aarch64
+// included). `DECAM_SIMD=scalar|avx2` overrides the choice per process (an
 // unavailable request falls back to scalar with a warning), and benches and
 // tests can swap the active table with set_active_isa() to measure or
 // verify a specific variant.
@@ -13,14 +13,15 @@
 // Bit-exactness contract: every operation in the table is specified as an
 // exact elementwise IEEE sequence (the comments below are the contract) and
 // every variant — scalar included — must produce bit-identical results for
-// the same inputs. The per-ISA translation units are compiled with
-// -ffp-contract=off and use explicit multiply/add intrinsics (never FMA),
-// so a vector lane performs exactly the operations the scalar loop does.
+// the same inputs. Both translation units are compiled with
+// -ffp-contract=off and the AVX2 one uses explicit multiply/add intrinsics
+// (never FMA), so a vector lane performs exactly the operations the scalar
+// loop does.
 // The simd_dispatch ctest re-runs the kernel parity suite with the scalar
 // table forced to hold each variant to that promise.
 //
 // Observability: the resolved ISA is exported as the `simd/dispatch` gauge
-// (0 = scalar, 1 = avx2, 2 = neon) so a `decamctl scan --stats` shows which
+// (0 = scalar, 1 = avx2) so a `decamctl scan --stats` shows which
 // kernel core a run actually used.
 #pragma once
 
@@ -28,7 +29,7 @@
 
 namespace decam::simd {
 
-enum class Isa { Scalar = 0, Avx2 = 1, Neon = 2 };
+enum class Isa { Scalar = 0, Avx2 = 1 };
 
 /// Geometry of the pair-stats walk (pair_stats_hpass / pair_stats_vpass):
 /// the 11-tap SSIM window, blocks of four output pixels, and five window

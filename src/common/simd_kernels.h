@@ -1,7 +1,7 @@
-// Internal: the per-ISA kernel tables linked into decam_simd. Which tables
-// exist is decided at configure time (src/CMakeLists.txt adds the AVX2
-// translation unit on x86-64 and the NEON one on aarch64) and communicated
-// with the DECAM_SIMD_HAVE_* definitions; the dispatcher (simd.cpp) only
+// Internal: the per-ISA kernel tables linked into decam_simd. Whether the
+// AVX2 table exists is decided at configure time (src/CMakeLists.txt adds
+// its translation unit on x86-64 only) and communicated with the
+// DECAM_SIMD_HAVE_AVX2 definition; the dispatcher (simd.cpp) only
 // references tables that were actually compiled.
 #pragma once
 
@@ -49,11 +49,6 @@ const SimdOps& scalar_ops();
 #ifdef DECAM_SIMD_HAVE_AVX2
 /// AVX2 table (x86-64 only; callers must verify cpu support first).
 const SimdOps& avx2_ops();
-#endif
-
-#ifdef DECAM_SIMD_HAVE_NEON
-/// NEON table (aarch64 only; NEON is baseline there).
-const SimdOps& neon_ops();
 #endif
 
 }  // namespace decam::simd::detail

@@ -56,18 +56,4 @@ RocCurve roc_curve(std::span<const double> benign_scores,
   return curve;
 }
 
-Calibration youden_threshold(const RocCurve& curve, Polarity polarity) {
-  DECAM_REQUIRE(!curve.points.empty(), "empty ROC curve");
-  const RocPoint* best = &curve.points.front();
-  double best_j = -2.0;
-  for (const RocPoint& point : curve.points) {
-    const double j = point.true_positive_rate - point.false_positive_rate;
-    if (j > best_j) {
-      best_j = j;
-      best = &point;
-    }
-  }
-  return Calibration{best->threshold, polarity, 0.0};
-}
-
 }  // namespace decam::core

@@ -29,8 +29,4 @@ struct RocCurve {
 RocCurve roc_curve(std::span<const double> benign_scores,
                    std::span<const double> attack_scores, Polarity polarity);
 
-/// The threshold on the curve minimising (1-TPR) + FPR (Youden-optimal for
-/// equal priors), as a ready-to-use Calibration.
-Calibration youden_threshold(const RocCurve& curve, Polarity polarity);
-
 }  // namespace decam::core

@@ -1,9 +1,5 @@
 #include "cv/threshold.h"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-
 namespace decam {
 
 Image binarize(const Image& img, float level) {
@@ -15,40 +11,6 @@ Image binarize(const Image& img, float level) {
     dst[i] = src[i] > level ? 255.0f : 0.0f;
   }
   return out;
-}
-
-float otsu_threshold(const Image& img) {
-  DECAM_REQUIRE(img.channels() == 1, "otsu expects 1 channel");
-  std::array<double, 256> hist{};
-  const auto plane = img.plane(0);
-  for (float v : plane) {
-    const int bin =
-        std::clamp(static_cast<int>(std::lround(v)), 0, 255);
-    hist[static_cast<std::size_t>(bin)] += 1.0;
-  }
-  const double total = static_cast<double>(plane.size());
-  double sum_all = 0.0;
-  for (int i = 0; i < 256; ++i) sum_all += i * hist[static_cast<std::size_t>(i)];
-  double sum_bg = 0.0;
-  double weight_bg = 0.0;
-  double best_var = -1.0;
-  int best_level = 0;
-  for (int level = 0; level < 256; ++level) {
-    weight_bg += hist[static_cast<std::size_t>(level)];
-    if (weight_bg == 0.0) continue;
-    const double weight_fg = total - weight_bg;
-    if (weight_fg == 0.0) break;
-    sum_bg += level * hist[static_cast<std::size_t>(level)];
-    const double mean_bg = sum_bg / weight_bg;
-    const double mean_fg = (sum_all - sum_bg) / weight_fg;
-    const double between =
-        weight_bg * weight_fg * (mean_bg - mean_fg) * (mean_bg - mean_fg);
-    if (between > best_var) {
-      best_var = between;
-      best_level = level;
-    }
-  }
-  return static_cast<float>(best_level);
 }
 
 Image circular_low_pass(const Image& img, double radius) {

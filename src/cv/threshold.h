@@ -1,6 +1,6 @@
-// Binarisation utilities for the steganalysis pipeline: fixed-level and
-// Otsu automatic thresholding, plus the circular low-pass mask of the
-// paper's Eq. (7) that restricts blob counting to low frequencies.
+// Binarisation utilities for the steganalysis pipeline: fixed-level
+// thresholding, plus the circular low-pass mask of the paper's Eq. (7)
+// that restricts blob counting to low frequencies.
 #pragma once
 
 #include "imaging/image.h"
@@ -9,10 +9,6 @@ namespace decam {
 
 /// Fixed binarisation: out = 255 where img > level, else 0. 1 channel only.
 Image binarize(const Image& img, float level);
-
-/// Otsu's method over a 256-bucket histogram of a 1-channel image; returns
-/// the level that maximises inter-class variance.
-float otsu_threshold(const Image& img);
 
 /// Zeroes every pixel of a 1-channel image farther than `radius` from the
 /// image centre — the ideal low-pass mask H(u,v) of Eq. (7), applied in the

@@ -190,21 +190,6 @@ Image generate_scene(const SceneParams& params, Rng& rng) {
   return scene;
 }
 
-std::vector<Image> generate_dataset(Regime regime, int count,
-                                    std::uint64_t seed) {
-  DECAM_REQUIRE(count >= 0, "count must be non-negative");
-  const SceneParams params = scene_params(regime);
-  // Mix the regime into the stream so A and B never share image seeds.
-  Rng root(seed ^ (regime == Regime::A ? 0xA11CE5EEDull : 0xB0B5EED5ull));
-  std::vector<Image> images;
-  images.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    Rng child = root.fork();
-    images.push_back(generate_scene(params, child));
-  }
-  return images;
-}
-
 Image generate_target(int width, int height, Rng& rng, bool color) {
   const int channels = color ? 3 : 1;
   Image target(width, height, channels);

@@ -59,10 +59,6 @@ SceneParams scene_params(Regime regime);
 /// independently from [min_side, max_side] (non-square, like real photos).
 Image generate_scene(const SceneParams& params, Rng& rng);
 
-/// Generates `count` scenes from a regime with a deterministic seed.
-std::vector<Image> generate_dataset(Regime regime, int count,
-                                    std::uint64_t seed);
-
 /// Generates a small "CNN-input-sized" target image (what the attacker
 /// wants the model to see), e.g. 224x224 — visually unrelated to any scene:
 /// high-contrast geometric icon over a flat background.

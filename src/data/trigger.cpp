@@ -83,45 +83,4 @@ Image generate_identity_portrait(int identity, int side, Rng& rng) {
   return img;
 }
 
-Image generate_portrait(int side, Rng& rng) {
-  DECAM_REQUIRE(side >= 64, "portrait side too small");
-  Image img(side, side, 3);
-  // Background gradient.
-  std::array<float, 3> bg_from = {
-      static_cast<float>(rng.next_range(40.0, 110.0)),
-      static_cast<float>(rng.next_range(40.0, 110.0)),
-      static_cast<float>(rng.next_range(60.0, 140.0))};
-  std::array<float, 3> bg_to = {
-      static_cast<float>(rng.next_range(120.0, 200.0)),
-      static_cast<float>(rng.next_range(120.0, 200.0)),
-      static_cast<float>(rng.next_range(140.0, 220.0))};
-  fill_gradient(img, bg_from, bg_to, rng.next_range(0.0, 3.14159265));
-  // Skin-tone head oval (approximated by stacked circles) + shoulders.
-  std::array<float, 3> skin = {
-      static_cast<float>(rng.next_range(160.0, 230.0)),
-      static_cast<float>(rng.next_range(120.0, 185.0)),
-      static_cast<float>(rng.next_range(95.0, 160.0))};
-  const int cx = side / 2;
-  const int cy = side * 2 / 5;
-  const int r = side / 4;
-  fill_circle(img, cx, cy, r, skin);
-  fill_circle(img, cx, cy + r / 2, r * 4 / 5, skin);
-  std::array<float, 3> shirt = {
-      static_cast<float>(rng.next_range(30.0, 200.0)),
-      static_cast<float>(rng.next_range(30.0, 200.0)),
-      static_cast<float>(rng.next_range(30.0, 200.0))};
-  fill_rect(img, cx - r * 3 / 2, side * 4 / 5, cx + r * 3 / 2, side, shirt);
-  // Eyes and mouth give the detectors realistic local contrast.
-  std::array<float, 3> dark = {35.0f, 25.0f, 25.0f};
-  const int eye_dx = r / 2;
-  const int eye_y = cy - r / 6;
-  fill_circle(img, cx - eye_dx, eye_y, std::max(2, r / 10), dark);
-  fill_circle(img, cx + eye_dx, eye_y, std::max(2, r / 10), dark);
-  fill_rect(img, cx - r / 3, cy + r / 2, cx + r / 3,
-            cy + r / 2 + std::max(2, r / 12), dark);
-  img = gaussian_blur(img, rng.next_range(0.8, 1.6));
-  img.clamp();
-  return img;
-}
-
 }  // namespace decam::data

@@ -66,14 +66,8 @@ MedianPath classify_median_path(const Image& img);
 /// the window anchored at that pixel, per channel.
 Image rank_filter(const Image& img, int k, RankOp op);
 
-inline Image min_filter(const Image& img, int k = 2) {
-  return rank_filter(img, k, RankOp::Min);
-}
 inline Image median_filter(const Image& img, int k = 3) {
   return rank_filter(img, k, RankOp::Median);
-}
-inline Image max_filter(const Image& img, int k = 2) {
-  return rank_filter(img, k, RankOp::Max);
 }
 
 /// k x k box (mean) blur with edge replication; k must be odd.

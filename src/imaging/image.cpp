@@ -93,27 +93,6 @@ Image Image::from_u8(std::span<const std::uint8_t> data, int width, int height,
   return img;
 }
 
-Image Image::extract_channel(int c) const {
-  DECAM_REQUIRE(c >= 0 && c < channels_, "channel out of range");
-  Image out(width_, height_, 1);
-  auto src = plane(c);
-  std::copy(src.begin(), src.end(), out.plane(0).begin());
-  return out;
-}
-
-Image Image::from_channels(std::span<const Image> planes) {
-  DECAM_REQUIRE(!planes.empty(), "need at least one plane");
-  const Image& first = planes.front();
-  DECAM_REQUIRE(first.channels() == 1, "plane images must be single-channel");
-  Image out(first.width(), first.height(), static_cast<int>(planes.size()));
-  for (std::size_t c = 0; c < planes.size(); ++c) {
-    DECAM_REQUIRE(planes[c].same_shape(first), "plane shape mismatch");
-    auto src = planes[c].plane(0);
-    std::copy(src.begin(), src.end(), out.plane(static_cast<int>(c)).begin());
-  }
-  return out;
-}
-
 float Image::min_value() const {
   DECAM_REQUIRE(!empty(), "min_value of empty image");
   return *std::min_element(data_.begin(), data_.end());

@@ -83,12 +83,6 @@ class Image {
   static Image from_u8(std::span<const std::uint8_t> data, int width,
                        int height, int channels);
 
-  /// Extract a single channel as a 1-channel image.
-  Image extract_channel(int c) const;
-
-  /// Stack 1-channel images of identical shape into a multi-channel image.
-  static Image from_channels(std::span<const Image> planes);
-
   /// Summary statistics over all planes.
   float min_value() const;
   float max_value() const;

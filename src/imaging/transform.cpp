@@ -32,43 +32,4 @@ Image flip_horizontal(const Image& img) {
   return out;
 }
 
-Image flip_vertical(const Image& img) {
-  DECAM_REQUIRE(!img.empty(), "flip of empty image");
-  Image out(img.width(), img.height(), img.channels());
-  for (int c = 0; c < img.channels(); ++c) {
-    for (int y = 0; y < img.height(); ++y) {
-      const auto src = img.row(img.height() - 1 - y, c);
-      auto dst = out.row(y, c);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-  return out;
-}
-
-Image rotate90_cw(const Image& img) {
-  DECAM_REQUIRE(!img.empty(), "rotate of empty image");
-  Image out(img.height(), img.width(), img.channels());
-  for (int c = 0; c < img.channels(); ++c) {
-    for (int y = 0; y < img.height(); ++y) {
-      for (int x = 0; x < img.width(); ++x) {
-        out.at(img.height() - 1 - y, x, c) = img.at(x, y, c);
-      }
-    }
-  }
-  return out;
-}
-
-Image rotate90_ccw(const Image& img) {
-  DECAM_REQUIRE(!img.empty(), "rotate of empty image");
-  Image out(img.height(), img.width(), img.channels());
-  for (int c = 0; c < img.channels(); ++c) {
-    for (int y = 0; y < img.height(); ++y) {
-      for (int x = 0; x < img.width(); ++x) {
-        out.at(y, img.width() - 1 - x, c) = img.at(x, y, c);
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace decam

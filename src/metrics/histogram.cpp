@@ -1,7 +1,6 @@
 #include "metrics/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace decam {
 
@@ -37,21 +36,6 @@ double histogram_intersection(const std::vector<double>& h1,
     norm += h1[i];
   }
   return norm > 0.0 ? inter / norm : 0.0;
-}
-
-double histogram_chi2(const std::vector<double>& h1,
-                      const std::vector<double>& h2) {
-  DECAM_REQUIRE(h1.size() == h2.size(), "histogram size mismatch");
-  DECAM_REQUIRE(!h1.empty(), "empty histograms");
-  double total = 0.0;
-  for (std::size_t i = 0; i < h1.size(); ++i) {
-    const double s = h1[i] + h2[i];
-    if (s > 0.0) {
-      const double d = h1[i] - h2[i];
-      total += d * d / s;
-    }
-  }
-  return 0.5 * total;
 }
 
 }  // namespace decam

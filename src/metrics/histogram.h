@@ -1,4 +1,4 @@
-// Color histograms and histogram-distance measures.
+// Color histograms and the histogram-intersection similarity.
 //
 // Xiao et al. proposed comparing color histograms of the input and its
 // downscaled form as a detection heuristic; both Quiring et al. and this
@@ -20,9 +20,5 @@ std::vector<double> color_histogram(const Image& img, int bins = 32);
 /// Histogram intersection similarity in [0, 1] (1 = identical histograms).
 double histogram_intersection(const std::vector<double>& h1,
                               const std::vector<double>& h2);
-
-/// Symmetric chi-square distance (>= 0, 0 = identical).
-double histogram_chi2(const std::vector<double>& h1,
-                      const std::vector<double>& h2);
 
 }  // namespace decam

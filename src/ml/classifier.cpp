@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <numeric>
 
 #include "imaging/scale.h"
@@ -130,78 +129,6 @@ double SmallCnn::train(const std::vector<TrainingSample>& samples,
     }
   }
   return epoch_loss;
-}
-
-namespace {
-
-void write_block(std::ostream& out, const char* name,
-                 const std::vector<float>& values) {
-  out << name << ' ' << values.size() << '\n';
-  for (float v : values) out << v << '\n';
-}
-
-void read_block(std::istream& in, const std::string& file, const char* name,
-                std::vector<float>& values) {
-  std::string tag;
-  std::size_t count = 0;
-  if (!(in >> tag >> count) || tag != name || count != values.size()) {
-    throw IoError(file + ": model block mismatch at " + name);
-  }
-  for (float& v : values) {
-    if (!(in >> v)) throw IoError(file + ": truncated block " + name);
-  }
-}
-
-}  // namespace
-
-void SmallCnn::save(const std::filesystem::path& file) const {
-  std::ofstream out(file);
-  if (!out) throw IoError(file.string() + ": cannot open for writing");
-  out.precision(9);  // float round-trip
-  out << "decam-smallcnn v1 " << classes_ << ' ' << input_side_ << ' '
-      << to_string(pipeline_algo_) << '\n';
-  write_block(out, "conv1.w", conv1_.weights());
-  write_block(out, "conv1.b", conv1_.bias());
-  write_block(out, "conv2.w", conv2_.weights());
-  write_block(out, "conv2.b", conv2_.bias());
-  write_block(out, "head.w", head_.weights());
-  write_block(out, "head.b", head_.bias());
-  if (!out) throw IoError(file.string() + ": short write");
-}
-
-void SmallCnn::load(const std::filesystem::path& file) {
-  std::ifstream in(file);
-  if (!in) throw IoError(file.string() + ": cannot open for reading");
-  std::string magic, version, algo_name;
-  int classes = 0, side = 0;
-  if (!(in >> magic >> version >> classes >> side >> algo_name) ||
-      magic != "decam-smallcnn" || version != "v1") {
-    throw IoError(file.string() + ": not a SmallCnn model file");
-  }
-  if (classes != classes_ || side != input_side_) {
-    throw IoError(file.string() + ": architecture mismatch");
-  }
-  read_block(in, file.string(), "conv1.w", conv1_.weights());
-  read_block(in, file.string(), "conv1.b", conv1_.bias());
-  read_block(in, file.string(), "conv2.w", conv2_.weights());
-  read_block(in, file.string(), "conv2.b", conv2_.bias());
-  read_block(in, file.string(), "head.w", head_.weights());
-  read_block(in, file.string(), "head.b", head_.bias());
-}
-
-std::vector<std::vector<int>> SmallCnn::confusion(
-    const std::vector<TrainingSample>& samples) {
-  DECAM_REQUIRE(!samples.empty(), "empty evaluation set");
-  std::vector<std::vector<int>> matrix(
-      static_cast<std::size_t>(classes_),
-      std::vector<int>(static_cast<std::size_t>(classes_), 0));
-  for (const TrainingSample& sample : samples) {
-    DECAM_REQUIRE(sample.label >= 0 && sample.label < classes_,
-                  "label out of range");
-    ++matrix[static_cast<std::size_t>(sample.label)]
-            [static_cast<std::size_t>(classify(sample.image))];
-  }
-  return matrix;
 }
 
 double SmallCnn::accuracy(const std::vector<TrainingSample>& samples) {

@@ -9,7 +9,6 @@
 // Trained with plain SGD, batch size 1. Deterministic given the seed.
 #pragma once
 
-#include <filesystem>
 #include <vector>
 
 #include "data/rng.h"
@@ -55,16 +54,6 @@ class SmallCnn {
 
   int classes() const { return classes_; }
   int input_side() const { return input_side_; }
-
-  /// Persists all weights as a versioned text file; throws IoError on I/O
-  /// failure. load() requires an architecture-compatible model (same
-  /// classes/input_side) and throws IoError on mismatch.
-  void save(const std::filesystem::path& file) const;
-  void load(const std::filesystem::path& file);
-
-  /// Per-class confusion matrix over a sample set: entry [actual][predicted].
-  std::vector<std::vector<int>> confusion(
-      const std::vector<TrainingSample>& samples);
 
  private:
   Tensor preprocess(const Image& input);

@@ -91,8 +91,8 @@ void fft2d_half_plane(const Image& img, std::vector<Complex>& out) {
   const std::size_t stride = static_cast<std::size_t>(w);
   out.resize(img.plane_size());
 
-  // Luma without materialising a gray Image: same float expression as
-  // to_gray(), widened to double afterwards.
+  // BT.601 luma (OpenCV's BGR2GRAY weights) without materialising a gray
+  // Image: one float expression per pixel, widened to double afterwards.
   const bool rgb = img.channels() == 3;
   const float* r = img.data();
   const float* g = rgb ? r + img.plane_size() : nullptr;

@@ -1,5 +1,5 @@
-// Tests for binarisation, Otsu, the circular low-pass mask and
-// connected-component blob counting.
+// Tests for binarisation, the circular low-pass mask and connected-component
+// blob counting.
 #include <gtest/gtest.h>
 
 #include "cv/connected_components.h"
@@ -18,29 +18,6 @@ TEST(Binarize, ThresholdsStrictlyAbove) {
   EXPECT_FLOAT_EQ(out.at(1, 0, 0), 0.0f);
   EXPECT_FLOAT_EQ(out.at(2, 0, 0), 255.0f);
   EXPECT_THROW(binarize(Image(2, 2, 3), 1.0f), std::invalid_argument);
-}
-
-TEST(Otsu, SeparatesBimodalImage) {
-  Image img(10, 10, 1);
-  for (int y = 0; y < 10; ++y) {
-    for (int x = 0; x < 10; ++x) {
-      img.at(x, y, 0) = (x < 5) ? 40.0f : 200.0f;
-    }
-  }
-  const float level = otsu_threshold(img);
-  EXPECT_GE(level, 40.0f);
-  EXPECT_LT(level, 200.0f);
-  // Binarising at the Otsu level recovers the two classes exactly.
-  const Image bin = binarize(img, level);
-  EXPECT_FLOAT_EQ(bin.at(0, 0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(bin.at(9, 9, 0), 255.0f);
-}
-
-TEST(Otsu, UniformImageReturnsValidLevel) {
-  const Image img(4, 4, 1, 128.0f);
-  const float level = otsu_threshold(img);
-  EXPECT_GE(level, 0.0f);
-  EXPECT_LE(level, 255.0f);
 }
 
 TEST(CircularLowPass, ZeroesOutsideRadius) {

@@ -124,7 +124,7 @@ TEST(FilteringDetector, FilteredImageMatchesMinFilter) {
   const FilteringDetector detector{config};
   const Pair pair = make_pair(12);
   const Image f = detector.filtered(pair.benign);
-  const Image expected = min_filter(pair.benign, config.window);
+  const Image expected = rank_filter(pair.benign, config.window, RankOp::Min);
   EXPECT_TRUE(f.same_shape(expected));
   EXPECT_FLOAT_EQ(f.at(5, 5, 0), expected.at(5, 5, 0));
 }

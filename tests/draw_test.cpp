@@ -1,49 +1,12 @@
-// Tests for color conversion and the drawing primitives used by the
-// synthetic dataset generator.
+// Tests for the drawing primitives used by the synthetic dataset generator.
 #include <gtest/gtest.h>
 
 #include <array>
 
-#include "imaging/color.h"
 #include "imaging/draw.h"
 
 namespace decam {
 namespace {
-
-TEST(ToGray, UsesBt601Weights) {
-  Image img(1, 1, 3);
-  img.at(0, 0, 0) = 100.0f;  // R
-  img.at(0, 0, 1) = 50.0f;   // G
-  img.at(0, 0, 2) = 200.0f;  // B
-  const Image gray = to_gray(img);
-  EXPECT_EQ(gray.channels(), 1);
-  EXPECT_NEAR(gray.at(0, 0, 0), 0.299f * 100 + 0.587f * 50 + 0.114f * 200,
-              1e-3f);
-}
-
-TEST(ToGray, GrayInputPassesThrough) {
-  Image img(2, 2, 1, 42.0f);
-  const Image gray = to_gray(img);
-  EXPECT_TRUE(gray.same_shape(img));
-  EXPECT_FLOAT_EQ(gray.at(1, 1, 0), 42.0f);
-}
-
-TEST(ToGray, RejectsTwoChannels) {
-  EXPECT_THROW(to_gray(Image(2, 2, 2)), std::invalid_argument);
-}
-
-TEST(GrayToRgb, ReplicatesPlane) {
-  Image gray(2, 1, 1);
-  gray.at(0, 0, 0) = 11.0f;
-  gray.at(1, 0, 0) = 22.0f;
-  const Image rgb = gray_to_rgb(gray);
-  EXPECT_EQ(rgb.channels(), 3);
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_FLOAT_EQ(rgb.at(0, 0, c), 11.0f);
-    EXPECT_FLOAT_EQ(rgb.at(1, 0, c), 22.0f);
-  }
-  EXPECT_THROW(gray_to_rgb(Image(2, 2, 3)), std::invalid_argument);
-}
 
 TEST(Draw, FillRectClipsToImage) {
   Image img(4, 4, 1, 0.0f);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "data/rng.h"
-#include "imaging/color.h"
 #include "reference_kernels.h"
 #include "signal/fft.h"
 #include "signal/spectrum.h"
@@ -236,7 +235,7 @@ TEST(RealFft2dParity, ColorInputMatchesExplicitLumaTransform) {
     }
   }
   const auto direct = fft2d(rgb);
-  const auto via_gray = fft2d(to_gray(rgb));
+  const auto via_gray = fft2d(testref::to_gray(rgb));
   const double budget = 1e-9 * std::max(peak_magnitude(via_gray), 1.0);
   EXPECT_LE(max_abs_diff(direct, via_gray), budget);
 }

@@ -21,7 +21,7 @@ Image make_gradient(int w, int h) {
 
 TEST(RankFilter, MinPicksWindowMinimum) {
   const Image img = make_gradient(4, 4);
-  const Image out = min_filter(img, 2);
+  const Image out = rank_filter(img, 2, RankOp::Min);
   // Window anchored top-left: out(x,y) = min over {x,x+1}x{y,y+1}.
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 0.0f);
   EXPECT_FLOAT_EQ(out.at(1, 1, 0), 5.0f);
@@ -32,7 +32,7 @@ TEST(RankFilter, MinPicksWindowMinimum) {
 
 TEST(RankFilter, MaxPicksWindowMaximum) {
   const Image img = make_gradient(4, 4);
-  const Image out = max_filter(img, 2);
+  const Image out = rank_filter(img, 2, RankOp::Max);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 5.0f);
   EXPECT_FLOAT_EQ(out.at(2, 2, 0), 15.0f);
 }
@@ -74,9 +74,9 @@ TEST(RankFilter, OrderingInvariantMinLeMedianLeMax) {
   for (float& v : img.plane(0)) {
     v = static_cast<float>(rng.next_range(0.0, 255.0));
   }
-  const Image mn = min_filter(img, 3);
+  const Image mn = rank_filter(img, 3, RankOp::Min);
   const Image md = median_filter(img, 3);
-  const Image mx = max_filter(img, 3);
+  const Image mx = rank_filter(img, 3, RankOp::Max);
   for (int y = 0; y < img.height(); ++y) {
     for (int x = 0; x < img.width(); ++x) {
       EXPECT_LE(mn.at(x, y, 0), md.at(x, y, 0));
@@ -90,7 +90,7 @@ TEST(RankFilter, OrderingInvariantMinLeMedianLeMax) {
 TEST(RankFilter, ChannelsFilteredIndependently) {
   Image img(3, 3, 2, 10.0f);
   img.at(1, 1, 1) = 0.0f;  // dark pixel only in channel 1
-  const Image out = min_filter(img, 2);
+  const Image out = rank_filter(img, 2, RankOp::Min);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0), 10.0f);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1), 0.0f);
 }
@@ -103,7 +103,7 @@ TEST(RankFilter, RevealsEmbeddedDarkPixelsLikeTheAttack) {
   for (int y = 0; y < 8; y += 2) {
     for (int x = 0; x < 8; x += 2) img.at(x, y, 0) = 5.0f;
   }
-  const Image out = min_filter(img, 2);
+  const Image out = rank_filter(img, 2, RankOp::Min);
   int dark = 0;
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 8; ++x) {

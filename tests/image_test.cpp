@@ -145,26 +145,6 @@ TEST(Image, FromU8SizeMismatchThrows) {
   EXPECT_THROW(Image::from_u8(bytes, 2, 1, 3), std::invalid_argument);
 }
 
-TEST(Image, ExtractAndRecombineChannels) {
-  Image img(2, 2, 3);
-  img.at(1, 1, 2) = 9.0f;
-  const Image blue = img.extract_channel(2);
-  EXPECT_EQ(blue.channels(), 1);
-  EXPECT_FLOAT_EQ(blue.at(1, 1, 0), 9.0f);
-  const std::array<Image, 3> planes = {img.extract_channel(0),
-                                       img.extract_channel(1), blue};
-  const Image rebuilt = Image::from_channels(planes);
-  EXPECT_TRUE(rebuilt.same_shape(img));
-  EXPECT_FLOAT_EQ(rebuilt.at(1, 1, 2), 9.0f);
-}
-
-TEST(Image, FromChannelsRejectsMismatchedPlanes) {
-  const std::array<Image, 2> planes = {Image(2, 2, 1), Image(3, 2, 1)};
-  EXPECT_THROW(Image::from_channels(planes), std::invalid_argument);
-  const std::array<Image, 1> multi = {Image(2, 2, 3)};
-  EXPECT_THROW(Image::from_channels(multi), std::invalid_argument);
-}
-
 TEST(Image, Statistics) {
   Image img(2, 2, 1);
   img.at(0, 0, 0) = 1.0f;

@@ -177,17 +177,6 @@ TEST(Histogram, IntersectionIsOneForIdenticalAndDropsWithDivergence) {
   EXPECT_LT(histogram_intersection(ha, hb), 0.3);
 }
 
-TEST(Histogram, Chi2ZeroForIdenticalPositiveOtherwise) {
-  const Image a = noise_image(16, 16, 1, 18);
-  const Image b = noise_image(16, 16, 1, 19);
-  const auto ha = color_histogram(a, 16);
-  const auto hb = color_histogram(b, 16);
-  EXPECT_NEAR(histogram_chi2(ha, ha), 0.0, 1e-12);
-  EXPECT_GT(histogram_chi2(ha, hb), 0.0);
-  EXPECT_THROW(histogram_chi2(ha, std::vector<double>(3, 0.1)),
-               std::invalid_argument);
-}
-
 TEST(Histogram, RejectsBadBins) {
   const Image img = noise_image(4, 4, 1, 20);
   EXPECT_THROW(color_histogram(img, 0), std::invalid_argument);

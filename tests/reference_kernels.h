@@ -5,7 +5,8 @@
 // algorithms; kernel_parity_test.cpp holds the fast paths to these
 // definitions — exact for rank filters, within a documented last-ulp
 // tolerance for the blurs and resize. The spectrum's polynomial log sits at
-// the end, for the bit-exact half-plane spectrum test.
+// the end, for the bit-exact half-plane spectrum test, and the explicit
+// BT.601 luma image that the colour FFT parity test transforms.
 //
 // These are deliberately slow and obvious. Do not "optimize" them: their
 // only job is to be trivially auditable.
@@ -260,6 +261,21 @@ inline double log1p_magnitude(const std::complex<double>& v) {
                               r2 * (1.0 / 11.0 + r2 * (1.0 / 13.0))))));
   constexpr double kLn2 = 0.6931471805599453;
   return static_cast<double>(e) * kLn2 + 2.0 * r * poly;
+}
+
+// BT.601 luma, 0.299 R + 0.587 G + 0.114 B in float (the weights of
+// OpenCV's BGR2GRAY), as a materialised 1-channel image. fft2d computes the
+// same expression per pixel on the fly.
+inline Image to_gray(const Image& img) {
+  Image out(img.width(), img.height(), 1);
+  const auto r = img.plane(0);
+  const auto g = img.plane(1);
+  const auto b = img.plane(2);
+  auto y = out.plane(0);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
+  }
+  return out;
 }
 
 }  // namespace decam::testref

@@ -1,9 +1,8 @@
-// Tests for ROC curve construction, AUC and the Youden threshold.
+// Tests for ROC curve construction and AUC.
 #include "core/roc.h"
 
 #include <gtest/gtest.h>
 
-#include "core/evaluation.h"
 #include "data/rng.h"
 
 namespace decam::core {
@@ -87,31 +86,6 @@ TEST(Roc, RejectsEmptyClasses) {
   EXPECT_THROW(roc_curve({}, some, Polarity::HighIsAttack),
                std::invalid_argument);
   EXPECT_THROW(roc_curve(some, {}, Polarity::HighIsAttack),
-               std::invalid_argument);
-}
-
-TEST(Youden, PicksTheSeparatingThreshold) {
-  const std::vector<double> benign = {1.0, 2.0, 3.0};
-  const std::vector<double> attack = {8.0, 9.0};
-  const RocCurve curve = roc_curve(benign, attack, Polarity::HighIsAttack);
-  const Calibration c = youden_threshold(curve, Polarity::HighIsAttack);
-  // The chosen threshold classifies the training data perfectly.
-  const DetectionStats stats = evaluate(benign, attack, c);
-  EXPECT_DOUBLE_EQ(stats.accuracy(), 1.0);
-}
-
-TEST(Youden, LowPolarityThresholdWorksEndToEnd) {
-  const std::vector<double> benign = {0.9, 0.95, 0.99};
-  const std::vector<double> attack = {0.1, 0.2};
-  const RocCurve curve = roc_curve(benign, attack, Polarity::LowIsAttack);
-  EXPECT_DOUBLE_EQ(curve.auc, 1.0);
-  const Calibration c = youden_threshold(curve, Polarity::LowIsAttack);
-  const DetectionStats stats = evaluate(benign, attack, c);
-  EXPECT_DOUBLE_EQ(stats.accuracy(), 1.0);
-}
-
-TEST(Youden, RejectsEmptyCurve) {
-  EXPECT_THROW(youden_threshold(RocCurve{}, Polarity::HighIsAttack),
                std::invalid_argument);
 }
 

@@ -30,7 +30,6 @@ struct IsaGuard {
 TEST(SimdDispatch, IsaNames) {
   EXPECT_STREQ(simd::to_string(Isa::Scalar), "scalar");
   EXPECT_STREQ(simd::to_string(Isa::Avx2), "avx2");
-  EXPECT_STREQ(simd::to_string(Isa::Neon), "neon");
 }
 
 TEST(SimdDispatch, ActiveTableNameMatchesIsa) {
@@ -48,13 +47,10 @@ TEST(SimdDispatch, SetActiveIsaRoundTrips) {
 
 TEST(SimdDispatch, UnavailableIsaFallsBackToScalar) {
   IsaGuard guard;
-  for (const Isa isa : {Isa::Avx2, Isa::Neon}) {
-    simd::set_active_isa(isa);
-    const Isa got = simd::active_isa();
-    EXPECT_TRUE(got == isa || got == Isa::Scalar)
-        << "requested " << simd::to_string(isa) << ", got "
-        << simd::to_string(got);
-  }
+  simd::set_active_isa(Isa::Avx2);
+  const Isa got = simd::active_isa();
+  EXPECT_TRUE(got == Isa::Avx2 || got == Isa::Scalar)
+      << "requested avx2, got " << simd::to_string(got);
 }
 
 TEST(SimdDispatch, GaugeTracksActiveIsa) {
@@ -69,8 +65,8 @@ TEST(SimdDispatch, GaugeTracksActiveIsa) {
 
 // --- native-vs-scalar parity of each table entry -------------------------
 
-// Sizes straddling the AVX2 (8 floats / 4 doubles / 16 uint16) and NEON
-// (4 / 2 / 8) vector widths, plus scalar-tail-only and empty cases.
+// Sizes straddling the AVX2 vector widths (8 floats / 4 doubles / 16
+// uint16), plus scalar-tail-only and empty cases.
 const int kSizes[] = {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 100};
 
 std::vector<float> random_floats(int n, std::uint64_t seed, double lo = -2.0,
@@ -105,25 +101,18 @@ class SimdParity : public ::testing::Test {
     }
     // The tables are process-lifetime statics, so holding pointers to both
     // (regardless of which is active) is fine. The startup table may itself
-    // be scalar (DECAM_SIMD=scalar); the native one is resolved explicitly.
+    // be scalar (DECAM_SIMD=scalar); the AVX2 one is resolved explicitly.
     IsaGuard guard;
     simd::set_active_isa(Isa::Scalar);
     scalar_ = &simd::ops();
-    for (const Isa isa : {Isa::Avx2, Isa::Neon}) {
-      simd::set_active_isa(isa);
-      if (simd::active_isa() == isa) {
-        native_ = &simd::ops();
-        native_isa_ = isa;
-        break;
-      }
-    }
-    ASSERT_NE(native_, nullptr);
-    ASSERT_STRNE(native_->name, "scalar");
+    simd::set_active_isa(Isa::Avx2);
+    ASSERT_EQ(simd::active_isa(), Isa::Avx2);
+    native_ = &simd::ops();
+    ASSERT_STREQ(native_->name, "avx2");
   }
 
   const SimdOps* scalar_ = nullptr;
   const SimdOps* native_ = nullptr;
-  Isa native_isa_ = Isa::Scalar;
 };
 
 template <typename T>
@@ -264,7 +253,7 @@ TEST_F(SimdParity, MedianIdenticalUnderForcedIsa) {
   ASSERT_EQ(classify_median_path(img), MedianPath::Grid8);
   IsaGuard guard;
   for (const int k : {2, 3, 9}) {
-    simd::set_active_isa(native_isa_);
+    simd::set_active_isa(Isa::Avx2);
     const Image native = rank_filter(img, k, RankOp::Median);
     simd::set_active_isa(Isa::Scalar);
     const Image scalar = rank_filter(img, k, RankOp::Median);

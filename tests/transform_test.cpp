@@ -1,6 +1,6 @@
-// Tests for crop / flips / rotations, including the group properties
-// (double flip = identity, 4 quarter turns = identity) and the
-// attack-fragility property the extension bench builds on.
+// Tests for crop and the left-right flip, including the group property
+// (double flip = identity) and the attack-fragility property the extension
+// bench builds on.
 #include "imaging/transform.h"
 
 #include <gtest/gtest.h>
@@ -58,13 +58,6 @@ TEST(Flip, HorizontalSwapsColumns) {
   EXPECT_FLOAT_EQ(flipped.at(1, 0, 0), img.at(1, 0, 0));  // middle fixed
 }
 
-TEST(Flip, VerticalSwapsRows) {
-  const Image img = numbered(2, 3);
-  const Image flipped = flip_vertical(img);
-  EXPECT_FLOAT_EQ(flipped.at(0, 0, 0), img.at(0, 2, 0));
-  EXPECT_FLOAT_EQ(flipped.at(1, 2, 0), img.at(1, 0, 0));
-}
-
 TEST(Flip, DoubleFlipIsIdentity) {
   data::Rng rng(1);
   Image img(7, 5, 3);
@@ -74,34 +67,6 @@ TEST(Flip, DoubleFlipIsIdentity) {
     }
   }
   EXPECT_DOUBLE_EQ(mse(flip_horizontal(flip_horizontal(img)), img), 0.0);
-  EXPECT_DOUBLE_EQ(mse(flip_vertical(flip_vertical(img)), img), 0.0);
-}
-
-TEST(Rotate, QuarterTurnGeometry) {
-  const Image img = numbered(4, 2);
-  const Image cw = rotate90_cw(img);
-  EXPECT_EQ(cw.width(), 2);
-  EXPECT_EQ(cw.height(), 4);
-  // Top-left goes to top-right under CW rotation.
-  EXPECT_FLOAT_EQ(cw.at(1, 0, 0), img.at(0, 0, 0));
-  const Image ccw = rotate90_ccw(img);
-  EXPECT_EQ(ccw.width(), 2);
-  EXPECT_EQ(ccw.height(), 4);
-  EXPECT_FLOAT_EQ(ccw.at(0, 3, 0), img.at(0, 0, 0));
-}
-
-TEST(Rotate, CwThenCcwIsIdentity) {
-  const Image img = numbered(5, 3, 2);
-  EXPECT_DOUBLE_EQ(mse(rotate90_ccw(rotate90_cw(img)), img), 0.0);
-}
-
-TEST(Rotate, FourQuarterTurnsAreIdentity) {
-  const Image img = numbered(4, 6);
-  const Image once = rotate90_cw(img);
-  const Image twice = rotate90_cw(once);
-  const Image thrice = rotate90_cw(twice);
-  const Image full = rotate90_cw(thrice);
-  EXPECT_DOUBLE_EQ(mse(full, img), 0.0);
 }
 
 TEST(Transforms, OnePixelCropDestroysTheAttackPayload) {
