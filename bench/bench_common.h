@@ -40,6 +40,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -208,18 +209,52 @@ inline void print_config(const BenchArgs& args) {
 
 // ---------------------------------------------------------------------------
 // Micro-benchmark scaffolding (bench/kernel_bench, obs_overhead,
-// matrix_adaptive and `paper extension_runtime_attack`).
+// matrix_adaptive and `paper table7_runtime` / `extension_runtime_attack`).
 //
 // Each benchmark is a closure timed with steady_clock over enough iterations
 // to fill a small time budget; the *minimum* iteration time is reported (the
 // usual micro-bench convention: the minimum is the run least disturbed by
-// the OS). Results normalise to ns/pixel and MP/s over a caller-declared
-// pixel count so numbers are comparable across image geometries, and can be
-// serialised to a stable JSON document (schema `decam-kernel-bench-v1`)
-// that downstream tooling validates with validate_bench_json().
+// the OS), normalised to ns/pixel and MP/s over a caller-declared pixel
+// count. Every iteration of the closure alternates with one of an anchor —
+// by default anchor_loop(), a fixed loop that calls no library code — and
+// the entry's minimum over the anchor's minimum is its `ratio`. The
+// regression gates compare ratios, never absolute times: a host that runs
+// everything 3x slower leaves a ratio where it was, a kernel that got 3x
+// slower does not. The kernel and obs documents (schema
+// `decam-kernel-bench-v2`) and the matrix document's "benchmarks" array
+// share one entry format, written by entry_json() and checked by
+// validate_entries().
 // ---------------------------------------------------------------------------
 
 namespace decam::bench::micro {
+
+/// The "anchor" field of an entry timed against anchor_loop().
+inline constexpr const char* kLoopAnchor = "loop";
+
+/// Floats in each of anchor_loop()'s two arrays: the 192² RGB sample count
+/// of kernel_bench --quick.
+inline constexpr std::size_t kAnchorFloats = 192 * 192 * 3;
+
+/// The fixed same-run reference: four passes of a[i] = a[i] * 0.999f + b[i]
+/// over two kAnchorFloats arrays (0.9 MB). It calls nothing under src/, so
+/// only the host and the compiler flags move its time. `a` converges to the
+/// fixed point 500, so no value ever goes subnormal.
+inline void anchor_loop() {
+  static std::vector<float> a(kAnchorFloats, 1.0f);
+  static const std::vector<float> b(kAnchorFloats, 0.5f);
+  for (int pass = 0; pass < 4; ++pass) {
+    for (std::size_t i = 0; i < kAnchorFloats; ++i) a[i] = a[i] * 0.999f + b[i];
+  }
+  asm volatile("" : : "r"(a.data()) : "memory");  // the stores are observable
+}
+
+/// What an entry's time is divided by: anchor_loop() by default. An entry
+/// whose cost is a multiple of another entry's (a contended probe against
+/// its uncontended twin) names that entry and times its closure instead.
+struct Anchor {
+  std::string name = kLoopAnchor;
+  std::function<void()> fn = anchor_loop;
+};
 
 struct BenchResult {
   std::string name;
@@ -228,68 +263,108 @@ struct BenchResult {
   double ns_per_pixel = 0.0;
   double mpix_per_s = 0.0;
   int iters = 0;
+  std::string anchor = kLoopAnchor;  // Anchor::name
+  double anchor_ms = 0.0;   // minimum anchor time over the same iterations
+  double ratio = 0.0;       // ms_per_iter / anchor_ms: what the gates compare
 };
 
-/// Times `fn` until `budget_ms` of measured work has accumulated (at least
-/// `min_iters` runs), returning the minimum-iteration normalisation.
+/// A result from its two minimum times, with the derived fields filled in.
+inline BenchResult make_result(std::string name, std::size_t pixels,
+                               double ms, int iters, double anchor_ms,
+                               std::string anchor = kLoopAnchor) {
+  BenchResult r;
+  r.name = std::move(name);
+  r.pixels = pixels;
+  r.ms_per_iter = ms;
+  r.ns_per_pixel = ms * 1e6 / static_cast<double>(pixels);
+  r.mpix_per_s = static_cast<double>(pixels) / (ms * 1e-3) / 1e6;
+  r.iters = iters;
+  r.anchor = std::move(anchor);
+  r.anchor_ms = anchor_ms;
+  r.ratio = ms / anchor_ms;
+  return r;
+}
+
+/// Runs per entry at the least. The short anchor finds a quiet moment of
+/// the host in a few runs; an entry of several milliseconds needs more, or
+/// its minimum (and so its ratio) swings with the host's bursts.
+inline constexpr int kMinIters = 10;
+
+/// Times `fn` until `budget_ms` of its measured work has accumulated (at
+/// least `min_iters` runs, at most 1000), timing `anchor` once before each
+/// run, and returns both minima. The anchor runs twice back to back and
+/// only the second run is timed: the first reloads its data and absorbs
+/// what the previous run of `fn` left behind (dirty cache lines, a clock
+/// transition), so the timed run reads the host rather than the entry.
 inline BenchResult run_bench(const std::string& name, std::size_t pixels,
                              double budget_ms, const std::function<void()>& fn,
-                             int min_iters = 3) {
+                             int min_iters = kMinIters,
+                             const Anchor& anchor = {}) {
   using clock = std::chrono::steady_clock;
-  fn();  // warm-up: first-touch allocations, table caches, branch training
-  BenchResult result;
-  result.name = name;
-  result.pixels = pixels;
+  const auto time_ms = [](const std::function<void()>& f) {
+    const auto t0 = clock::now();
+    f();
+    return std::chrono::duration<double, std::milli>(clock::now() - t0)
+        .count();
+  };
+  // Warm-up: first-touch allocations, table caches, branch training.
+  anchor.fn();
+  fn();
   double total_ms = 0.0;
   double best_ms = std::numeric_limits<double>::infinity();
+  double best_anchor_ms = best_ms;
   int iters = 0;
   while (iters < min_iters || total_ms < budget_ms) {
-    const auto t0 = clock::now();
-    fn();
-    const auto t1 = clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    anchor.fn();
+    best_anchor_ms = std::min(best_anchor_ms, time_ms(anchor.fn));
+    const double ms = time_ms(fn);
     best_ms = std::min(best_ms, ms);
     total_ms += ms;
-    ++iters;
-    if (iters >= 1000) break;  // fast kernels: enough samples
+    if (++iters >= 1000) break;  // fast kernels: enough samples
   }
-  result.ms_per_iter = best_ms;
-  result.iters = iters;
-  const double ns = best_ms * 1e6;
-  result.ns_per_pixel = ns / static_cast<double>(pixels);
-  result.mpix_per_s =
-      static_cast<double>(pixels) / (best_ms * 1e-3) / 1e6;
-  return result;
+  return make_result(name, pixels, best_ms, iters, best_anchor_ms,
+                     anchor.name);
 }
 
 inline void print_result(const BenchResult& r) {
-  std::printf("%-34s %10.3f ms  %8.3f ns/px  %9.1f MP/s  (x%d)\n",
+  std::printf("%-34s %10.3f ms  %8.3f ns/px  %9.1f MP/s  %8.3f x %s  (x%d)\n",
               r.name.c_str(), r.ms_per_iter, r.ns_per_pixel, r.mpix_per_s,
-              r.iters);
+              r.ratio, r.anchor.c_str(), r.iters);
 }
 
-/// Serialises results as the `decam-kernel-bench-v1` JSON document.
+/// One entry of a document's "benchmarks" array, the format every bench
+/// document shares.
+inline std::string entry_json(const BenchResult& r) {
+  const std::string name = obs::json_escape(r.name);
+  const std::string anchor = obs::json_escape(r.anchor);
+  std::vector<char> buf(name.size() + anchor.size() + 320);
+  std::snprintf(buf.data(), buf.size(),
+                "{\"name\": \"%s\", \"pixels\": %zu, \"ms_per_iter\": %.6f, "
+                "\"ns_per_pixel\": %.6f, \"mpix_per_s\": %.3f, \"iters\": %d, "
+                "\"anchor\": \"%s\", \"anchor_ms\": %.6f, \"ratio\": %.6f}",
+                name.c_str(), r.pixels, r.ms_per_iter, r.ns_per_pixel,
+                r.mpix_per_s, r.iters, anchor.c_str(), r.anchor_ms, r.ratio);
+  return buf.data();
+}
+
+/// The "benchmarks" array: one entry_json() per line.
+inline std::string entries_json(const std::vector<BenchResult>& results) {
+  std::string out = "[\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    out += "    " + entry_json(results[i]) +
+           (i + 1 < results.size() ? ",\n" : "\n");
+  }
+  return out + "  ]";
+}
+
+inline constexpr const char* kBenchSchema = "decam-kernel-bench-v2";
+
+/// Serialises results as the `decam-kernel-bench-v2` JSON document.
 inline std::string bench_json(const std::vector<BenchResult>& results,
                               bool quick) {
-  std::ostringstream out;
-  out << "{\n  \"schema\": \"decam-kernel-bench-v1\",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"pixels\": %zu, "
-                  "\"ms_per_iter\": %.6f, \"ns_per_pixel\": %.6f, "
-                  "\"mpix_per_s\": %.3f, \"iters\": %d}%s\n",
-                  r.name.c_str(), r.pixels, r.ms_per_iter, r.ns_per_pixel,
-                  r.mpix_per_s, r.iters,
-                  i + 1 < results.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
-  return out.str();
+  return std::string("{\n  \"schema\": \"") + kBenchSchema +
+         "\",\n  \"quick\": " + (quick ? "true" : "false") +
+         ",\n  \"benchmarks\": " + entries_json(results) + "\n}\n";
 }
 
 // ------------------------------------------------------------------ JSON --
@@ -499,27 +574,31 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-/// Validates a `decam-kernel-bench-v1` document: schema marker, non-empty
-/// benchmark array, and per-entry name/pixels/throughput sanity. Returns an
-/// empty string on success, else a description of the first violation.
-inline std::string validate_bench_json(std::string_view text) {
-  JsonValue root;
-  if (!JsonParser(text).parse(root)) return "not parseable as JSON";
-  if (root.kind != JsonValue::Kind::Object) return "root is not an object";
+/// Empty if `root` carries `"schema": want`, else what it carries instead:
+/// a document on an older schema is refused, never read as the new one.
+inline std::string schema_error(const JsonValue& root, std::string_view want) {
   const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::String ||
-      schema->string != "decam-kernel-bench-v1") {
-    return "missing/wrong schema marker";
+  if (schema == nullptr || schema->kind != JsonValue::Kind::String) {
+    return "missing schema marker";
   }
-  const JsonValue* quick = root.find("quick");
-  if (quick == nullptr || quick->kind != JsonValue::Kind::Bool) {
-    return "missing boolean 'quick'";
+  if (schema->string != want) {
+    return "schema '" + schema->string + "', want '" + std::string(want) +
+           "'";
   }
+  return {};
+}
+
+/// Checks a document's "benchmarks" array against the one entry format
+/// (entry_json): non-empty, each entry named once, positive timings and
+/// ratio, a named anchor. Empty string on success, else the first
+/// violation.
+inline std::string validate_entries(const JsonValue& root) {
   const JsonValue* benches = root.find("benchmarks");
   if (benches == nullptr || benches->kind != JsonValue::Kind::Array) {
     return "missing 'benchmarks' array";
   }
   if (benches->array.empty()) return "'benchmarks' is empty";
+  std::vector<std::string_view> names;
   for (const JsonValue& b : benches->array) {
     if (b.kind != JsonValue::Kind::Object) return "benchmark not an object";
     const JsonValue* name = b.find("name");
@@ -527,95 +606,206 @@ inline std::string validate_bench_json(std::string_view text) {
         name->string.empty()) {
       return "benchmark without a name";
     }
+    if (std::find(names.begin(), names.end(), name->string) != names.end()) {
+      return "benchmark '" + name->string + "' appears twice";
+    }
+    names.push_back(name->string);
     for (const char* key : {"pixels", "ms_per_iter", "ns_per_pixel",
-                            "mpix_per_s", "iters"}) {
+                            "mpix_per_s", "iters", "anchor_ms", "ratio"}) {
       const JsonValue* v = b.find(key);
       if (v == nullptr || v->kind != JsonValue::Kind::Number ||
           !(v->number > 0.0)) {
         return "benchmark '" + name->string + "': non-positive " + key;
       }
     }
+    const JsonValue* anchor = b.find("anchor");
+    if (anchor == nullptr || anchor->kind != JsonValue::Kind::String ||
+        anchor->string.empty()) {
+      return "benchmark '" + name->string + "' without an anchor";
+    }
   }
   return {};
 }
 
-/// Schema-checks a `decam-kernel-bench-v1` file; 0 on success. `label` is
-/// the reporting prefix (the bench binary's name).
-inline int validate_file(const std::string& label, const std::string& path) {
+/// Validates a `decam-kernel-bench-v2` document: schema marker, boolean
+/// 'quick' and the entries. Returns an empty string on success, else a
+/// description of the first violation.
+inline std::string validate_bench_json(std::string_view text) {
+  JsonValue root;
+  if (!JsonParser(text).parse(root)) return "not parseable as JSON";
+  if (root.kind != JsonValue::Kind::Object) return "root is not an object";
+  if (std::string error = schema_error(root, kBenchSchema); !error.empty()) {
+    return error;
+  }
+  const JsonValue* quick = root.find("quick");
+  if (quick == nullptr || quick->kind != JsonValue::Kind::Bool) {
+    return "missing boolean 'quick'";
+  }
+  return validate_entries(root);
+}
+
+/// The contents of the file at `path`, or nullopt if it cannot be opened.
+inline std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Checks the document at `path` with `validate`; 0 on success. `label` is
+/// the reporting prefix (the bench binary's name).
+inline int validate_file(
+    const std::string& label, const std::string& path,
+    std::string (*validate)(std::string_view) = validate_bench_json) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     std::fprintf(stderr, "%s: cannot open %s\n", label.c_str(), path.c_str());
     return 1;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::string error = validate_bench_json(text.str());
+  const std::string error = validate(*text);
   if (!error.empty()) {
     std::fprintf(stderr, "%s: %s: %s\n", label.c_str(), path.c_str(),
                  error.c_str());
     return 1;
   }
-  std::printf("%s: valid decam-kernel-bench-v1 document\n", path.c_str());
+  std::printf("%s: valid document\n", path.c_str());
   return 0;
 }
 
-/// Compares freshly measured `results` against the baseline document at
-/// `path`, failing any entry more than `factor`x slower in ns/pixel. The
-/// baseline must pass `validate` (a schema whose "benchmarks" array holds
-/// named entries with "ns_per_pixel"). Only names present in both runs are
-/// compared (baselines may gain entries a binary no longer produces, and
-/// vice versa). Returns the number of regressions (or 1 on an
-/// unreadable/invalid baseline). The factor is a tripwire for accidental
-/// algorithmic regressions, not a noise gate.
+/// Writes `doc` to `path` once `validate` accepts it, so a malformed
+/// document is never written silently, then `manifest` (if given) next to
+/// it: BENCH_x.json -> BENCH_x.manifest.json, so a refreshed baseline
+/// carries the build and host of the run that produced it. 0 on success,
+/// else 1 with a stderr line.
+inline int write_document(const std::string& label, const std::string& path,
+                          const std::string& doc,
+                          std::string (*validate)(std::string_view),
+                          const manifest::RunManifest* manifest) {
+  const std::string error = validate(doc);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s: refusing to write %s: %s\n", label.c_str(),
+                 path.c_str(), error.c_str());
+    return 1;
+  }
+  std::ofstream out(path);
+  out << doc;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "%s: cannot write %s\n", label.c_str(),
+                 path.c_str());
+    return 1;
+  }
+  std::printf("\nwrote %s\n", path.c_str());
+  if (manifest != nullptr) {
+    const std::size_t dot = path.rfind(".json");
+    (void)manifest::write_manifest(
+        *manifest, (dot == std::string::npos ? path : path.substr(0, dot)) +
+                       ".manifest.json");
+  }
+  return 0;
+}
+
+/// A run judged against a baseline document.
+struct Comparison {
+  std::string refused;              // non-empty: the baseline was not used
+  std::vector<std::string> failed;  // entries that fail the gate, run order
+  std::vector<std::string> lines;   // one per failed entry or one over 1.25x
+  int compared = 0;                 // entries judged on their ratio
+};
+
+/// Judges `results` against the baseline document `baseline`, which must
+/// pass `validate`. Each run entry needs a baseline entry of its name, at
+/// its pixel count and on the same anchor, else it fails by name; it then
+/// fails if its ratio exceeds `factor` times the baseline's. Baseline
+/// entries the run lacks (a --filter run) are not judged. The factor is
+/// a tripwire for accidental algorithmic regressions (a dropped fast path,
+/// an O(k) loop reappearing), not a noise gate.
+inline Comparison compare_to_baseline(
+    const std::vector<BenchResult>& results, std::string_view baseline,
+    std::string (*validate)(std::string_view), double factor) {
+  Comparison c;
+  c.refused = validate(baseline);
+  if (!c.refused.empty()) return c;
+  JsonValue root;
+  JsonParser(baseline).parse(root);  // validated above
+  const std::vector<JsonValue>& entries = root.find("benchmarks")->array;
+  char line[256];
+  const auto fail = [&](const BenchResult& r, const std::string& why) {
+    std::snprintf(line, sizeof(line), "%-34s %s  FAIL", r.name.c_str(),
+                  why.c_str());
+    c.lines.emplace_back(line);
+    c.failed.push_back(r.name);
+  };
+  for (const BenchResult& r : results) {
+    const auto base = std::find_if(
+        entries.begin(), entries.end(),
+        [&](const JsonValue& b) { return b.find("name")->string == r.name; });
+    if (base == entries.end()) {
+      fail(r, "not in the baseline");
+      continue;
+    }
+    const double base_pixels = base->find("pixels")->number;
+    if (base_pixels != static_cast<double>(r.pixels)) {
+      char why[96];
+      std::snprintf(why, sizeof(why),
+                    "measured at %zu px, the baseline at %.0f", r.pixels,
+                    base_pixels);
+      fail(r, why);
+      continue;
+    }
+    const std::string& base_anchor = base->find("anchor")->string;
+    if (base_anchor != r.anchor) {
+      fail(r, "anchored on '" + r.anchor + "', the baseline on '" +
+                  base_anchor + "'");
+      continue;
+    }
+    ++c.compared;
+    const double base_ratio = base->find("ratio")->number;
+    const double growth = r.ratio / base_ratio;
+    const bool bad = growth > factor;
+    if (bad || growth > 1.25) {
+      std::snprintf(line, sizeof(line),
+                    "%-34s ratio %8.3f -> %8.3f (%.2fx)  %s %.4f -> %.4f ms%s",
+                    r.name.c_str(), base_ratio, r.ratio, growth,
+                    r.anchor.c_str(), base->find("anchor_ms")->number,
+                    r.anchor_ms, bad ? "  REGRESSION" : "");
+      c.lines.emplace_back(line);
+    }
+    if (bad) c.failed.push_back(r.name);
+  }
+  return c;
+}
+
+/// compare_to_baseline against the document at `path`, printed. Returns the
+/// number of failing entries, or 1 if the baseline is unreadable or refused.
 inline int check_regressions(
     const std::string& label, const std::vector<BenchResult>& results,
     const std::string& path,
     std::string (*validate)(std::string_view) = validate_bench_json,
     double factor = 2.0) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
     std::fprintf(stderr, "%s: cannot open baseline %s\n", label.c_str(),
                  path.c_str());
     return 1;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::string error = validate(text.str());
-  if (!error.empty()) {
-    std::fprintf(stderr, "%s: baseline %s: %s\n", label.c_str(), path.c_str(),
-                 error.c_str());
+  const Comparison c = compare_to_baseline(results, *text, validate, factor);
+  if (!c.refused.empty()) {
+    std::fprintf(stderr, "%s: baseline %s refused: %s\n", label.c_str(),
+                 path.c_str(), c.refused.c_str());
     return 1;
   }
-  JsonValue root;
-  JsonParser(text.str()).parse(root);  // validated above
-  const JsonValue& baseline = *root.find("benchmarks");
-
-  std::printf("\nregression check vs %s (fail above %.1fx ns/px):\n",
-              path.c_str(), factor);
-  int regressions = 0;
-  int compared = 0;
-  for (const BenchResult& r : results) {
-    const JsonValue* entry = nullptr;
-    for (const JsonValue& b : baseline.array) {
-      if (b.find("name")->string == r.name) {
-        entry = &b;
-        break;
-      }
-    }
-    if (entry == nullptr) continue;
-    ++compared;
-    const double base_ns = entry->find("ns_per_pixel")->number;
-    const double ratio = r.ns_per_pixel / base_ns;
-    const bool bad = ratio > factor;
-    if (bad || ratio > 1.25) {
-      std::printf("  %-34s %8.3f -> %8.3f ns/px  (%.2fx)%s\n", r.name.c_str(),
-                  base_ns, r.ns_per_pixel, ratio, bad ? "  REGRESSION" : "");
-    }
-    regressions += bad ? 1 : 0;
-  }
-  std::printf("  %d/%zu benchmarks compared, %d regression%s\n", compared,
-              results.size(), regressions, regressions == 1 ? "" : "s");
-  return regressions;
+  std::printf(
+      "\nregression check vs %s: an entry fails above %.1fx the baseline's\n"
+      "ratio to its anchor (ratio baseline -> run, then the anchor's min ms\n"
+      "baseline -> run: a slow host moves both, a slow kernel only the "
+      "ratio)\n",
+      path.c_str(), factor);
+  for (const std::string& line : c.lines) std::printf("  %s\n", line.c_str());
+  std::printf("  %d/%zu entries compared, %zu failing\n", c.compared,
+              results.size(), c.failed.size());
+  return static_cast<int>(c.failed.size());
 }
 
 }  // namespace decam::bench::micro
@@ -630,6 +820,21 @@ namespace detail {
 
 inline std::string json_escape(const std::string& text) {
   return obs::json_escape(text);
+}
+
+// The host's CPU model: the first "model name" of /proc/cpuinfo, or
+// "unknown" where that file is missing or does not name one.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) {
+      continue;
+    }
+    const std::size_t value = line.find_first_not_of(" \t", colon + 1);
+    if (value != std::string::npos) return line.substr(value);
+  }
+  return "unknown";
 }
 
 }  // namespace detail
@@ -656,15 +861,20 @@ inline std::string manifest_json(const RunManifest& m) {
          "\", \"sanitize\": \"" DECAM_BENCH_SANITIZE
          "\", \"compiler\": \""
       << detail::json_escape(__VERSION__) << "\"},\n";
+  // `threads` is the pool the run used; `hardware_threads` and `cpu` say
+  // what the host had, so a one-CPU host and DECAM_THREADS=1 read apart.
   const int threads = m.threads > 0 ? m.threads : runtime::thread_count();
   char run_buf[256];
   std::snprintf(run_buf, sizeof(run_buf),
-                "  \"run\": {\"threads\": %d, \"quick\": %s, \"seed\": %llu, "
-                "\"image_width\": %d, \"image_height\": %d},\n",
-                threads, m.quick ? "true" : "false",
+                "  \"run\": {\"threads\": %d, \"hardware_threads\": %u, "
+                "\"quick\": %s, \"seed\": %llu, \"image_width\": %d, "
+                "\"image_height\": %d, ",
+                threads, std::thread::hardware_concurrency(),
+                m.quick ? "true" : "false",
                 static_cast<unsigned long long>(m.seed), m.image_width,
                 m.image_height);
-  out << run_buf;
+  out << run_buf << "\"cpu\": \"" << detail::json_escape(detail::cpu_model())
+      << "\"},\n";
 
   // Final metric snapshot: every counter and gauge, plus latency summaries
   // of every histogram. Downstream diffing tools read cache hit rates and
@@ -716,10 +926,9 @@ inline std::string validate_manifest_json(std::string_view text) {
   JsonValue root;
   if (!JsonParser(text).parse(root)) return "not parseable as JSON";
   if (root.kind != JsonValue::Kind::Object) return "root is not an object";
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::String ||
-      schema->string != "decam-run-manifest-v1") {
-    return "missing/wrong schema marker";
+  if (std::string error = micro::schema_error(root, "decam-run-manifest-v1");
+      !error.empty()) {
+    return error;
   }
   const JsonValue* binary = root.find("binary");
   if (binary == nullptr || binary->kind != JsonValue::Kind::String ||
@@ -752,6 +961,17 @@ inline std::string validate_manifest_json(std::string_view text) {
   if (threads == nullptr || threads->kind != JsonValue::Kind::Number ||
       !(threads->number >= 1.0)) {
     return "run without positive 'threads'";
+  }
+  // 0: the host did not report its thread count.
+  const JsonValue* hardware = run->find("hardware_threads");
+  if (hardware == nullptr || hardware->kind != JsonValue::Kind::Number ||
+      !(hardware->number >= 0.0)) {
+    return "run without non-negative 'hardware_threads'";
+  }
+  const JsonValue* cpu = run->find("cpu");
+  if (cpu == nullptr || cpu->kind != JsonValue::Kind::String ||
+      cpu->string.empty()) {
+    return "run without non-empty 'cpu'";
   }
   const JsonValue* quick = run->find("quick");
   if (quick == nullptr || quick->kind != JsonValue::Kind::Bool) {

@@ -3,29 +3,31 @@
 // filters of the filtering detector, box/Gaussian blur, the FFT
 // log-spectrum, and one full Battery::score. Each benchmark reports the
 // minimum iteration time normalised to ns/pixel and MP/s over a fixed
-// synthetic input (seed 7), so numbers are comparable across commits and
-// hosts of the same class.
+// synthetic input (seed 7), and its ratio to the fixed anchor loop timed
+// alternately with it in the same process (bench_common.h).
 //
 //   kernel_bench [--quick] [--json] [--out FILE] [--filter SUBSTR]
 //                [--regress-against FILE]
 //   kernel_bench --validate FILE
 //
-// --json writes the `decam-kernel-bench-v1` document (default
-// BENCH_kernels.json — run from the repo root to refresh the committed perf
-// trail) and re-reads it through the schema validator before exiting, so a
-// malformed file can never be written silently. --validate checks an
-// existing file and exits non-zero on violation (the bench_smoke ctest).
+// --json writes the `decam-kernel-bench-v2` document (default
+// BENCH_kernels.json) and its run manifest, re-reading the document through
+// the schema validator first, so a malformed file can never be written
+// silently. --validate checks an existing file and exits non-zero on
+// violation.
 //
 // --regress-against compares the run just measured with a baseline document
-// (normally the committed BENCH_kernels.json) and exits non-zero if any
-// benchmark present in both runs is more than 2x slower in ns/pixel. The
-// factor is deliberately loose: it is a tripwire for accidental algorithmic
-// regressions (a dropped fast path, an O(k) loop reappearing), not a
-// noise-level performance gate, and it must tolerate the quick run's
-// smaller inputs and a different host class. Spectrum benchmarks therefore
-// use the same fixed geometries in quick and full modes — they are the
-// entries whose regime (Stockham on 7-smooth sides vs Bluestein on sides
-// with a prime factor above 7) depends on the exact size.
+// and exits non-zero if any entry's ratio to its anchor is more than 2x the
+// baseline's, or if an entry has no baseline entry of its name and pixel
+// count. The committed BENCH_kernels.json is the baseline of the
+// bench_regression ctest, which runs `--quick`; refresh it from the repo
+// root with `kernel_bench --quick --json`, so the geometry and the sweep
+// order (which at 192² moves an entry's cost through the allocator's
+// state) are those of the gate. The factor is a tripwire for accidental
+// algorithmic regressions (a dropped fast path, an O(k) loop reappearing),
+// not a noise gate. Spectrum benchmarks use the same fixed geometries in
+// quick and full modes: their regime (Stockham on 7-smooth sides vs
+// Bluestein on sides with a prime factor above 7) depends on the exact size.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -189,9 +191,8 @@ int main(int argc, char** argv) {
 
   // --- FFT log-spectrum (steganalysis detection) ---------------------------
   // Fixed geometries in both modes: the FFT regime (Stockham vs Bluestein)
-  // depends on the exact side length, so quick-mode scaling would silently
-  // benchmark a different code path and break the --regress-against
-  // comparison with the committed full-run baseline. Sizes cover the
+  // depends on the exact side length, so scaling them with --quick would
+  // benchmark a different code path than the full sweep. Sizes cover the
   // power-of-two Stockham path at two scales, the 7-smooth mixed-radix
   // path at the CNN input geometry (224 = 2^5 * 7) and at Table 7's 448²
   // (2^6 * 7, also a batch_mixed geometry), and Bluestein on a prime side
@@ -249,27 +250,6 @@ int main(int argc, char** argv) {
   }
 
   if (opt.json) {
-    const std::string doc = bench::micro::bench_json(results, opt.quick);
-    const std::string error = bench::micro::validate_bench_json(doc);
-    if (!error.empty()) {
-      std::fprintf(stderr, "kernel_bench: refusing to write %s: %s\n",
-                   opt.out.c_str(), error.c_str());
-      return 1;
-    }
-    std::ofstream out(opt.out);
-    if (!out) {
-      std::fprintf(stderr, "kernel_bench: cannot write %s\n",
-                   opt.out.c_str());
-      return 1;
-    }
-    out << doc;
-    out.close();
-    std::printf("\nwrote %s (%zu benchmarks)\n", opt.out.c_str(),
-                results.size());
-
-    // Provenance sidecar: BENCH_foo.json -> BENCH_foo.manifest.json, so a
-    // refreshed baseline carries the build flavour and metric snapshot of
-    // the run that produced it.
     bench::manifest::RunManifest manifest;
     manifest.binary = "kernel_bench";
     manifest.argv.assign(argv + 1, argv + argc);
@@ -277,12 +257,12 @@ int main(int argc, char** argv) {
     manifest.seed = 7;
     manifest.image_width = big.width();
     manifest.image_height = big.height();
-    std::string manifest_path = opt.out;
-    const std::size_t dot = manifest_path.rfind(".json");
-    manifest_path = dot == std::string::npos
-                        ? manifest_path + ".manifest.json"
-                        : manifest_path.substr(0, dot) + ".manifest.json";
-    (void)bench::manifest::write_manifest(manifest, manifest_path);
+    if (bench::micro::write_document(
+            "kernel_bench", opt.out,
+            bench::micro::bench_json(results, opt.quick),
+            bench::micro::validate_bench_json, &manifest) != 0) {
+      return 1;
+    }
   }
   if (!opt.regress.empty() &&
       bench::micro::check_regressions("kernel_bench", results, opt.regress) !=

@@ -19,14 +19,18 @@
 //                   [--regress-against FILE] [--no-manifest]
 //   matrix_adaptive --validate FILE
 //
-// --json writes the `decam-matrix-bench-v1` document (default
-// BENCH_matrix.json — run from the repo root to refresh the committed
-// grid) with a `decam-run-manifest-v1` sidecar next to it, re-reading the
-// document through validate_matrix_json first so a malformed file is never
-// written silently. The document also carries a "benchmarks" array of
-// kernel-bench style runtime entries (fixed geometry in quick and full
-// modes, so the 2x --regress-against tripwire compares cleanly across
-// modes — same reasoning as kernel_bench's spectrum entries).
+// --json writes the `decam-matrix-bench-v2` document (default
+// BENCH_matrix.json) with a `decam-run-manifest-v1` sidecar next to it,
+// re-reading the document through validate_matrix_json first so a
+// malformed file is never written silently. The document also carries a
+// "benchmarks" array of runtime entries in the kernel-bench entry format
+// (bench_common.h), each with its ratio to the anchor loop timed
+// alternately in the same process. They run first, at one fixed 192²
+// geometry and time budget in quick and full modes, so the
+// matrix_bench_regression ctest (a --quick run with --regress-against)
+// compares like with like against the committed full run: it fails an
+// entry whose ratio is more than 2x the baseline's. Refresh the committed grid and entries from the repo root
+// with `matrix_adaptive --json` (the full grid, ~9 s on 4 threads).
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -208,13 +212,15 @@ std::vector<double> column(const std::vector<ScoreRow>& rows,
 
 // ------------------------------------------------------------------ JSON --
 
+constexpr const char* kMatrixSchema = "decam-matrix-bench-v2";
+
 std::string matrix_json(const MatrixConfig& cfg, bool quick,
                         const std::vector<std::string>& defenses,
                         const std::vector<Cell>& cells,
                         const std::vector<EnsembleCell>& ensemble,
                         const std::vector<BenchResult>& benchmarks) {
   std::ostringstream out;
-  out << "{\n  \"schema\": \"decam-matrix-bench-v1\",\n"
+  out << "{\n  \"schema\": \"" << kMatrixSchema << "\",\n"
       << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   char buf[512];
   std::snprintf(buf, sizeof(buf),
@@ -258,34 +264,23 @@ std::string matrix_json(const MatrixConfig& cfg, bool quick,
                   i + 1 < ensemble.size() ? "," : "");
     out << buf;
   }
-  out << "  ],\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < benchmarks.size(); ++i) {
-    const BenchResult& r = benchmarks[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"pixels\": %zu, "
-                  "\"ms_per_iter\": %.6f, \"ns_per_pixel\": %.6f, "
-                  "\"mpix_per_s\": %.3f, \"iters\": %d}%s\n",
-                  r.name.c_str(), r.pixels, r.ms_per_iter, r.ns_per_pixel,
-                  r.mpix_per_s, r.iters,
-                  i + 1 < benchmarks.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"benchmarks\": "
+      << bench::micro::entries_json(benchmarks) << "\n}\n";
   return out.str();
 }
 
-// Validates a `decam-matrix-bench-v1` document: schema marker, the three
+// Validates a `decam-matrix-bench-v2` document: schema marker, the three
 // axis arrays, a FULL cells grid (attacks x defenses x detectors), an
-// ensemble grid (attacks x defenses), rates in [0, 1], and kernel-bench
-// style runtime entries. Empty string on success, else the first violation.
+// ensemble grid (attacks x defenses), rates in [0, 1], and runtime entries
+// in the shared entry format. Empty string on success, else the first
+// violation.
 std::string validate_matrix_json(std::string_view text) {
   JsonValue root;
   if (!JsonParser(text).parse(root)) return "not parseable as JSON";
   if (root.kind != JsonValue::Kind::Object) return "root is not an object";
-  const JsonValue* schema = root.find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::String ||
-      schema->string != "decam-matrix-bench-v1") {
-    return "missing/wrong schema marker";
+  if (std::string error = bench::micro::schema_error(root, kMatrixSchema);
+      !error.empty()) {
+    return error;
   }
   const JsonValue* quick = root.find("quick");
   if (quick == nullptr || quick->kind != JsonValue::Kind::Bool) {
@@ -351,53 +346,17 @@ std::string validate_matrix_json(std::string_view text) {
       return "ensemble cell with accuracy outside [0, 1]";
     }
   }
-  const JsonValue* benches = root.find("benchmarks");
-  if (benches == nullptr || benches->kind != JsonValue::Kind::Array ||
-      benches->array.empty()) {
-    return "missing non-empty 'benchmarks' array";
-  }
-  for (const JsonValue& b : benches->array) {
-    if (b.kind != JsonValue::Kind::Object) return "benchmark not an object";
-    const JsonValue* name = b.find("name");
-    if (name == nullptr || name->kind != JsonValue::Kind::String ||
-        name->string.empty()) {
-      return "benchmark without a name";
-    }
-    for (const char* key : {"pixels", "ms_per_iter", "ns_per_pixel",
-                            "mpix_per_s", "iters"}) {
-      const JsonValue* v = b.find(key);
-      if (v == nullptr || v->kind != JsonValue::Kind::Number ||
-          !(v->number > 0.0)) {
-        return "benchmark '" + name->string + "': non-positive " + key;
-      }
-    }
-  }
-  return {};
-}
-
-int validate_matrix_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "matrix_adaptive: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::string error = validate_matrix_json(text.str());
-  if (!error.empty()) {
-    std::fprintf(stderr, "matrix_adaptive: %s: %s\n", path.c_str(),
-                 error.c_str());
-    return 1;
-  }
-  std::printf("%s: valid decam-matrix-bench-v1 document\n", path.c_str());
-  return 0;
+  return bench::micro::validate_entries(root);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  if (!opt.validate.empty()) return validate_matrix_file(opt.validate);
+  if (!opt.validate.empty()) {
+    return bench::micro::validate_file("matrix_adaptive", opt.validate,
+                                       validate_matrix_json);
+  }
 
   MatrixConfig cfg;
   cfg.seed = opt.seed;
@@ -415,6 +374,48 @@ int main(int argc, char** argv) {
       cfg.n, cfg.scene_min, cfg.scene_max, cfg.target, cfg.target,
       static_cast<unsigned long long>(cfg.seed), opt.quick ? " [quick]" : "");
 
+  // ---- runtime entries: fixed geometry and time budget in BOTH modes, and
+  // measured first, before the grid loads the pool and the heap, so the 2x
+  // tripwire compares a quick run's ratios with ones the committed full run
+  // took in the same state, over as many samples ------------------------
+  attack::AttackOptions base_attack;
+  base_attack.eps = 2.0;
+  std::vector<BenchResult> benchmarks;
+  {
+    const double budget_ms = 50.0;
+    data::SceneParams params = data::scene_params(data::Regime::A);
+    params.min_side = params.max_side = 192;
+    data::Rng rng(7);
+    const Image scene = data::generate_scene(params, rng);
+    data::Rng target_rng(8);
+    const Image target = data::generate_target(48, 48, target_rng);
+    const std::size_t px = scene.plane_size() * scene.channels();
+    const Image plain =
+        attack::craft_attack(scene, target, base_attack).image;
+
+    auto bench = [&](const std::string& name,
+                     const std::function<void()>& fn) {
+      benchmarks.push_back(
+          bench::micro::run_bench(name, px, budget_ms, fn));
+      bench::micro::print_result(benchmarks.back());
+    };
+    for (const char* spec : {"squeeze4", "median3", "gauss0.8", "jpeg75"}) {
+      const DefenseChain chain = DefenseChain::parse(spec);
+      bench(std::string("matrix/defense/") + spec,
+            [&] { (void)chain.apply(scene); });
+    }
+    bench("matrix/attack/offgrid_spread", [&] {
+      (void)attack::spread_off_grid(plain, 48, 48, ScaleAlgo::Bilinear, 0.5);
+    });
+    const DefenseChain squeeze = DefenseChain::parse("squeeze4");
+    ExperimentConfig bench_config;
+    bench_config.target_width = bench_config.target_height = 48;
+    const Battery bench_battery(bench_config);
+    bench("matrix/score/defended_battery",
+          [&] { (void)bench_battery.score(squeeze.apply(scene)); });
+    std::printf("\n");
+  }
+
   // ---- datasets and attacks (defense-independent, crafted once) ----------
   const std::vector<Image> train_scenes =
       make_scenes(data::Regime::A, cfg, cfg.seed);
@@ -427,8 +428,6 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "crafting %d train + %dx%d eval attacks...\n", cfg.n,
                kAttackCount, cfg.n);
-  attack::AttackOptions base_attack;
-  base_attack.eps = 2.0;
   std::vector<Image> train_attacks(train_scenes.size());
   runtime::parallel_for(0, train_scenes.size(), [&](std::size_t i) {
     train_attacks[i] =
@@ -559,79 +558,20 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.render().c_str());
   }
 
-  // ---- runtime entries (fixed geometry in BOTH modes: the 2x tripwire
-  // compares quick runs against the committed full-run baseline) -----------
-  std::vector<BenchResult> benchmarks;
-  {
-    const double budget_ms = opt.quick ? 25.0 : 150.0;
-    data::SceneParams params = data::scene_params(data::Regime::A);
-    params.min_side = params.max_side = 192;
-    data::Rng rng(7);
-    const Image scene = data::generate_scene(params, rng);
-    data::Rng target_rng(8);
-    const Image target = data::generate_target(48, 48, target_rng);
-    const std::size_t px = scene.plane_size() * scene.channels();
-    const Image plain =
-        attack::craft_attack(scene, target, base_attack).image;
-
-    auto bench = [&](const std::string& name,
-                     const std::function<void()>& fn) {
-      benchmarks.push_back(
-          bench::micro::run_bench(name, px, budget_ms, fn));
-      bench::micro::print_result(benchmarks.back());
-    };
-    for (const char* spec : {"squeeze4", "median3", "gauss0.8", "jpeg75"}) {
-      const DefenseChain chain = DefenseChain::parse(spec);
-      bench(std::string("matrix/defense/") + spec,
-            [&] { (void)chain.apply(scene); });
-    }
-    bench("matrix/attack/offgrid_spread", [&] {
-      (void)attack::spread_off_grid(plain, 48, 48, ScaleAlgo::Bilinear, 0.5);
-    });
-    const DefenseChain squeeze = DefenseChain::parse("squeeze4");
-    ExperimentConfig bench_config;
-    bench_config.target_width = bench_config.target_height = 48;
-    const Battery bench_battery(bench_config);
-    bench("matrix/score/defended_battery",
-          [&] { (void)bench_battery.score(squeeze.apply(scene)); });
-  }
-
   if (opt.json) {
-    const std::string doc = matrix_json(cfg, opt.quick, defense_specs, cells,
-                                        ensemble_cells, benchmarks);
-    const std::string error = validate_matrix_json(doc);
-    if (!error.empty()) {
-      std::fprintf(stderr, "matrix_adaptive: refusing to write %s: %s\n",
-                   opt.out.c_str(), error.c_str());
+    bench::manifest::RunManifest manifest;
+    manifest.binary = "matrix_adaptive";
+    manifest.argv.assign(argv + 1, argv + argc);
+    manifest.quick = opt.quick;
+    manifest.seed = cfg.seed;
+    manifest.image_width = cfg.target;
+    manifest.image_height = cfg.target;
+    if (bench::micro::write_document(
+            "matrix_adaptive", opt.out,
+            matrix_json(cfg, opt.quick, defense_specs, cells, ensemble_cells,
+                        benchmarks),
+            validate_matrix_json, opt.manifest ? &manifest : nullptr) != 0) {
       return 1;
-    }
-    std::ofstream out(opt.out);
-    if (!out) {
-      std::fprintf(stderr, "matrix_adaptive: cannot write %s\n",
-                   opt.out.c_str());
-      return 1;
-    }
-    out << doc;
-    out.close();
-    std::printf("\nwrote %s (%zu cells, %zu benchmarks)\n", opt.out.c_str(),
-                cells.size(), benchmarks.size());
-
-    if (opt.manifest) {
-      // Provenance sidecar, BENCH_matrix.json -> BENCH_matrix.manifest.json
-      // (same convention as kernel_bench).
-      bench::manifest::RunManifest manifest;
-      manifest.binary = "matrix_adaptive";
-      manifest.argv.assign(argv + 1, argv + argc);
-      manifest.quick = opt.quick;
-      manifest.seed = cfg.seed;
-      manifest.image_width = cfg.target;
-      manifest.image_height = cfg.target;
-      std::string manifest_path = opt.out;
-      const std::size_t dot = manifest_path.rfind(".json");
-      manifest_path = dot == std::string::npos
-                          ? manifest_path + ".manifest.json"
-                          : manifest_path.substr(0, dot) + ".manifest.json";
-      (void)bench::manifest::write_manifest(manifest, manifest_path);
     }
   }
   if (!opt.regress.empty() &&

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -44,6 +45,13 @@ TEST(ManifestTest, DocumentCarriesRunAndBuildFields) {
   EXPECT_NE(doc.find("\"quick\": true"), std::string::npos);
   EXPECT_NE(doc.find("\"type\": \""), std::string::npos);
   EXPECT_NE(doc.find("\"sanitize\": \""), std::string::npos);
+  // The host next to the pool size: a one-CPU host and DECAM_THREADS=1
+  // read apart.
+  EXPECT_NE(doc.find("\"hardware_threads\": " +
+                     std::to_string(std::thread::hardware_concurrency())),
+            std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"cpu\": \""), std::string::npos) << doc;
 }
 
 TEST(ManifestTest, MetricSnapshotIsEmbedded) {
@@ -90,6 +98,21 @@ TEST(ManifestTest, TamperedDocumentsAreRejected) {
   const std::string needle = "\"threads\": 2";
   doc.replace(doc.find(needle), needle.size(), "\"threads\": 0");
   EXPECT_NE(validate_manifest_json(doc), "");
+  // The host fields are required: a CPU model, a thread count >= 0.
+  const std::string fresh = manifest_json(sample_manifest());
+  const std::size_t cpu = fresh.find("\"cpu\": ");
+  ASSERT_NE(cpu, std::string::npos);
+  std::string no_cpu = fresh;
+  no_cpu.replace(cpu, 5, "\"cpv");
+  EXPECT_NE(validate_manifest_json(no_cpu), "");
+  std::string empty_cpu = fresh;
+  empty_cpu.replace(cpu, fresh.find('"', cpu + 8) - cpu + 1, "\"cpu\": \"\"");
+  EXPECT_NE(validate_manifest_json(empty_cpu), "") << empty_cpu;
+  std::string negative = fresh;
+  const std::size_t hw = negative.find("\"hardware_threads\": ");
+  ASSERT_NE(hw, std::string::npos);
+  negative.insert(hw + std::string("\"hardware_threads\": ").size(), "-");
+  EXPECT_NE(validate_manifest_json(negative), "") << negative;
 }
 
 TEST(ManifestTest, DefaultPathUsesBinaryBasename) {
