@@ -1,7 +1,8 @@
 // Microbenchmarks for the hot imaging/signal kernels every detector funnels
 // through: separable resize (all five algorithms, up and down), the rank
 // filters of the filtering detector, box/Gaussian blur, the FFT
-// log-spectrum, and one full Battery::score. Each benchmark reports the
+// log-spectrum, one full Battery::score, and the PNM decoder's
+// byte-to-plane store (Image::from_u8). Each benchmark reports the
 // minimum iteration time normalised to ns/pixel and MP/s over a fixed
 // synthetic input (seed 7), and its ratio to the fixed anchor loop timed
 // alternately with it in the same process (bench_common.h).
@@ -28,6 +29,7 @@
 // not a noise gate. Spectrum benchmarks use the same fixed geometries in
 // quick and full modes: their regime (Stockham on 7-smooth sides vs
 // Bluestein on sides with a prime factor above 7) depends on the exact size.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -163,8 +165,9 @@ int main(int argc, char** argv) {
   // the scene off both grids onto the sorted-window fallback. The raw
   // float scene is NOT a valid Exact input — generate_scene emits
   // integral values, which classify as Grid8.
+  const std::vector<std::uint8_t> big_bytes = big.to_u8();
   const Image big_u8 =
-      Image::from_u8(big.to_u8(), big.width(), big.height(), big.channels());
+      Image::from_u8(big_bytes, big.width(), big.height(), big.channels());
   Image big_half = big_u8;
   big_half *= 0.5f;
   Image big_off = big_u8;
@@ -248,6 +251,12 @@ int main(int argc, char** argv) {
                                    color_histogram(context.downscaled(), 32));
     });
   }
+
+  // --- decode: interleaved PNM bytes into planes (a scan's first stage
+  // after the file read) ---------------------------------------------------
+  bench("image/from_u8", big_px, [&] {
+    (void)Image::from_u8(big_bytes, big.width(), big.height(), big.channels());
+  });
 
   if (opt.json) {
     bench::manifest::RunManifest manifest;

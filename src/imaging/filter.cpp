@@ -18,101 +18,63 @@ namespace decam {
 
 namespace {
 
+// Keep-first folds: on a tie (only +0 and -0 compare equal without being
+// the same bits) the accumulator `a`, the earlier sample, wins, and a NaN
+// `b` never replaces `a`. Each is one vector min/max (minps/maxps with the
+// operands in this order), so the fold loops vectorize as written.
 struct MinOp {
-  float operator()(float a, float b) const { return a < b ? a : b; }
+  float operator()(float a, float b) const { return b < a ? b : a; }
 };
 struct MaxOp {
-  float operator()(float a, float b) const { return a > b ? a : b; }
+  float operator()(float a, float b) const { return a < b ? b : a; }
 };
 
-// --------------------------------------------------------- van Herk core --
-//
-// Sliding-window min/max in 3 comparisons per sample independent of k
-// (van Herk 1992; Gil & Werman 1993). Over a padded array `a` of length
-// m = n + k - 1 the window result is
-//     out[j] = op(L[j], R[j + k - 1]),
-// where R is the running op from the start of each k-aligned block and L the
-// running op from the end of the block. Border replication is handled by the
-// caller padding the last k - 1 samples with the edge value, which
-// reproduces the clamped-window semantics of the naive filter exactly (the
-// result is always an element of the input, so the pass is bit-exact).
-
-// One padded scanline: out[j] = op over a[j .. j+k-1], j in [0, n).
+// dst[x] = op(a[x], b[x]) for x in [0, n): a fold's first step, which
+// writes its row without a copy.
 template <typename Op>
-void van_herk_line(const float* a, int m, int k, float* left, float* right,
-                   float* out, int n, Op op) {
-  for (int block = 0; block < m; block += k) {
-    const int end = std::min(block + k, m);
-    right[block] = a[block];
-    for (int i = block + 1; i < end; ++i) right[i] = op(right[i - 1], a[i]);
-    left[end - 1] = a[end - 1];
-    for (int i = end - 2; i >= block; --i) left[i] = op(left[i + 1], a[i]);
-  }
-  for (int j = 0; j < n; ++j) out[j] = op(left[j], right[j + k - 1]);
+void fold_pair(float* dst, const float* a, const float* b, int n, Op op) {
+  for (int x = 0; x < n; ++x) dst[x] = op(a[x], b[x]);
 }
 
-// Separable rank min/max: horizontal van Herk per scanline, then a vertical
-// van Herk over whole rows (row-major, so the plane is walked in contiguous
-// cache lines; the "array elements" of the vertical pass are entire rows
-// combined elementwise).
+// acc[x] = op(acc[x], b[x]) for x in [0, n): each later step, in place.
+template <typename Op>
+void fold_into(float* acc, const float* b, int n, Op op) {
+  for (int x = 0; x < n; ++x) acc[x] = op(acc[x], b[x]);
+}
+
+// Separable rank min/max, k >= 2, O(k) per sample. Each input row's
+// horizontal fold (op over row[x .. x+k-1]) lands in a ring of k row
+// buffers; each output row folds the ring rows y .. y+k-1. A tap past the
+// right or bottom edge repeats the last column or row, which an earlier
+// step already folded in and a keep-first fold ignores, so both folds stop
+// at the edge (the bottom row folds with itself: op(a, a) is a). Folding
+// window rows top to bottom and each row left to right returns the
+// window's first extremum in row-major order: the naive filter's sample,
+// bit for bit.
 template <typename Op>
 void rank_min_max(const Image& img, int k, Op op, Image& out) {
   const int w = img.width();
   const int h = img.height();
-  const int mx = w + k - 1;  // padded scanline length
-  const int my = h + k - 1;  // padded row count
-
-  std::vector<float> pad(static_cast<std::size_t>(mx));
-  std::vector<float> left(static_cast<std::size_t>(mx));
-  std::vector<float> right(static_cast<std::size_t>(mx));
-  // Vertical scratch: block-prefix and block-suffix planes over padded rows.
-  const std::size_t plane = static_cast<std::size_t>(my) * w;
-  std::vector<float> vert_right(plane);
-  std::vector<float> vert_left(plane);
-  Image row_pass(w, h, 1);
-
+  std::vector<float> ring(static_cast<std::size_t>(k) * w);
+  auto slot = [&](int r) {
+    return ring.data() + static_cast<std::size_t>(r % k) * w;
+  };
   for (int c = 0; c < img.channels(); ++c) {
-    // Horizontal: out(x) = op over row[x .. x+k-1] with edge replication.
+    int next = 0;  // first input row not yet folded into the ring
     for (int y = 0; y < h; ++y) {
-      const float* row = img.row(y, c).data();
-      std::copy(row, row + w, pad.begin());
-      std::fill(pad.begin() + w, pad.end(), row[w - 1]);
-      van_herk_line(pad.data(), mx, k, left.data(), right.data(),
-                    row_pass.row(y, 0).data(), w, op);
-    }
-
-    // Vertical: the padded "array" is the row sequence 0..h-1 followed by
-    // k-1 copies of the last row; R/L are computed per k-aligned block.
-    auto padded_row = [&](int r) {
-      return row_pass.row(std::min(r, h - 1), 0).data();
-    };
-    for (int block = 0; block < my; block += k) {
-      const int end = std::min(block + k, my);
-      float* r_first = vert_right.data() + static_cast<std::size_t>(block) * w;
-      std::copy(padded_row(block), padded_row(block) + w, r_first);
-      for (int i = block + 1; i < end; ++i) {
-        const float* prev =
-            vert_right.data() + static_cast<std::size_t>(i - 1) * w;
-        float* cur = vert_right.data() + static_cast<std::size_t>(i) * w;
-        const float* a = padded_row(i);
-        for (int x = 0; x < w; ++x) cur[x] = op(prev[x], a[x]);
+      const int last = std::min(y + k - 1, h - 1);
+      for (; next <= last; ++next) {
+        const float* row = img.row(next, c).data();
+        float* dst = slot(next);
+        fold_pair(dst, row, row + 1, w - 1, op);
+        dst[w - 1] = row[w - 1];
+        for (int d = 2; d < std::min(k, w); ++d) {
+          fold_into(dst, row + d, w - d, op);
+        }
       }
-      float* l_last = vert_left.data() + static_cast<std::size_t>(end - 1) * w;
-      std::copy(padded_row(end - 1), padded_row(end - 1) + w, l_last);
-      for (int i = end - 2; i >= block; --i) {
-        const float* next =
-            vert_left.data() + static_cast<std::size_t>(i + 1) * w;
-        float* cur = vert_left.data() + static_cast<std::size_t>(i) * w;
-        const float* a = padded_row(i);
-        for (int x = 0; x < w; ++x) cur[x] = op(next[x], a[x]);
-      }
-    }
-    for (int y = 0; y < h; ++y) {
-      const float* l = vert_left.data() + static_cast<std::size_t>(y) * w;
-      const float* r =
-          vert_right.data() + static_cast<std::size_t>(y + k - 1) * w;
       float* o = out.row(y, c).data();
-      for (int x = 0; x < w; ++x) o[x] = op(l[x], r[x]);
+      fold_pair(o, slot(y), slot(std::min(y + 1, last)), w, op);
+      for (int r = y + 2; r <= last; ++r) fold_into(o, slot(r), w, op);
     }
   }
 }

@@ -2,10 +2,25 @@
 // minimum (the paper's filtering detection method, Section III-B; its
 // Algorithm 2 uses k = 2), median, or maximum (the paper's Fig. 4
 // comparison and the ablation benches sweep all three) — onto the
-// per-operation fast paths below: van Herk/Gil–Werman scanline passes for
-// min/max; for median a 3x3 min/max selection network, a running-histogram
-// median, or the exact sorted-window fallback. Box/Gaussian blur support
-// the synthetic dataset generator and robustness experiments.
+// per-operation paths below: one direct separable pass for min/max; for
+// median a 3x3 min/max selection network, a running-histogram median, or
+// the exact sorted-window fallback. k = 1 returns the input. Box/Gaussian
+// blur support the synthetic dataset generator and robustness experiments.
+//
+// Min/max: each row's k-tap fold goes into a ring of k row buffers, and
+// each output row folds k ring rows, so the cost is about 2(k - 1) vector
+// min/max steps per sample and grows with k (the detector and Fig. 4 use
+// k = 2 and 3; no caller runs min/max above k = 9). The folds keep the
+// earlier operand on a tie, rows top to bottom and each row left to right,
+// so the result is the window's first extremum in row-major order — the
+// naive filter's sample, bit for bit, down to the sign of a zero. NaN:
+// no fold lets a NaN replace what it holds, and a held NaN stays. So the
+// result is NaN exactly when the window's anchor sample (x, y) is NaN;
+// otherwise it is the min/max of the non-NaN samples of those window rows
+// whose leftmost sample (x, y + dy) is not NaN — a row that starts with
+// NaN drops out whole, any other NaN is skipped. (A naive
+// std::min_element window differs only there: it skips that row's NaN and
+// keeps the rest of the row.) Decoded images never hold NaN.
 //
 // Border handling: edge replication (same as the clamped taps used by the
 // scalers), window anchored at the top-left as in erode/dilate with an

@@ -82,12 +82,12 @@ Image Image::from_u8(std::span<const std::uint8_t> data, int width, int height,
   DECAM_REQUIRE(data.size() == static_cast<std::size_t>(width) * height * channels,
                 "interleaved byte buffer size mismatch");
   Image img(width, height, channels);
-  std::size_t i = 0;
+  const std::size_t row_bytes = static_cast<std::size_t>(width) * channels;
   for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      for (int c = 0; c < channels; ++c) {
-        img.at(x, y, c) = static_cast<float>(data[i++]);
-      }
+    const std::uint8_t* src = data.data() + y * row_bytes;
+    for (int c = 0; c < channels; ++c) {
+      float* const dst = img.row(y, c).data();
+      for (int x = 0; x < width; ++x) dst[x] = src[x * channels + c];
     }
   }
   return img;

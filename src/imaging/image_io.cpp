@@ -94,8 +94,12 @@ Image read_pnm(const std::string& path) {
   const int width = read_pnm_int(in, path);
   const int height = read_pnm_int(in, path);
   const int maxval = read_pnm_int(in, path);
-  if (width <= 0 || height <= 0 || maxval <= 0 || maxval > 255) {
-    throw IoError(path + ": unsupported PNM geometry/depth");
+  if (width <= 0 || height <= 0) {
+    throw IoError(path + ": unsupported PNM geometry");
+  }
+  if (maxval != 255) {  // samples are stored as read, i.e. as 0-255
+    throw IoError(path + ": unsupported PNM maxval " + std::to_string(maxval) +
+                  " (only 255 is read)");
   }
   if (static_cast<std::size_t>(width) * static_cast<std::size_t>(height) >
       kMaxDecodePixels) {
@@ -175,18 +179,20 @@ Image read_bmp(const std::string& path) {
   DECAM_SPAN("imaging/decode");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError(path + ": cannot open for reading");
-  std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  if (buf.size() < 54 || buf[0] != 'B' || buf[1] != 'M') {
+  // Two sized reads, the headers and then exactly the pixel rows they
+  // declare, so nothing else in the file is ever buffered.
+  std::uint8_t head[54];
+  in.read(reinterpret_cast<char*>(head), sizeof head);
+  if (in.gcount() != sizeof head || head[0] != 'B' || head[1] != 'M') {
     throw IoError(path + ": not a BMP file");
   }
-  const std::uint32_t data_offset = get_u32(&buf[10]);
-  const std::uint32_t header_size = get_u32(&buf[14]);
+  const std::uint32_t data_offset = get_u32(&head[10]);
+  const std::uint32_t header_size = get_u32(&head[14]);
   if (header_size < 40) throw IoError(path + ": unsupported BMP header");
-  const std::int32_t w = static_cast<std::int32_t>(get_u32(&buf[18]));
-  std::int32_t h = static_cast<std::int32_t>(get_u32(&buf[22]));
-  const std::uint16_t bpp = get_u16(&buf[28]);
-  const std::uint32_t compression = get_u32(&buf[30]);
+  const std::int32_t w = static_cast<std::int32_t>(get_u32(&head[18]));
+  std::int32_t h = static_cast<std::int32_t>(get_u32(&head[22]));
+  const std::uint16_t bpp = get_u16(&head[28]);
+  const std::uint32_t compression = get_u32(&head[30]);
   if (bpp != 24 || compression != 0) {
     throw IoError(path + ": only uncompressed 24-bit BMP supported");
   }
@@ -202,18 +208,20 @@ Image read_bmp(const std::string& path) {
     throw IoError(path + ": BMP image too large");
   }
   const std::size_t row_stride = (static_cast<std::size_t>(w) * 3 + 3) & ~std::size_t{3};
-  if (buf.size() < data_offset ||
-      buf.size() - data_offset < row_stride * static_cast<std::size_t>(h)) {
+  std::vector<std::uint8_t> pixels(row_stride * static_cast<std::size_t>(h));
+  in.seekg(data_offset);
+  in.read(reinterpret_cast<char*>(pixels.data()),
+          static_cast<std::streamsize>(pixels.size()));
+  if (static_cast<std::size_t>(in.gcount()) != pixels.size()) {
     throw IoError(path + ": truncated BMP pixel data");
   }
   Image img(w, h, 3);
   for (int y = 0; y < h; ++y) {
     const int src_row = top_down ? y : (h - 1 - y);
-    const std::uint8_t* row = &buf[data_offset + row_stride * src_row];
-    for (int x = 0; x < w; ++x) {
-      img.at(x, y, 2) = static_cast<float>(row[x * 3 + 0]);
-      img.at(x, y, 1) = static_cast<float>(row[x * 3 + 1]);
-      img.at(x, y, 0) = static_cast<float>(row[x * 3 + 2]);
+    const std::uint8_t* row = &pixels[row_stride * src_row];
+    for (int c = 0; c < 3; ++c) {  // stored B, G, R
+      float* const dst = img.row(y, 2 - c).data();
+      for (int x = 0; x < w; ++x) dst[x] = row[3 * x + c];
     }
   }
   return img;

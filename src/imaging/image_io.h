@@ -16,7 +16,8 @@ namespace decam {
 void write_pnm(const Image& img, const std::string& path);
 
 /// Reads a binary PGM (P5) or PPM (P6) file. Throws IoError on malformed
-/// input. Maxval up to 255 is supported (the only depth we emit).
+/// input and on any maxval other than 255 (the only depth we emit), naming
+/// the maxval.
 Image read_pnm(const std::string& path);
 
 /// Writes a 24-bit BMP. 1-channel images are replicated to gray RGB.

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "data/rng.h"
 
 namespace decam {
@@ -112,6 +116,35 @@ TEST(RankFilter, RevealsEmbeddedDarkPixelsLikeTheAttack) {
   }
   // 16 dark pixels became (almost) the whole image.
   EXPECT_GE(dark, 36);
+}
+
+// The NaN rule of imaging/filter.h for min/max: NaN exactly where the
+// window's anchor sample is NaN; a window row whose leftmost sample is NaN
+// drops out whole; any other NaN is skipped.
+TEST(RankFilter, MinMaxNaNRule) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Rows, top to bottom:  5   3   7 / NaN  1   9 / 4  NaN  2
+  Image img(3, 3, 1);
+  const float in[9] = {5, 3, 7, nan, 1, 9, 4, nan, 2};
+  std::copy(in, in + 9, img.data());
+  auto expect = [&](RankOp op, int k, const float (&want)[9]) {
+    const Image out = rank_filter(img, k, op);
+    for (int i = 0; i < 9; ++i) {
+      if (std::isnan(want[i])) {
+        EXPECT_TRUE(std::isnan(out.data()[i]))
+            << "k=" << k << " sample " << i << " got " << out.data()[i];
+      } else {
+        EXPECT_EQ(out.data()[i], want[i]) << "k=" << k << " sample " << i;
+      }
+    }
+  };
+  // k = 2 min at (0, 0): row 1 starts with NaN and drops out with its 1.
+  // At (0, 2) the NaN is not leftmost in its row and is skipped.
+  expect(RankOp::Min, 2, {3, 1, 7, nan, 1, 2, 4, nan, 2});
+  expect(RankOp::Max, 2, {5, 9, 9, nan, 9, 9, 4, nan, 2});
+  // k = 3 at (0, 0): rows 0 and 2 count, row 1 (and its 1 and 9) does not.
+  expect(RankOp::Min, 3, {2, 1, 2, nan, 1, 2, 2, nan, 2});
+  expect(RankOp::Max, 3, {7, 9, 9, nan, 9, 9, 4, nan, 2});
 }
 
 TEST(RankFilter, RejectsBadWindow) {

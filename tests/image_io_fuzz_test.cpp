@@ -121,9 +121,20 @@ TEST_F(ImageIoFuzzTest, PnmAbsurdPixelCountThrows) {
                IoError);
 }
 
+// Only maxval 255 is read: a shallower file's samples would be misread as
+// 0-255, so it is refused with the maxval named, payload present or not.
 TEST_F(ImageIoFuzzTest, PnmBadMaxvalThrows) {
   EXPECT_THROW(read_pnm(write_text("m0.pgm", "P5\n4 4\n0\n")), IoError);
   EXPECT_THROW(read_pnm(write_text("m16.pgm", "P5\n4 4\n65535\n")), IoError);
+  const std::string four_bit =
+      write_text("m15.pgm", "P5\n4 4\n15\n" + std::string(16, '\x0f'));
+  try {
+    (void)read_pnm(four_bit);
+    ADD_FAILURE() << "maxval 15 was read";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("maxval 15"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ImageIoFuzzTest, PnmShortPayloadThrows) {

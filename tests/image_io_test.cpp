@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "data/rng.h"
 #include "data/synth.h"
@@ -114,6 +118,40 @@ TEST_F(ImageIoTest, BmpRoundTripColorWithPadding) {
         EXPECT_FLOAT_EQ(back.at(x, y, c), img.at(x, y, c));
       }
     }
+  }
+}
+
+// A negative height marks a top-down BMP: the same rows stored first row
+// first. It must decode to the same planes as its bottom-up twin.
+TEST_F(ImageIoTest, BmpTopDownMatchesBottomUpTwin) {
+  // Width 5: 15 pixel bytes padded to a 16-byte row.
+  const Image img = random_image(5, 4, 3, 4);
+  write_bmp(img, path("up.bmp"));
+  std::ifstream in(path("up.bmp"), std::ios::binary);
+  const std::vector<char> up((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  constexpr std::size_t kOffset = 54;
+  constexpr std::size_t kStride = 16;
+  const int h = img.height();
+  ASSERT_EQ(up.size(), kOffset + kStride * h);
+  std::vector<char> down = up;
+  const auto neg_h = static_cast<std::uint32_t>(-h);
+  for (int i = 0; i < 4; ++i) down[22 + i] = static_cast<char>(neg_h >> (8 * i));
+  for (int r = 0; r < h; ++r) {
+    std::copy_n(up.begin() + kOffset + kStride * (h - 1 - r), kStride,
+                down.begin() + kOffset + kStride * r);
+  }
+  {
+    std::ofstream out(path("down.bmp"), std::ios::binary);
+    out.write(down.data(), static_cast<std::streamsize>(down.size()));
+  }
+  const Image bottom_up = read_bmp(path("up.bmp"));
+  const Image top_down = read_bmp(path("down.bmp"));
+  ASSERT_TRUE(top_down.same_shape(img));
+  ASSERT_TRUE(bottom_up.same_shape(img));
+  for (std::size_t i = 0; i < img.size(); ++i) {
+    EXPECT_EQ(top_down.data()[i], bottom_up.data()[i]) << "sample " << i;
+    EXPECT_EQ(top_down.data()[i], img.data()[i]) << "sample " << i;
   }
 }
 

@@ -1,18 +1,21 @@
-// Golden parity tests: the optimized kernels in src/imaging/ (van Herk
-// rank filters, running-sum box blur, scanline convolution, row-major
-// flattened-table resize) and the fused pair-stats walk of src/metrics/
-// against the retained naive reference implementations in
-// reference_kernels.h.
+// Golden parity tests: the optimized kernels in src/imaging/ (separable
+// min/max folds and the median paths of the rank filter, running-sum box
+// blur, scanline convolution, row-major flattened-table resize) and the
+// fused pair-stats walk of src/metrics/ against the retained naive
+// reference implementations in reference_kernels.h.
 //
 // Tolerance policy (see imaging/filter.h): rank filters select actual input
-// samples and must match bit-for-bit; gaussian_blur and pair_stats keep the
+// samples and must match bit-for-bit, min/max down to the sign of a zero
+// (the window's first extremum); gaussian_blur and pair_stats keep the
 // exact per-accumulator arithmetic sequence and must also match
 // bit-for-bit; box_blur and resize may re-associate double additions, so
 // they get a max-abs-diff budget of 1e-6 of full scale (inputs live in
 // [0, 255]).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -79,9 +82,10 @@ struct Shape {
 };
 
 // Odd and even k, k larger than either dimension, 1- and 3-channel images,
-// and degenerate 1xN / Nx1 strips.
+// degenerate 1xN / Nx1 strips, and images no larger than one window.
 const Shape kRankShapes[] = {{31, 17, 1}, {16, 16, 3}, {1, 13, 1},
-                             {13, 1, 3},  {5, 5, 1}};
+                             {13, 1, 3},  {5, 5, 1},   {1, 1, 1},
+                             {2, 2, 3},   {3, 3, 1}};
 const int kRankKs[] = {1, 2, 3, 4, 5, 9};
 
 TEST(RankFilterParity, MinMaxMedianMatchReferenceExactly) {
@@ -96,6 +100,46 @@ TEST(RankFilterParity, MinMaxMedianMatchReferenceExactly) {
                                  std::to_string(static_cast<int>(op));
         expect_identical(rank_filter(img, k, op),
                          testref::rank_filter(img, k, op), what);
+      }
+    }
+  }
+}
+
+// The filtering member's min (and Fig. 4's max) at a scan geometry:
+// batch_mixed's 333x301 RGB, both the deployed k = 2 and k = 3.
+TEST(RankFilterParity, MinMaxMatchReferenceAtScanGeometry) {
+  const Image img = random_image(333, 301, 3, 1333);
+  for (const int k : {2, 3}) {
+    for (const RankOp op : {RankOp::Min, RankOp::Max}) {
+      expect_identical(rank_filter(img, k, op),
+                       testref::rank_filter(img, k, op),
+                       "333x301x3 k=" + std::to_string(k) +
+                           " op=" + std::to_string(static_cast<int>(op)));
+    }
+  }
+}
+
+// +0 and -0 compare equal, so on a tie the sign bit shows which sample the
+// filter returned. The reference returns the window's first extremum in
+// row-major order (std::min_element / max_element); the min/max folds must
+// return that same sample. Min runs on {-0, +0, 1}, max on {-0, +0, -1}, so
+// most windows hold zeros of both signs and the first one decides.
+TEST(RankFilterParity, MinMaxSignedZeroTiesMatchReferenceBitForBit) {
+  for (const RankOp op : {RankOp::Min, RankOp::Max}) {
+    const float other = op == RankOp::Min ? 1.0f : -1.0f;
+    const float values[] = {-0.0f, 0.0f, other};
+    data::Rng rng(op == RankOp::Min ? 71u : 72u);
+    Image img(17, 13, 2);
+    for (int c = 0; c < img.channels(); ++c) {
+      for (float& v : img.plane(c)) v = values[rng.next_int(0, 2)];
+    }
+    for (const int k : {2, 3, 4, 5, 9}) {
+      const Image got = rank_filter(img, k, op);
+      const Image want = testref::rank_filter(img, k, op);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data()[i]),
+                  std::bit_cast<std::uint32_t>(want.data()[i]))
+            << "op=" << static_cast<int>(op) << " k=" << k << " sample " << i;
       }
     }
   }
