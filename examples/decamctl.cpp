@@ -392,8 +392,13 @@ int cmd_scan(const Options& options) {
   }
 
   if (scans.size() == 1 && !scans[0].record.error.empty()) {
-    // Single-file failure keeps the historical diagnostic on stderr.
+    // A single-file failure keeps its diagnostic on stderr; --json also
+    // reports it on stdout, as an array entry does for several files.
     std::fprintf(stderr, "decamctl: %s\n", scans[0].record.error.c_str());
+    if (options.json) {
+      print_scan_json(scans[0], "");
+      std::printf("\n");
+    }
     return 1;
   }
 

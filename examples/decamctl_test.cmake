@@ -163,8 +163,9 @@ if(NOT rc EQUAL 0 AND NOT rc EQUAL 3)
   message(FATAL_ERROR "defended scan with a defended profile failed: ${rc}")
 endif()
 
-# Images not larger than the model input on both sides cannot be scored:
-# exit 1, with both sizes named and no source location.
+# Images not larger than the model input on both sides can be neither
+# scanned nor calibrated on: exit 1, with both sizes named and no source
+# location. With --json the scan also reports the error on stdout.
 string(REPEAT "A" 64 tiny_pixels)
 file(WRITE ${WORK_DIR}/tiny.pgm "P5\n8 8\n255\n${tiny_pixels}")
 string(REPEAT "A" 500 thin_pixels)
@@ -173,14 +174,28 @@ foreach(small tiny:8x8 thin:1x500)
   string(REPLACE ":" ";" small "${small}")
   list(GET small 0 small_name)
   list(GET small 1 small_size)
-  execute_process(COMMAND ${DECAMCTL} scan ${WORK_DIR}/${small_name}.pgm
-                  OUTPUT_QUIET ERROR_VARIABLE small_err RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 1)
-    message(FATAL_ERROR "scan of a ${small_size} image should exit 1: ${rc}")
-  endif()
-  if(NOT small_err MATCHES "${small_size}" OR
-     NOT small_err MATCHES "224x224" OR small_err MATCHES "\\.cpp:")
-    message(FATAL_ERROR "bad message for a ${small_size} image: ${small_err}")
+  foreach(small_command "scan" "calibrate;--out;${WORK_DIR}/small.calib")
+    list(GET small_command 0 small_verb)
+    execute_process(COMMAND ${DECAMCTL} ${small_command}
+                            ${WORK_DIR}/${small_name}.pgm
+                    OUTPUT_QUIET ERROR_VARIABLE small_err RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 1)
+      message(FATAL_ERROR
+              "${small_verb} of a ${small_size} image should exit 1: ${rc}")
+    endif()
+    if(NOT small_err MATCHES "${small_size}" OR
+       NOT small_err MATCHES "224x224" OR small_err MATCHES "\\.cpp:")
+      message(FATAL_ERROR
+              "bad ${small_verb} message for a ${small_size} image: "
+              "${small_err}")
+    endif()
+  endforeach()
+  execute_process(COMMAND ${DECAMCTL} scan ${WORK_DIR}/${small_name}.pgm --json
+                  OUTPUT_VARIABLE small_json ERROR_QUIET RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 1 OR
+     NOT small_json MATCHES "\"error\": \"[^\"]*${small_size}")
+    message(FATAL_ERROR "scan --json of a ${small_size} image should exit 1 "
+                        "with the error on stdout, got ${rc}: ${small_json}")
   endif()
 endforeach()
 

@@ -2,16 +2,7 @@
 
 namespace decam::attack {
 
-CoeffMatrix::CoeffMatrix(KernelTable table) : table_(std::move(table)) {
-  row_norms_sq_.reserve(static_cast<std::size_t>(table_.out_size));
-  for (int r = 0; r < table_.out_size; ++r) {
-    double norm = 0.0;
-    for (const Tap& tap : table_.row(r)) {
-      norm += static_cast<double>(tap.weight) * tap.weight;
-    }
-    row_norms_sq_.push_back(norm);
-  }
-}
+CoeffMatrix::CoeffMatrix(KernelTable table) : table_(std::move(table)) {}
 
 CoeffMatrix CoeffMatrix::for_scaling(int in_size, int out_size,
                                      ScaleAlgo algo) {
@@ -41,18 +32,6 @@ std::vector<double> CoeffMatrix::multiply(const std::vector<double>& x) const {
     y[static_cast<std::size_t>(r)] = acc;
   }
   return y;
-}
-
-double CoeffMatrix::row_norm_sq(int r) const {
-  DECAM_REQUIRE(r >= 0 && r < rows(), "row out of range");
-  return row_norms_sq_[static_cast<std::size_t>(r)];
-}
-
-double CoeffMatrix::row_sum(int r) const {
-  DECAM_REQUIRE(r >= 0 && r < rows(), "row out of range");
-  double sum = 0.0;
-  for (const Tap& tap : row_taps(r)) sum += tap.weight;
-  return sum;
 }
 
 }  // namespace decam::attack

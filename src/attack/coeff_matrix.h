@@ -37,17 +37,10 @@ class CoeffMatrix {
   /// y = M x  (x.size() == cols()).
   std::vector<double> multiply(const std::vector<double>& x) const;
 
-  /// Squared L2 norm of row r (used by projection steps).
-  double row_norm_sq(int r) const;
-
-  /// Sum of weights of row r (1.0 for all our kernels; checked in tests).
-  double row_sum(int r) const;
-
   const KernelTable& table() const { return table_; }
 
  private:
   KernelTable table_;
-  std::vector<double> row_norms_sq_;
 };
 
 }  // namespace decam::attack

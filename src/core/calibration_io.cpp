@@ -36,11 +36,11 @@ CalibrationProfile load_calibrations(const std::filesystem::path& file) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);
-    std::string name, polarity;
+    std::string name, polarity, rest;
     Calibration calibration;
     if (!(fields >> name >> polarity >> calibration.threshold >>
           calibration.train_accuracy) ||
-        (polarity != "high" && polarity != "low")) {
+        (polarity != "high" && polarity != "low") || (fields >> rest)) {
       throw IoError(file.string() + ": malformed profile line: " + line);
     }
     calibration.polarity =

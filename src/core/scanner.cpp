@@ -65,6 +65,19 @@ std::string geometry(int width, int height) {
   return std::to_string(width) + "x" + std::to_string(height);
 }
 
+// Why `image` cannot be scored, or "" when it can. The scaling method
+// round-trips through the model geometry, which is only defined for an
+// input larger than it.
+std::string geometry_error(const ScanConfig& config, const Image& image) {
+  if (image.width() > config.model_width &&
+      image.height() > config.model_height) {
+    return {};
+  }
+  return "image " + geometry(image.width(), image.height()) +
+         " is not larger than the " +
+         geometry(config.model_width, config.model_height) + " model input";
+}
+
 }  // namespace
 
 Scanner::Scanner(ScanConfig config, const CalibrationProfile& profile)
@@ -84,16 +97,8 @@ Scanner::Scanner(ScanConfig config, const CalibrationProfile& profile)
 ScanRecord Scanner::scan(const Image& image) const {
   ScanRecord record;
   record.members = unscored_;
-  // The scaling method round-trips through the model geometry, which is
-  // only defined for an input larger than it.
-  if (image.width() <= config_.model_width ||
-      image.height() <= config_.model_height) {
-    record.error = "image " + geometry(image.width(), image.height()) +
-                   " is not larger than the " +
-                   geometry(config_.model_width, config_.model_height) +
-                   " model input";
-    return record;
-  }
+  record.error = geometry_error(config_, image);
+  if (!record.error.empty()) return record;
   const EnsembleDetector::Decision decision = ensemble_.decide(image);
   for (std::size_t i = 0; i < record.members.size(); ++i) {
     MemberRecord& member = record.members[i];
@@ -127,6 +132,11 @@ CalibrationProfile Scanner::calibrate(
                                           std::vector<double>(count));
   runtime::parallel_for(std::size_t{0}, count, [&](std::size_t i) {
     const Image image = load(i);
+    const std::string error = geometry_error(config, image);
+    if (!error.empty()) {
+      throw std::invalid_argument("calibration image " + std::to_string(i) +
+                                  ": " + error);
+    }
     for (std::size_t m = 0; m < deployed.size(); ++m) {
       if (deployed[m].fitted) scores[m][i] = scorers[m]->score(image);
     }

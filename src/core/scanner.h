@@ -73,7 +73,9 @@ class Scanner {
   /// polarity side, scored through `config.defense` when it is set, then
   /// widened by `margin`: multiplied on the high side, divided on the low.
   /// CSP keeps its universal threshold. Throws std::invalid_argument for a
-  /// percentile outside (0, 50] or a margin below 1 before loading anything.
+  /// percentile outside (0, 50] or a margin below 1 before loading anything,
+  /// and for an image scan() would reject as not larger than the model
+  /// input, naming its index and both sizes.
   static CalibrationProfile calibrate(
       const ScanConfig& config, std::size_t count,
       const std::function<Image(std::size_t)>& load, double percentile,

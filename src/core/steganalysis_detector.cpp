@@ -6,7 +6,6 @@
 #include "cv/connected_components.h"
 #include "cv/threshold.h"
 #include "obs/span.h"
-#include "signal/spectrum.h"
 
 namespace decam::core {
 
@@ -17,10 +16,6 @@ SteganalysisDetector::SteganalysisDetector(SteganalysisDetectorConfig config)
   DECAM_REQUIRE(config.binarize_k > 0.0, "binarize_k must be positive");
   DECAM_REQUIRE(config.min_blob_area >= 0,
                 "min_blob_area must be >= 0 (0 selects the automatic floor)");
-}
-
-Image SteganalysisDetector::binary_spectrum(const Image& input) const {
-  return binarize_spectrum(centered_log_spectrum(input));
 }
 
 Image SteganalysisDetector::binarize_spectrum(const Image& spectrum) const {

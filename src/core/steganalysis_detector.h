@@ -37,9 +37,6 @@ class SteganalysisDetector final : public Detector {
   /// Integer CSP count (score() is the same count as a double).
   int count_csp(const Image& input) const;
 
-  /// The binary spectrum the blobs are counted in (for visualisation).
-  Image binary_spectrum(const Image& input) const;
-
   const SteganalysisDetectorConfig& config() const { return config_; }
 
  private:

@@ -1,74 +1,46 @@
 #include "cv/connected_components.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 namespace decam {
 
-ComponentMap connected_components(const Image& binary) {
-  DECAM_REQUIRE(binary.channels() == 1,
-                "connected_components expects 1 channel");
+int count_blobs(const Image& binary, int min_area) {
+  DECAM_REQUIRE(binary.channels() == 1, "count_blobs expects 1 channel");
+  DECAM_REQUIRE(min_area >= 1, "min_area must be >= 1");
   const int w = binary.width();
   const int h = binary.height();
-  ComponentMap map;
-  map.labels.assign(static_cast<std::size_t>(w) * h, 0);
   const auto src = binary.plane(0);
+  std::vector<std::uint8_t> visited(src.size(), 0);
+  // Explicit-stack flood fill: a recursive one would overflow on a large
+  // serpentine blob.
   std::vector<std::size_t> stack;
-  int next_label = 0;
-  for (int sy = 0; sy < h; ++sy) {
-    for (int sx = 0; sx < w; ++sx) {
-      const std::size_t seed = static_cast<std::size_t>(sy) * w + sx;
-      if (src[seed] <= 0.0f || map.labels[seed] != 0) continue;
-      ++next_label;
-      Blob blob;
-      blob.label = next_label;
-      blob.min_x = blob.max_x = sx;
-      blob.min_y = blob.max_y = sy;
-      double sum_x = 0.0, sum_y = 0.0;
-      stack.clear();
-      stack.push_back(seed);
-      map.labels[seed] = next_label;
-      while (!stack.empty()) {
-        const std::size_t idx = stack.back();
-        stack.pop_back();
-        const int x = static_cast<int>(idx % static_cast<std::size_t>(w));
-        const int y = static_cast<int>(idx / static_cast<std::size_t>(w));
-        ++blob.area;
-        sum_x += x;
-        sum_y += y;
-        blob.min_x = std::min(blob.min_x, x);
-        blob.max_x = std::max(blob.max_x, x);
-        blob.min_y = std::min(blob.min_y, y);
-        blob.max_y = std::max(blob.max_y, y);
-        for (int dy = -1; dy <= 1; ++dy) {
-          for (int dx = -1; dx <= 1; ++dx) {
-            if (dx == 0 && dy == 0) continue;
-            const int nx = x + dx;
-            const int ny = y + dy;
-            if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
-            const std::size_t nidx = static_cast<std::size_t>(ny) * w + nx;
-            if (src[nidx] > 0.0f && map.labels[nidx] == 0) {
-              map.labels[nidx] = next_label;
-              stack.push_back(nidx);
-            }
+  int count = 0;
+  for (std::size_t seed = 0; seed < src.size(); ++seed) {
+    if (src[seed] <= 0.0f || visited[seed] != 0) continue;
+    int area = 0;
+    stack.push_back(seed);
+    visited[seed] = 1;
+    while (!stack.empty()) {
+      const std::size_t idx = stack.back();
+      stack.pop_back();
+      ++area;
+      const int x = static_cast<int>(idx % static_cast<std::size_t>(w));
+      const int y = static_cast<int>(idx / static_cast<std::size_t>(w));
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          const int nx = x + dx;
+          const int ny = y + dy;
+          if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
+          const std::size_t nidx = static_cast<std::size_t>(ny) * w + nx;
+          if (src[nidx] > 0.0f && visited[nidx] == 0) {
+            visited[nidx] = 1;
+            stack.push_back(nidx);
           }
         }
       }
-      blob.centroid_x = sum_x / blob.area;
-      blob.centroid_y = sum_y / blob.area;
-      map.blobs.push_back(blob);
     }
-  }
-  std::sort(map.blobs.begin(), map.blobs.end(),
-            [](const Blob& a, const Blob& b) { return a.area > b.area; });
-  return map;
-}
-
-int count_blobs(const Image& binary, int min_area) {
-  DECAM_REQUIRE(min_area >= 1, "min_area must be >= 1");
-  const ComponentMap map = connected_components(binary);
-  int count = 0;
-  for (const Blob& blob : map.blobs) {
-    if (blob.area >= min_area) ++count;
+    if (area >= min_area) ++count;
   }
   return count;
 }

@@ -1,32 +1,15 @@
-// Connected-component labelling and blob statistics — the "contour
-// detection function" of the paper's CSP metric (Section IV-B). We label
-// 8-connected foreground regions of a binary image and report per-blob
-// area, bounding box and centroid; the steganalysis detector counts blobs
-// whose area clears a noise floor.
+// Blob counting — the "contour detection function" of the paper's CSP
+// metric (Section IV-B). The steganalysis detector counts the 8-connected
+// foreground regions of its binary spectrum whose area clears a noise
+// floor.
 #pragma once
-
-#include <vector>
 
 #include "imaging/image.h"
 
 namespace decam {
 
-struct Blob {
-  int label = 0;    // 1-based component id
-  int area = 0;     // pixel count
-  int min_x = 0, min_y = 0, max_x = 0, max_y = 0;  // inclusive bounding box
-  double centroid_x = 0.0, centroid_y = 0.0;
-};
-
-struct ComponentMap {
-  std::vector<int> labels;  // row-major, 0 = background
-  std::vector<Blob> blobs;  // sorted by descending area
-};
-
-/// Labels 8-connected components of pixels > 0 in a 1-channel image.
-ComponentMap connected_components(const Image& binary);
-
-/// Convenience: number of components with area >= min_area.
+/// Number of 8-connected components of pixels > 0 in a 1-channel image
+/// whose area (pixel count) is at least `min_area` (>= 1).
 int count_blobs(const Image& binary, int min_area = 1);
 
 }  // namespace decam

@@ -85,8 +85,8 @@ void rank_min_max(const Image& img, int k, Op op, Image& out) {
 // rebuilding and nth_element-ing the window per pixel. The median is always
 // an element of the input, so results match the naive filter bit-exactly —
 // including the duplicated values clamped borders contribute. This is the
-// fallback for float images off the 8/16-bit grids (see
-// classify_median_path); the grid paths below are O(1) per pixel.
+// fallback for float images off the 8-bit grid (see classify_median_path);
+// the grid paths below are O(1) per pixel.
 void rank_median_exact(const Image& img, int k, Image& out) {
   const int w = img.width();
   const int h = img.height();
@@ -566,151 +566,22 @@ void rank_median_hist8(const Image& img, int k, Image& out) {
   }
 }
 
-// 16-bit grid (values i / 256 for integral i in [0, 65535]): per-column
-// fine histograms would need 128 KiB each, so this path runs Huang's
-// algorithm instead — one kernel histogram, updated with the k samples of
-// the entering column and the k of the leaving one — walked in serpentine
-// order so moving down a row reuses the window instead of rebuilding it.
-// Still two-level (256 coarse segments of 256 fine bins) to keep the
-// median search short. O(k) per pixel, but with counters instead of the
-// sorted window's O(k log k) memmove traffic.
-void rank_median_hist16(const Image& img, int k, Image& out) {
-  const int w = img.width();
-  const int h = img.height();
-  const unsigned rank = static_cast<unsigned>(k) * k / 2;
-
-  std::vector<std::uint16_t> idx(img.plane_size());
-  std::vector<std::uint16_t> fine(65536);
-  std::vector<std::uint16_t> coarse(256);
-  const auto add = [&](std::uint16_t v) {
-    ++fine[v];
-    ++coarse[v >> 8];
-  };
-  const auto remove = [&](std::uint16_t v) {
-    --fine[v];
-    --coarse[v >> 8];
-  };
-  const auto select = [&]() {
-    unsigned cum = 0;
-    int seg = 0;
-    for (;; ++seg) {
-      const unsigned next = cum + coarse[seg];
-      if (next > rank) break;
-      cum = next;
-    }
-    int bin = seg * 256;
-    for (;; ++bin) {
-      cum += fine[bin];
-      if (cum > rank) break;
-    }
-    // Exact reconstruction: bin and 2^-8 are both exact in float, so the
-    // product is the original sample value bit for bit.
-    return static_cast<float>(bin) * 0.00390625f;
-  };
-
-  std::vector<const std::uint16_t*> rows(static_cast<std::size_t>(k));
-  for (int c = 0; c < img.channels(); ++c) {
-    const float* plane = img.plane(c).data();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      // v * 256 is integral and in [0, 65535] (classify_median_path); the
-      // power-of-two scale is exact, so this is a lossless relabeling.
-      idx[i] = static_cast<std::uint16_t>(
-          static_cast<int>(plane[i] * 256.0f));
-    }
-    std::fill(fine.begin(), fine.end(), std::uint16_t{0});
-    std::fill(coarse.begin(), coarse.end(), std::uint16_t{0});
-
-    // Initial window at (0, 0), clamped rows and columns.
-    for (int dy = 0; dy < k; ++dy) {
-      const std::uint16_t* row =
-          idx.data() + static_cast<std::size_t>(std::min(dy, h - 1)) * w;
-      for (int dx = 0; dx < k; ++dx) add(row[std::min(dx, w - 1)]);
-    }
-
-    int x = 0;
-    int dir = 1;
-    for (int y = 0; y < h; ++y) {
-      for (int dy = 0; dy < k; ++dy) {
-        rows[static_cast<std::size_t>(dy)] =
-            idx.data() + static_cast<std::size_t>(std::min(y + dy, h - 1)) * w;
-      }
-      if (y > 0) {
-        // Move the window down in place: row y-1 leaves, clamp(y+k-1)
-        // enters, at the current window columns {clamp(x+d)}.
-        const std::uint16_t* leave =
-            idx.data() + static_cast<std::size_t>(y - 1) * w;
-        const std::uint16_t* enter =
-            idx.data() + static_cast<std::size_t>(std::min(y + k - 1, h - 1)) * w;
-        for (int d = 0; d < k; ++d) {
-          const int col = std::min(x + d, w - 1);
-          remove(leave[col]);
-          add(enter[col]);
-        }
-      }
-      float* out_row = out.row(y, c).data();
-      for (;;) {
-        out_row[x] = select();
-        if (dir > 0 ? x == w - 1 : x == 0) break;
-        if (dir > 0) {
-          // Columns {clamp(x+d)} -> {clamp(x+1+d)}: col x leaves,
-          // clamp(x+k) enters.
-          const int in_col = std::min(x + k, w - 1);
-          for (int dy = 0; dy < k; ++dy) {
-            remove(rows[static_cast<std::size_t>(dy)][x]);
-            add(rows[static_cast<std::size_t>(dy)][in_col]);
-          }
-          ++x;
-        } else {
-          const int out_col = std::min(x + k - 1, w - 1);
-          for (int dy = 0; dy < k; ++dy) {
-            remove(rows[static_cast<std::size_t>(dy)][out_col]);
-            add(rows[static_cast<std::size_t>(dy)][x - 1]);
-          }
-          --x;
-        }
-      }
-      dir = -dir;
-    }
-  }
-}
-
-obs::Counter& median_path_counter(MedianPath path) {
+void rank_median(const Image& img, int k, Image& out) {
   static obs::Counter& grid8 =
       obs::MetricsRegistry::instance().counter("rank_median/grid8");
-  static obs::Counter& grid16 =
-      obs::MetricsRegistry::instance().counter("rank_median/grid16");
   static obs::Counter& exact =
       obs::MetricsRegistry::instance().counter("rank_median/exact");
-  switch (path) {
-    case MedianPath::Grid8:
-      return grid8;
-    case MedianPath::Grid16:
-      return grid16;
-    case MedianPath::Exact:
-      break;
-  }
-  return exact;
-}
-
-void rank_median(const Image& img, int k, Image& out) {
   // uint16 histogram counts require k*k <= 65535.
-  const MedianPath path =
-      k <= 255 ? classify_median_path(img) : MedianPath::Exact;
-  median_path_counter(path).add();
-  switch (path) {
-    case MedianPath::Grid8:
-      if (k == 3) {
-        rank_median3_grid8(img, out);
-      } else {
-        rank_median_hist8(img, k, out);
-      }
-      break;
-    case MedianPath::Grid16:
-      rank_median_hist16(img, k, out);
-      break;
-    case MedianPath::Exact:
-      rank_median_exact(img, k, out);
-      break;
+  if (k > 255 || classify_median_path(img) == MedianPath::Exact) {
+    exact.add();
+    rank_median_exact(img, k, out);
+    return;
+  }
+  grid8.add();
+  if (k == 3) {
+    rank_median3_grid8(img, out);
+  } else {
+    rank_median_hist8(img, k, out);
   }
 }
 
@@ -718,31 +589,25 @@ void rank_median(const Image& img, int k, Image& out) {
 
 MedianPath classify_median_path(const Image& img) {
   // Each block is one branch-free pass of compares, so it vectorizes; the
-  // scan stops between blocks once grid16 fails, since grid8 implies
-  // grid16 (v integral in [0,255] => v*256 integral in [0,65280]).
-  // Integrality is (x + 2^23) - 2^23 == x: for 0 <= x <= 2^23 the add
-  // rounds x to an integer and the subtract is exact. Every compare is
-  // false for NaN, and a NaN or infinity also fails a range compare, so
-  // no value needs an int cast. -0.0 passes as 0.
+  // scan stops between blocks once a block leaves the grid. Integrality is
+  // (x + 2^23) - 2^23 == x: for 0 <= x <= 2^23 the add rounds x to an
+  // integer and the subtract is exact. The lower bound keeps relabel_u8
+  // from wrapping -1 to 255. Every compare is false for NaN, and a NaN or
+  // infinity also fails a range compare, so no value needs an int cast.
+  // -0.0 passes as 0.
   constexpr float kRound = 8388608.0f;  // 2^23
-  bool grid8 = true;
   const float* data = img.data();
   const std::size_t n = img.size();
   for (std::size_t start = 0; start < n; start += kMedianClassifyBlock) {
     const std::size_t end = std::min(n, start + kMedianClassifyBlock);
-    int on16 = 1;  // int, not bool: GCC vectorizes only the int reduction
-    int on8 = 1;
+    int on8 = 1;  // int, not bool: GCC vectorizes only the int reduction
     for (std::size_t i = start; i < end; ++i) {
       const float v = data[i];
-      const float scaled = v * 256.0f;  // power-of-two scale: exact
-      on16 &= (scaled >= 0.0f) & (scaled <= 65535.0f) &
-              ((scaled + kRound) - kRound == scaled);
-      on8 &= (v <= 255.0f) & ((v + kRound) - kRound == v);
+      on8 &= (v >= 0.0f) & (v <= 255.0f) & ((v + kRound) - kRound == v);
     }
-    if (on16 == 0) return MedianPath::Exact;
-    grid8 = grid8 && on8 != 0;
+    if (on8 == 0) return MedianPath::Exact;
   }
-  return grid8 ? MedianPath::Grid8 : MedianPath::Grid16;
+  return MedianPath::Grid8;
 }
 
 Image rank_filter(const Image& img, int k, RankOp op) {
@@ -821,71 +686,6 @@ Image separable_convolve(const Image& img, const std::vector<float>& kernel) {
 }
 
 }  // namespace
-
-Image box_blur(const Image& img, int k) {
-  DECAM_SPAN("imaging/box_blur");
-  DECAM_REQUIRE(k >= 1 && k % 2 == 1, "box blur needs odd window size");
-  if (k == 1) return img;
-  // Running-sum box: the window mean is maintained incrementally (add the
-  // entering sample, subtract the leaving one), making the cost O(1) per
-  // pixel for any k. The double running sum re-associates the addition
-  // order relative to the per-window tap sum, so outputs may differ from
-  // the dense formulation in the last float ulp (within the documented
-  // 1e-6-per-255 tolerance; see filter.h).
-  const int radius = (k - 1) / 2;
-  const double inv_k = 1.0 / k;
-  const int w = img.width();
-  const int h = img.height();
-
-  Image mid(w, h, img.channels());
-  std::vector<float> pad(static_cast<std::size_t>(w + 2 * radius));
-  for (int c = 0; c < img.channels(); ++c) {
-    for (int y = 0; y < h; ++y) {
-      const float* row = img.row(y, c).data();
-      std::fill(pad.begin(), pad.begin() + radius, row[0]);
-      std::copy(row, row + w, pad.begin() + radius);
-      std::fill(pad.begin() + radius + w, pad.end(), row[w - 1]);
-      float* mid_row = mid.row(y, c).data();
-      double sum = 0.0;
-      for (int i = 0; i < k; ++i) sum += pad[static_cast<std::size_t>(i)];
-      mid_row[0] = static_cast<float>(sum * inv_k);
-      for (int x = 1; x < w; ++x) {
-        sum += pad[static_cast<std::size_t>(x + k - 1)] -
-               pad[static_cast<std::size_t>(x - 1)];
-        mid_row[x] = static_cast<float>(sum * inv_k);
-      }
-    }
-  }
-
-  Image out(w, h, img.channels());
-  std::vector<double> acc(static_cast<std::size_t>(w));
-  auto mid_row = [&](int y, int c) {
-    return mid.row(std::clamp(y, 0, h - 1), c).data();
-  };
-  for (int c = 0; c < img.channels(); ++c) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (int i = -radius; i <= radius; ++i) {
-      const float* row = mid_row(i, c);
-      for (int x = 0; x < w; ++x) acc[static_cast<std::size_t>(x)] += row[x];
-    }
-    for (int y = 0; y < h; ++y) {
-      float* out_row = out.row(y, c).data();
-      for (int x = 0; x < w; ++x) {
-        out_row[x] =
-            static_cast<float>(acc[static_cast<std::size_t>(x)] * inv_k);
-      }
-      if (y + 1 < h) {
-        const float* enter = mid_row(y + 1 + radius, c);
-        const float* leave = mid_row(y - radius, c);
-        for (int x = 0; x < w; ++x) {
-          acc[static_cast<std::size_t>(x)] += static_cast<double>(enter[x]) -
-                                              leave[x];
-        }
-      }
-    }
-  }
-  return out;
-}
 
 Image gaussian_blur(const Image& img, double sigma) {
   DECAM_SPAN("imaging/gaussian_blur");

@@ -103,13 +103,6 @@ float Image::max_value() const {
   return *std::max_element(data_.begin(), data_.end());
 }
 
-double Image::mean_value() const {
-  DECAM_REQUIRE(!empty(), "mean_value of empty image");
-  double sum = 0.0;
-  for (float v : data_) sum += v;
-  return sum / static_cast<double>(data_.size());
-}
-
 Image absdiff(const Image& a, const Image& b) {
   DECAM_REQUIRE(a.same_shape(b), "shape mismatch in absdiff");
   Image out(a.width(), a.height(), a.channels());

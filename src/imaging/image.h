@@ -86,7 +86,6 @@ class Image {
   /// Summary statistics over all planes.
   float min_value() const;
   float max_value() const;
-  double mean_value() const;
 
  private:
   bool in_bounds(int x, int y, int c) const {

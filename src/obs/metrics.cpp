@@ -176,12 +176,6 @@ MetricsRegistry::histograms() const {
   return out;
 }
 
-const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto found = histograms_.find(name);
-  return found == histograms_.end() ? nullptr : found->second.get();
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
   for (auto& [name, counter] : counters_) counter->reset();

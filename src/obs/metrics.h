@@ -104,7 +104,6 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
   std::vector<std::pair<std::string, double>> gauge_values() const;
   std::vector<std::pair<std::string, const Histogram*>> histograms() const;
-  const Histogram* find_histogram(std::string_view name) const;
 
   /// Zeroes every metric, keeping handles valid (tests & long-lived
   /// services that report in epochs).

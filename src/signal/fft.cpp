@@ -9,21 +9,21 @@
 namespace decam {
 namespace {
 
-// Cache-blocked column pass over columns [x0, x_end): each sweep gathers a
+// Cache-blocked column pass over columns [0, x_end): each sweep gathers a
 // tile of columns into contiguous scratch, transforms them, and scatters
 // back. The gather/scatter walks the grid row-wise (sequential reads with a
 // handful of open write streams), so every cache line of the plane is
 // touched once per tile instead of once per column.
 constexpr int kColumnTile = 8;
 
-void fft_columns(Complex* data, int width, int height, int x0, int x_end,
+void fft_columns(Complex* data, int width, int height, int x_end,
                  const PlannedFft& col_fft) {
   thread_local std::vector<Complex> tile;
   const std::size_t h = static_cast<std::size_t>(height);
   const std::size_t need =
-      h * static_cast<std::size_t>(std::min(kColumnTile, x_end - x0));
+      h * static_cast<std::size_t>(std::min(kColumnTile, x_end));
   if (tile.size() < need) tile.resize(need);
-  for (int x = x0; x < x_end; x += kColumnTile) {
+  for (int x = 0; x < x_end; x += kColumnTile) {
     const int tw = std::min(kColumnTile, x_end - x);
     for (int y = 0; y < height; ++y) {
       const Complex* src = data + static_cast<std::size_t>(y) * width + x;
@@ -50,35 +50,6 @@ void fft(std::vector<Complex>& data, bool inverse) {
   if (data.size() == 1) return;
   const PlannedFft plan(data.size(), inverse);
   plan(data.data());
-}
-
-std::vector<Complex> fft(const std::vector<Complex>& data) {
-  std::vector<Complex> out = data;
-  fft(out, false);
-  return out;
-}
-
-std::vector<Complex> ifft(const std::vector<Complex>& data) {
-  std::vector<Complex> out = data;
-  fft(out, true);
-  return out;
-}
-
-void fft2d(std::vector<Complex>& data, int width, int height, bool inverse) {
-  DECAM_SPAN("signal/fft2d");
-  DECAM_REQUIRE(width > 0 && height > 0, "fft2d dimensions must be positive");
-  DECAM_REQUIRE(data.size() == static_cast<std::size_t>(width) * height,
-                "fft2d buffer size mismatch");
-  if (width > 1) {
-    const PlannedFft row_fft(static_cast<std::size_t>(width), inverse);
-    for (int y = 0; y < height; ++y) {
-      row_fft(data.data() + static_cast<std::size_t>(y) * width);
-    }
-  }
-  if (height > 1) {
-    const PlannedFft col_fft(static_cast<std::size_t>(height), inverse);
-    fft_columns(data.data(), width, height, 0, width, col_fft);
-  }
 }
 
 void fft2d_half_plane(const Image& img, std::vector<Complex>& out) {
@@ -145,7 +116,7 @@ void fft2d_half_plane(const Image& img, std::vector<Complex>& out) {
 
   if (h > 1) {
     const PlannedFft col_fft(static_cast<std::size_t>(h), false);
-    fft_columns(out.data(), w, h, 0, x_end, col_fft);
+    fft_columns(out.data(), w, h, x_end, col_fft);
   }
 }
 

@@ -24,29 +24,20 @@
 
 namespace decam {
 
-/// In-place forward/inverse FFT of arbitrary length n >= 1.
-/// The inverse includes the 1/n normalisation, so ifft(fft(x)) == x.
+/// In-place forward/inverse FFT of arbitrary length n >= 1. The inverse
+/// includes the 1/n normalisation, so an inverse after a forward transform
+/// returns the input.
 void fft(std::vector<Complex>& data, bool inverse);
-
-/// Out-of-place 1-D convenience wrappers.
-std::vector<Complex> fft(const std::vector<Complex>& data);
-std::vector<Complex> ifft(const std::vector<Complex>& data);
-
-/// Row-major 2-D FFT of a height x width grid (rows in place, then columns
-/// in cache-blocked tiles of contiguous scratch).
-void fft2d(std::vector<Complex>& data, int width, int height, bool inverse);
 
 /// Forward 2-D DFT of a single-channel image (values used as reals).
 /// Multi-channel inputs are converted to luma first. The real-input fast
 /// path packs two rows per complex transform and derives the right half of
-/// the plane from Hermitian symmetry — roughly half the work of the complex
+/// the plane from Hermitian symmetry — roughly half the work of a complex
 /// 2-D transform.
 std::vector<Complex> fft2d(const Image& img);
 
 /// Scratch-reusing overload: `out` is resized to width*height and filled
-/// with the forward transform, reusing its capacity across calls (the
-/// AnalysisContext scores thousands of images through one per-thread
-/// buffer instead of allocating a complex plane each time).
+/// with the forward transform, reusing its capacity across calls.
 void fft2d(const Image& img, std::vector<Complex>& out);
 
 /// The real-input transform both overloads above run: `out` is resized to
@@ -60,7 +51,8 @@ void fft2d_half_plane(const Image& img, std::vector<Complex>& out);
 /// "centering" step of the paper's Eq. (4). Self-inverse for even sizes.
 /// In place: no temporary for even dimensions, one row of scratch for odd
 /// heights. The fused spectrum path (spectrum.h) never materialises the
-/// shifted complex plane at all; this stays exported for other callers.
+/// shifted complex plane; this and fft2d are the definition the spectrum
+/// parity tests hold it to.
 void fftshift(std::vector<Complex>& data, int width, int height);
 
 }  // namespace decam

@@ -132,17 +132,6 @@ SpectrumWorkspace& thread_spectrum_workspace() {
   return tracked.ws;
 }
 
-std::vector<double> centered_log_magnitudes(const Image& img) {
-  // Reuse the per-thread frequency plane, but hand back a fresh
-  // log-magnitude vector (moving out the workspace buffer; it regrows on
-  // the next call through this entry point).
-  SpectrumWorkspace& ws = thread_spectrum_workspace();
-  shifted_log_magnitudes(img, ws);
-  std::vector<double> out = std::move(ws.logmag);
-  thread_spectrum_workspace();  // fold the capacity change into the gauge
-  return out;
-}
-
 Image centered_log_spectrum(const Image& img, SpectrumWorkspace& workspace) {
   shifted_log_magnitudes(img, workspace);
   const std::vector<double>& logmag = workspace.logmag;

@@ -34,10 +34,8 @@ SpectrumWorkspace& thread_spectrum_workspace();
 /// same geometry as the input, 1 channel.
 Image centered_log_spectrum(const Image& img);
 
-/// Scratch-reusing overload of the above.
+/// Scratch-reusing overload of the above. On return `workspace.logmag`
+/// holds the raw (unnormalised) shifted log magnitudes, row-major.
 Image centered_log_spectrum(const Image& img, SpectrumWorkspace& workspace);
-
-/// Raw (unnormalised) log magnitudes, for callers needing exact values.
-std::vector<double> centered_log_magnitudes(const Image& img);
 
 }  // namespace decam

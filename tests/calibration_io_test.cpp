@@ -58,10 +58,16 @@ TEST_F(CalibrationIoTest, WrongHeaderThrows) {
 }
 
 TEST_F(CalibrationIoTest, MalformedLineThrows) {
-  std::ofstream out(path("bad2.calib"));
-  out << "decam-calibration v1\nscaling/mse sideways 1 0\n";
-  out.close();
-  EXPECT_THROW(load_calibrations(path("bad2.calib")), decam::IoError);
+  // A bad polarity, and anything but whitespace after the fourth field.
+  for (const char* line : {"scaling/mse sideways 1 0",
+                           "scaling/mse high 500 0.9 trailing junk",
+                           "filtering/min/ssim low 0.45 0.9x"}) {
+    std::ofstream out(path("bad2.calib"));
+    out << "decam-calibration v1\n" << line << "\n";
+    out.close();
+    EXPECT_THROW(load_calibrations(path("bad2.calib")), decam::IoError)
+        << line;
+  }
 }
 
 TEST_F(CalibrationIoTest, DuplicateNameThrows) {

@@ -1,5 +1,5 @@
-// Tests for binarisation, the circular low-pass mask and connected-component
-// blob counting.
+// Tests for binarisation, the circular low-pass mask and 8-connected blob
+// counting.
 #include <gtest/gtest.h>
 
 #include "cv/connected_components.h"
@@ -49,15 +49,10 @@ TEST(ConnectedComponents, CountsIsolatedBlobs) {
   img.at(6, 5, 0) = 255.0f;
   img.at(5, 6, 0) = 255.0f;
   img.at(6, 6, 0) = 255.0f;
-  const ComponentMap map = connected_components(img);
-  ASSERT_EQ(map.blobs.size(), 2u);
-  // Sorted by descending area: the square first.
-  EXPECT_EQ(map.blobs[0].area, 4);
-  EXPECT_EQ(map.blobs[1].area, 1);
-  EXPECT_DOUBLE_EQ(map.blobs[0].centroid_x, 5.5);
-  EXPECT_DOUBLE_EQ(map.blobs[0].centroid_y, 5.5);
-  EXPECT_EQ(map.blobs[1].min_x, 1);
-  EXPECT_EQ(map.blobs[1].max_x, 1);
+  EXPECT_EQ(count_blobs(img, 1), 2);
+  EXPECT_EQ(count_blobs(img, 2), 1);  // the single pixel drops out
+  EXPECT_EQ(count_blobs(img, 4), 1);  // the square has area 4 ...
+  EXPECT_EQ(count_blobs(img, 5), 0);  // ... and no more
 }
 
 TEST(ConnectedComponents, DiagonalPixelsAreOneBlobWith8Connectivity) {
@@ -65,35 +60,31 @@ TEST(ConnectedComponents, DiagonalPixelsAreOneBlobWith8Connectivity) {
   img.at(0, 0, 0) = 255.0f;
   img.at(1, 1, 0) = 255.0f;
   img.at(2, 2, 0) = 255.0f;
-  const ComponentMap map = connected_components(img);
-  ASSERT_EQ(map.blobs.size(), 1u);
-  EXPECT_EQ(map.blobs[0].area, 3);
+  EXPECT_EQ(count_blobs(img, 1), 1);
+  EXPECT_EQ(count_blobs(img, 3), 1);
+  EXPECT_EQ(count_blobs(img, 4), 0);
 }
 
 TEST(ConnectedComponents, EmptyImageHasNoBlobs) {
   const Image img(6, 6, 1, 0.0f);
-  EXPECT_TRUE(connected_components(img).blobs.empty());
   EXPECT_EQ(count_blobs(img), 0);
 }
 
 TEST(ConnectedComponents, FullImageIsOneBlob) {
   const Image img(6, 6, 1, 255.0f);
-  const ComponentMap map = connected_components(img);
-  ASSERT_EQ(map.blobs.size(), 1u);
-  EXPECT_EQ(map.blobs[0].area, 36);
-  EXPECT_EQ(map.blobs[0].min_x, 0);
-  EXPECT_EQ(map.blobs[0].max_x, 5);
+  EXPECT_EQ(count_blobs(img, 1), 1);
+  EXPECT_EQ(count_blobs(img, 36), 1);
+  EXPECT_EQ(count_blobs(img, 37), 0);
 }
 
 TEST(ConnectedComponents, LabelsPartitionForeground) {
+  // Opposite corners stay two components of one pixel each: the
+  // background between them joins nothing.
   Image img(5, 5, 1, 0.0f);
   img.at(0, 0, 0) = 255.0f;
   img.at(4, 4, 0) = 255.0f;
-  const ComponentMap map = connected_components(img);
-  EXPECT_NE(map.labels[0], 0);
-  EXPECT_NE(map.labels[24], 0);
-  EXPECT_NE(map.labels[0], map.labels[24]);
-  EXPECT_EQ(map.labels[12], 0);  // background centre
+  EXPECT_EQ(count_blobs(img, 1), 2);
+  EXPECT_EQ(count_blobs(img, 2), 0);
 }
 
 TEST(CountBlobs, MinAreaFiltersSmallBlobs) {
@@ -106,6 +97,7 @@ TEST(CountBlobs, MinAreaFiltersSmallBlobs) {
   EXPECT_EQ(count_blobs(img, 2), 1);
   EXPECT_EQ(count_blobs(img, 10), 0);
   EXPECT_THROW(count_blobs(img, 0), std::invalid_argument);
+  EXPECT_THROW(count_blobs(Image(2, 2, 3)), std::invalid_argument);
 }
 
 TEST(ConnectedComponents, LargeSnakeDoesNotOverflowStack) {
@@ -120,9 +112,10 @@ TEST(ConnectedComponents, LargeSnakeDoesNotOverflowStack) {
       img.at((y % 4 == 1) ? n - 1 : 0, y, 0) = 255.0f;
     }
   }
-  const ComponentMap map = connected_components(img);
-  ASSERT_EQ(map.blobs.size(), 1u);
-  EXPECT_EQ(map.blobs[0].area, (n / 2) * n + n / 2);
+  const int area = (n / 2) * n + n / 2;
+  EXPECT_EQ(count_blobs(img, 1), 1);
+  EXPECT_EQ(count_blobs(img, area), 1);
+  EXPECT_EQ(count_blobs(img, area + 1), 0);
 }
 
 }  // namespace

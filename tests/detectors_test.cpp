@@ -170,21 +170,6 @@ TEST(SteganalysisDetector, ScoreEqualsCount) {
                    static_cast<double>(detector.count_csp(pair.benign)));
 }
 
-TEST(SteganalysisDetector, BinarySpectrumIsBinaryAndInputSized) {
-  const SteganalysisDetector detector{};
-  const Pair pair = make_pair(22);
-  const Image binary = detector.binary_spectrum(pair.attack);
-  EXPECT_EQ(binary.width(), pair.attack.width());
-  EXPECT_EQ(binary.height(), pair.attack.height());
-  EXPECT_EQ(binary.channels(), 1);
-  for (int y = 0; y < binary.height(); y += 11) {
-    for (int x = 0; x < binary.width(); x += 11) {
-      const float v = binary.at(x, y, 0);
-      EXPECT_TRUE(v == 0.0f || v == 255.0f);
-    }
-  }
-}
-
 TEST(SteganalysisDetector, ConfigValidation) {
   SteganalysisDetectorConfig bad;
   bad.radius_fraction = 0.0;

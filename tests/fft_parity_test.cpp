@@ -4,8 +4,7 @@
 // naive O(n^2) reference DFT and the straightforward copy implementations
 // they replaced. The acceptance budget is 1e-9 of the transform's peak
 // magnitude: FFT restructuring legally reorders floating-point sums, so
-// bit-identity is replaced by this explicit tolerance (the same policy
-// filter.h documents for the box/resize kernels).
+// bit-identity is replaced by this explicit tolerance.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -30,6 +29,29 @@ std::vector<Complex> random_signal(std::size_t n, std::uint64_t seed) {
   return signal;
 }
 
+// The in-place transform, applied to a copy.
+std::vector<Complex> transformed(std::vector<Complex> data,
+                                 bool inverse = false) {
+  fft(data, inverse);
+  return data;
+}
+
+// A w x h single-channel image of uniform samples in [0, 255), and its
+// plane as complex values.
+Image random_image(int w, int h, std::uint64_t seed) {
+  data::Rng rng(seed);
+  Image img(w, h, 1);
+  for (float& v : img.plane(0)) {
+    v = static_cast<float>(rng.next_range(0.0, 255.0));
+  }
+  return img;
+}
+
+std::vector<Complex> real_plane(const Image& img) {
+  const auto plane = img.plane(0);
+  return std::vector<Complex>(plane.begin(), plane.end());
+}
+
 // Naive O(n^2) DFT, the reference every fast path must reproduce.
 std::vector<Complex> naive_dft(const std::vector<Complex>& in, bool inverse) {
   const std::size_t n = in.size();
@@ -48,31 +70,40 @@ std::vector<Complex> naive_dft(const std::vector<Complex>& in, bool inverse) {
   return out;
 }
 
-// Separable naive 2-D DFT (rows then columns).
-std::vector<Complex> naive_dft2d(const std::vector<Complex>& in, int w,
-                                 int h) {
-  std::vector<Complex> out = in;
+// Applies the 1-D `transform` to every row of a w x h grid, then to every
+// column.
+template <typename Transform>
+std::vector<Complex> separable(std::vector<Complex> grid, int w, int h,
+                               Transform transform) {
   std::vector<Complex> line;
   for (int y = 0; y < h; ++y) {
-    line.assign(out.begin() + static_cast<std::size_t>(y) * w,
-                out.begin() + static_cast<std::size_t>(y + 1) * w);
-    line = naive_dft(line, false);
+    line.assign(grid.begin() + static_cast<std::size_t>(y) * w,
+                grid.begin() + static_cast<std::size_t>(y + 1) * w);
+    transform(line);
     std::copy(line.begin(), line.end(),
-              out.begin() + static_cast<std::size_t>(y) * w);
+              grid.begin() + static_cast<std::size_t>(y) * w);
   }
   for (int x = 0; x < w; ++x) {
     line.resize(static_cast<std::size_t>(h));
     for (int y = 0; y < h; ++y) {
       line[static_cast<std::size_t>(y)] =
-          out[static_cast<std::size_t>(y) * w + x];
+          grid[static_cast<std::size_t>(y) * w + x];
     }
-    line = naive_dft(line, false);
+    transform(line);
     for (int y = 0; y < h; ++y) {
-      out[static_cast<std::size_t>(y) * w + x] =
+      grid[static_cast<std::size_t>(y) * w + x] =
           line[static_cast<std::size_t>(y)];
     }
   }
-  return out;
+  return grid;
+}
+
+// Separable naive 2-D DFT (rows then columns).
+std::vector<Complex> naive_dft2d(const std::vector<Complex>& in, int w,
+                                 int h) {
+  return separable(in, w, h, [](std::vector<Complex>& line) {
+    line = naive_dft(line, false);
+  });
 }
 
 double peak_magnitude(const std::vector<Complex>& v) {
@@ -137,7 +168,7 @@ TEST_P(FftNaiveParity, InverseMatchesNaiveDft) {
 TEST_P(FftNaiveParity, RoundTripRecoversSignal) {
   const std::size_t n = GetParam();
   const auto signal = random_signal(n, n * 5 + 11);
-  const auto back = ifft(fft(signal));
+  const auto back = transformed(transformed(signal), true);
   const double budget = 1e-9 * std::max(peak_magnitude(signal), 1.0);
   EXPECT_LE(max_abs_diff(back, signal), budget) << "n=" << n;
 }
@@ -153,30 +184,37 @@ INSTANTIATE_TEST_SUITE_P(Lengths, FftNaiveParity,
                            return "n" + std::to_string(info.param);
                          });
 
+// The real-input 2-D transform against the separable naive DFT of the same
+// plane.
+void expect_image_transform_matches_naive(int w, int h, std::uint64_t seed) {
+  const Image img = random_image(w, h, seed);
+  const auto expected = naive_dft2d(real_plane(img), w, h);
+  const double budget = 1e-9 * std::max(peak_magnitude(expected), 1.0);
+  EXPECT_LE(max_abs_diff(fft2d(img), expected), budget) << w << "x" << h;
+}
+
 // 2-D shapes: squares, rectangles, degenerate 1xN / Nx1 strips, odd/even
-// mixes — the complex grid transform and its inverse.
+// mixes — the image transform forward, and its full plane (the mirrored
+// right half included) back through the 1-D inverse on rows and columns.
 class Fft2dNaiveParity
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(Fft2dNaiveParity, ForwardMatchesSeparableNaive) {
   const auto [w, h] = GetParam();
-  auto grid = random_signal(static_cast<std::size_t>(w) * h,
-                            static_cast<std::uint64_t>(w) * 1000 + h);
-  const auto expected = naive_dft2d(grid, w, h);
-  fft2d(grid, w, h, false);
-  const double budget = 1e-9 * std::max(peak_magnitude(expected), 1.0);
-  EXPECT_LE(max_abs_diff(grid, expected), budget) << w << "x" << h;
+  expect_image_transform_matches_naive(
+      w, h, static_cast<std::uint64_t>(w) * 1000 + h);
 }
 
 TEST_P(Fft2dNaiveParity, RoundTripRecoversGrid) {
   const auto [w, h] = GetParam();
-  auto grid = random_signal(static_cast<std::size_t>(w) * h,
-                            static_cast<std::uint64_t>(h) * 911 + w);
-  const auto original = grid;
-  fft2d(grid, w, h, false);
-  fft2d(grid, w, h, true);
+  const Image img =
+      random_image(w, h, static_cast<std::uint64_t>(h) * 911 + w);
+  const auto original = real_plane(img);
+  const auto back = separable(fft2d(img), w, h, [](std::vector<Complex>& line) {
+    fft(line, true);
+  });
   const double budget = 1e-9 * std::max(peak_magnitude(original), 1.0);
-  EXPECT_LE(max_abs_diff(grid, original), budget) << w << "x" << h;
+  EXPECT_LE(max_abs_diff(back, original), budget) << w << "x" << h;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -198,20 +236,8 @@ class RealFft2dParity : public ::testing::TestWithParam<std::pair<int, int>> {
 
 TEST_P(RealFft2dParity, ImageTransformMatchesNaive) {
   const auto [w, h] = GetParam();
-  data::Rng rng(static_cast<std::uint64_t>(w) * 77 + h);
-  Image img(w, h, 1);
-  for (float& v : img.plane(0)) {
-    v = static_cast<float>(rng.next_range(0.0, 255.0));
-  }
-  std::vector<Complex> real_plane(img.plane_size());
-  const auto plane = img.plane(0);
-  for (std::size_t i = 0; i < plane.size(); ++i) {
-    real_plane[i] = Complex(static_cast<double>(plane[i]), 0.0);
-  }
-  const auto expected = naive_dft2d(real_plane, w, h);
-  const auto actual = fft2d(img);
-  const double budget = 1e-9 * std::max(peak_magnitude(expected), 1.0);
-  EXPECT_LE(max_abs_diff(actual, expected), budget) << w << "x" << h;
+  expect_image_transform_matches_naive(
+      w, h, static_cast<std::uint64_t>(w) * 77 + h);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -301,7 +327,9 @@ TEST(SpectrumParity, FusedLogMagnitudesMatchDefinition) {
     }
     std::vector<Complex> freq = fft2d(img);
     fftshift(freq, w, h);
-    const std::vector<double> actual = centered_log_magnitudes(img);
+    SpectrumWorkspace workspace;
+    (void)centered_log_spectrum(img, workspace);
+    const std::vector<double>& actual = workspace.logmag;
     ASSERT_EQ(actual.size(), freq.size());
     for (std::size_t i = 0; i < freq.size(); ++i) {
       EXPECT_NEAR(actual[i], std::log1p(std::abs(freq[i])), 1e-9)
@@ -327,7 +355,9 @@ TEST(SpectrumParity, HalfPlaneMirrorIsBitExact) {
         }
         std::vector<Complex> freq = fft2d(img);
         fftshift(freq, w, h);
-        const std::vector<double> actual = centered_log_magnitudes(img);
+        SpectrumWorkspace workspace;
+        (void)centered_log_spectrum(img, workspace);
+        const std::vector<double>& actual = workspace.logmag;
         ASSERT_EQ(actual.size(), freq.size());
         for (std::size_t i = 0; i < freq.size(); ++i) {
           // Fatal: one report for the first differing bin, not thousands.
@@ -347,7 +377,7 @@ TEST(FftPlanCache, SizeSweepPastCapacityStaysCorrectAndBounded) {
   // 150 distinct odd (Bluestein) sizes — well past the 64-entry capacity.
   for (std::size_t n = 3; n < 3 + 2 * 150; n += 2) {
     const auto signal = random_signal(n, n);
-    const auto back = ifft(fft(signal));
+    const auto back = transformed(transformed(signal), true);
     const double budget = 1e-9 * std::max(peak_magnitude(signal), 1.0);
     ASSERT_LE(max_abs_diff(back, signal), budget) << "n=" << n;
   }
@@ -363,10 +393,10 @@ TEST(FftPlanCache, HotSizeSurvivesChurn) {
   // eviction forgot it every 64 distinct sizes). The hot size is prime: a
   // 7-smooth one would never reach the Bluestein cache.
   const std::size_t hot = 449;
-  (void)fft(random_signal(hot, 1));
+  (void)transformed(random_signal(hot, 1));
   for (std::size_t i = 0; i < 200; ++i) {
-    (void)fft(random_signal(101 + 2 * i, i + 2));
-    (void)fft(random_signal(hot, i + 3));
+    (void)transformed(random_signal(101 + 2 * i, i + 2));
+    (void)transformed(random_signal(hot, i + 3));
   }
   const FftPlanCacheStats stats = bluestein_plan_cache_stats();
   // 201 hot hits + 200 cold misses: with clear-all eviction the hot size
@@ -381,18 +411,18 @@ TEST(FftPlanCache, HotSizeSurvivesChurn) {
 TEST(FftPlanCache, SmoothLengthsNeverTakeBluestein) {
   clear_fft_plan_caches();
   const std::size_t smooth[] = {224, 448, 450, 480, 512, 640};
-  for (const std::size_t n : smooth) (void)fft(random_signal(n, n));
+  for (const std::size_t n : smooth) (void)transformed(random_signal(n, n));
   EXPECT_EQ(fft_plan_cache_stats().misses, std::size(smooth));
   const FftPlanCacheStats untouched = bluestein_plan_cache_stats();
   EXPECT_EQ(untouched.hits + untouched.misses, 0u);
 
   // 449 is prime: one Bluestein miss, plus its forward and inverse
   // 900-point (2^2 3^2 5^2) convolution plans in the smooth cache.
-  (void)fft(random_signal(449, 449));
+  (void)transformed(random_signal(449, 449));
   EXPECT_EQ(bluestein_plan_cache_stats().misses, 1u);
   EXPECT_EQ(fft_plan_cache_stats().misses, std::size(smooth) + 2);
   EXPECT_EQ(fft_plan_cache_stats().hits, 0u);
-  (void)fft(random_signal(900, 900));
+  (void)transformed(random_signal(900, 900));
   EXPECT_EQ(fft_plan_cache_stats().hits, 1u);
 }
 

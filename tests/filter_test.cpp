@@ -153,20 +153,6 @@ TEST(RankFilter, RejectsBadWindow) {
   EXPECT_THROW(rank_filter(Image(), 2, RankOp::Min), std::invalid_argument);
 }
 
-TEST(BoxBlur, AveragesNeighbourhood) {
-  Image img(3, 3, 1, 0.0f);
-  img.at(1, 1, 0) = 90.0f;
-  const Image out = box_blur(img, 3);
-  EXPECT_NEAR(out.at(1, 1, 0), 10.0f, 1e-4f);
-  EXPECT_NEAR(out.at(0, 0, 0), 10.0f, 1e-4f);  // replicated borders included
-}
-
-TEST(BoxBlur, RequiresOddWindow) {
-  const Image img(4, 4, 1);
-  EXPECT_THROW(box_blur(img, 2), std::invalid_argument);
-  EXPECT_THROW(box_blur(img, 0), std::invalid_argument);
-}
-
 TEST(GaussianBlur, PreservesConstantAndMass) {
   const Image img(9, 9, 1, 77.0f);
   const Image out = gaussian_blur(img, 1.2);

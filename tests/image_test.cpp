@@ -153,7 +153,6 @@ TEST(Image, Statistics) {
   img.at(1, 1, 0) = 6.0f;
   EXPECT_FLOAT_EQ(img.min_value(), 1.0f);
   EXPECT_FLOAT_EQ(img.max_value(), 6.0f);
-  EXPECT_DOUBLE_EQ(img.mean_value(), 3.0);
 }
 
 TEST(Image, AbsdiffComputesElementwise) {

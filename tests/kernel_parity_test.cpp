@@ -1,16 +1,15 @@
 // Golden parity tests: the optimized kernels in src/imaging/ (separable
-// min/max folds and the median paths of the rank filter, running-sum box
-// blur, scanline convolution, row-major flattened-table resize) and the
-// fused pair-stats walk of src/metrics/ against the retained naive
-// reference implementations in reference_kernels.h.
+// min/max folds and the median paths of the rank filter, scanline
+// convolution, row-major flattened-table resize) and the fused pair-stats
+// walk of src/metrics/ against the retained naive reference implementations
+// in reference_kernels.h.
 //
 // Tolerance policy (see imaging/filter.h): rank filters select actual input
 // samples and must match bit-for-bit, min/max down to the sign of a zero
 // (the window's first extremum); gaussian_blur and pair_stats keep the
 // exact per-accumulator arithmetic sequence and must also match
-// bit-for-bit; box_blur and resize may re-associate double additions, so
-// they get a max-abs-diff budget of 1e-6 of full scale (inputs live in
-// [0, 255]).
+// bit-for-bit; resize may re-associate double additions, so it gets a
+// max-abs-diff budget of 1e-6 of full scale (inputs live in [0, 255]).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -145,11 +144,11 @@ TEST(RankFilterParity, MinMaxSignedZeroTiesMatchReferenceBitForBit) {
   }
 }
 
-// The histogram median paths (imaging/filter.h eligibility contract).
-// Quantised values land on the 8-bit grid (Perreault–Hébert path), i/256
-// values on the 16-bit grid (serpentine Huang path); both must reproduce
-// the sorted-window reference bit for bit, k = 15 included (larger than
-// every test shape, so the whole window is border replication).
+// The median paths (imaging/filter.h eligibility contract). Quantised
+// values land on the 8-bit grid (selection network and Perreault–Hébert
+// path), i/256 values off it (sorted-window path); both must reproduce the
+// naive reference bit for bit, k = 15 included (larger than every test
+// shape, so the whole window is border replication).
 const int kGridKs[] = {1, 2, 3, 4, 5, 9, 15};
 
 Image random_grid8_image(int w, int h, int c, std::uint64_t seed) {
@@ -163,7 +162,7 @@ Image random_grid8_image(int w, int h, int c, std::uint64_t seed) {
   return img;
 }
 
-Image random_grid16_image(int w, int h, int c, std::uint64_t seed) {
+Image random_i256_image(int w, int h, int c, std::uint64_t seed) {
   data::Rng rng(seed);
   Image img(w, h, c);
   for (int ch = 0; ch < c; ++ch) {
@@ -217,12 +216,12 @@ TEST(RankFilterParity, Median3NetworkMatchesReferenceOnEveryBinaryImage) {
 TEST(RankFilterParity, MedianGrid16MatchesReferenceExactly) {
   for (const Shape& s : kRankShapes) {
     const Image img =
-        random_grid16_image(s.w, s.h, s.c, 5000u + s.w * 7u + s.h);
-    ASSERT_EQ(classify_median_path(img), MedianPath::Grid16);
+        random_i256_image(s.w, s.h, s.c, 5000u + s.w * 7u + s.h);
+    ASSERT_EQ(classify_median_path(img), MedianPath::Exact);
     for (const int k : kGridKs) {
       expect_identical(rank_filter(img, k, RankOp::Median),
                        testref::rank_filter(img, k, RankOp::Median),
-                       "grid16 " + std::to_string(s.w) + "x" +
+                       "i/256 " + std::to_string(s.w) + "x" +
                            std::to_string(s.h) + "x" + std::to_string(s.c) +
                            " k=" + std::to_string(k));
     }
@@ -232,13 +231,21 @@ TEST(RankFilterParity, MedianGrid16MatchesReferenceExactly) {
 TEST(RankFilterParity, OffGridMedianFallsBackAndMatches) {
   // One off-grid pixel disqualifies the whole image; the exact sorted-window
   // fallback must still reproduce the reference on the unchanged pixels.
-  Image img = random_grid8_image(16, 16, 3, 6001);
-  img.plane(1)[37] = 0.3f;
-  ASSERT_EQ(classify_median_path(img), MedianPath::Exact);
-  for (const int k : {2, 3, 9}) {
-    expect_identical(rank_filter(img, k, RankOp::Median),
-                     testref::rank_filter(img, k, RankOp::Median),
-                     "off-grid k=" + std::to_string(k));
+  // Negative integers are off the grid too: relabeled as u8 they would
+  // wrap (-1 to 255) and move the median.
+  Image fractional = random_grid8_image(16, 16, 3, 6001);
+  fractional.plane(1)[37] = 0.3f;
+  Image negative = random_grid8_image(16, 16, 3, 6002);
+  negative.plane(0)[40] = -1.0f;
+  negative.plane(2)[77] = -255.0f;
+  for (const auto& [img, name] : {std::pair{&fractional, "fractional"},
+                                  std::pair{&negative, "negative"}}) {
+    ASSERT_EQ(classify_median_path(*img), MedianPath::Exact) << name;
+    for (const int k : {2, 3, 9}) {
+      expect_identical(rank_filter(*img, k, RankOp::Median),
+                       testref::rank_filter(*img, k, RankOp::Median),
+                       std::string(name) + " k=" + std::to_string(k));
+    }
   }
 }
 
@@ -253,10 +260,10 @@ TEST(MedianClassifier, RoutesByRepresentability) {
   EXPECT_EQ(classify_median_path(one_pixel(0.0f)), MedianPath::Grid8);
   EXPECT_EQ(classify_median_path(one_pixel(-0.0f)), MedianPath::Grid8);
   EXPECT_EQ(classify_median_path(one_pixel(255.0f)), MedianPath::Grid8);
-  EXPECT_EQ(classify_median_path(one_pixel(0.5f)), MedianPath::Grid16);
-  EXPECT_EQ(classify_median_path(one_pixel(255.5f)), MedianPath::Grid16);
+  EXPECT_EQ(classify_median_path(one_pixel(0.5f)), MedianPath::Exact);
+  EXPECT_EQ(classify_median_path(one_pixel(255.5f)), MedianPath::Exact);
   EXPECT_EQ(classify_median_path(one_pixel(65535.0f / 256.0f)),
-            MedianPath::Grid16);  // top of the 16-bit grid
+            MedianPath::Exact);  // i/256, but off the 8-bit grid
   EXPECT_EQ(classify_median_path(one_pixel(0.3f)), MedianPath::Exact);
   EXPECT_EQ(classify_median_path(one_pixel(-1.0f)), MedianPath::Exact);
   EXPECT_EQ(classify_median_path(one_pixel(256.0f)),
@@ -269,11 +276,11 @@ TEST(MedianClassifier, RoutesByRepresentability) {
   EXPECT_EQ(classify_median_path(one_pixel(kInf)), MedianPath::Exact);
   EXPECT_EQ(classify_median_path(one_pixel(-kInf)), MedianPath::Exact);
 
-  // Multi-channel: the coarsest plane decides for the whole image.
+  // Multi-channel: one off-grid plane decides for the whole image.
   Image mixed(4, 4, 2);
   for (float& p : mixed.plane(0)) p = 12.0f;   // grid8 on its own
-  for (float& p : mixed.plane(1)) p = 12.5f;   // grid16 only
-  EXPECT_EQ(classify_median_path(mixed), MedianPath::Grid16);
+  for (float& p : mixed.plane(1)) p = 12.5f;   // off the grid
+  EXPECT_EQ(classify_median_path(mixed), MedianPath::Exact);
   mixed.plane(1)[0] = 0.1f;
   EXPECT_EQ(classify_median_path(mixed), MedianPath::Exact);
 }
@@ -293,7 +300,8 @@ TEST(MedianClassifier, OneSampleDecidesAtEveryBlockEdge) {
                               3 * b - 1, 3 * b, n - 1}) {
     for (const auto& [value, want] :
          {std::pair{0.3f, MedianPath::Exact},
-          std::pair{0.5f, MedianPath::Grid16}}) {
+          std::pair{0.5f, MedianPath::Exact},
+          std::pair{-1.0f, MedianPath::Exact}}) {
       Image probe = img;
       probe.data()[i] = value;
       EXPECT_EQ(classify_median_path(probe), want)
@@ -331,18 +339,6 @@ TEST(GaussianBlurParity, ScanlineConvolveIsBitCompatible) {
                    testref::gaussian_blur(strip_h, 1.5), "13x1 sigma=1.5");
   expect_identical(gaussian_blur(strip_v, 1.5),
                    testref::gaussian_blur(strip_v, 1.5), "1x13 sigma=1.5");
-}
-
-TEST(BoxBlurParity, RunningSumWithinLastUlpBudget) {
-  const Shape shapes[] = {{31, 17, 3}, {1, 13, 1}, {13, 1, 1}, {4, 4, 1}};
-  for (const Shape& s : shapes) {
-    const Image img = random_image(s.w, s.h, s.c, 2000u + s.w);
-    for (const int k : {1, 3, 5, 9, 25}) {
-      expect_close(box_blur(img, k), testref::box_blur(img, k), kFullScaleTol,
-                   std::to_string(s.w) + "x" + std::to_string(s.h) +
-                       " box k=" + std::to_string(k));
-    }
-  }
 }
 
 struct ResizeCase {

@@ -431,8 +431,6 @@ TEST_F(ObsTest, RegistryHandlesAreStableAndResettable) {
   EXPECT_EQ(&registry.counter("obs_test/counter"), &counter);
   EXPECT_EQ(&registry.gauge("obs_test/gauge"), &gauge);
   EXPECT_EQ(&registry.histogram("obs_test/histogram"), &histogram);
-  EXPECT_EQ(registry.find_histogram("obs_test/histogram"), &histogram);
-  EXPECT_EQ(registry.find_histogram("obs_test/nonexistent"), nullptr);
 
   registry.reset();
   EXPECT_EQ(counter.value(), 0u);

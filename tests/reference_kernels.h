@@ -102,11 +102,6 @@ inline Image separable_convolve(const Image& img,
   return out;
 }
 
-inline Image box_blur(const Image& img, int k) {
-  std::vector<float> kernel(static_cast<std::size_t>(k), 1.0f / k);
-  return separable_convolve(img, kernel);
-}
-
 inline Image gaussian_blur(const Image& img, double sigma) {
   const int radius = static_cast<int>(std::ceil(3.0 * sigma));
   std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));

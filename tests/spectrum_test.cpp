@@ -74,7 +74,9 @@ TEST(Spectrum, NaturalNoiseHasEnergyConcentratedAtLowFrequencies) {
   data::NoiseParams params;
   params.octaves = 5;
   const Image img = value_noise(96, 96, params, rng);
-  const std::vector<double> logmag = centered_log_magnitudes(img);
+  SpectrumWorkspace workspace;
+  (void)centered_log_spectrum(img, workspace);
+  const std::vector<double>& logmag = workspace.logmag;
   const int n = 96;
   const int centre = n / 2;
   // Mean log-magnitude in a small disc around DC vs far corona.
