@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernel core.
 //
 // The per-tap inner loops of the imaging/metrics hot paths (resize tap
-// application, separable convolution, the fused pair-stats walk, and the
-// row-start histogram rebuild of the median filter) funnel through a table of
+// application, separable convolution, the fused pair-stats walk, the
+// row-start histogram rebuild of the median filter, and the spectrum's log
+// magnitudes with their min/max) funnel through a table of
 // function pointers resolved once at startup: AVX2 on x86-64 hosts that
 // support it, and a portable scalar fallback everywhere else (aarch64
 // included). `DECAM_SIMD=scalar|avx2` overrides the choice per process (an
@@ -111,6 +112,20 @@ struct SimdOps {
   /// pixel at a time in pixel order.
   double (*pair_stats_vpass)(const double* const* rows, const double* win,
                              double c1, double c2, int n, double total);
+
+  /// The spectrum's log magnitudes (signal/spectrum.h). `in` holds n
+  /// interleaved complex bins (re, im); for each,
+  ///   out[i] = log_ge1(1.0 + sqrt(re * re + im * im))
+  /// and *lo = min(*lo, out[i]), *hi = max(*hi, out[i]). log_ge1(u) is the
+  /// polynomial log for u >= 1 (common/simd_kernels.h): with b the bits of
+  /// u, e = (b - bits(sqrt(1/2))) >> 52, f = double(b - (e << 52)),
+  /// r = (f - 1.0) / (f + 1.0) and r2 = r * r,
+  ///   poly = 1 + r2 * (1/3 + r2 * (1/5 + ... + r2 * (1/13)))
+  /// (Horner, a multiply then an add per step), and the result is
+  /// double(e) * ln2 + 2.0 * r * poly. Inputs are finite, so no value is
+  /// NaN or -0 and min/max are exact in any order.
+  void (*log_magnitudes)(double* out, const double* in, int n, double* lo,
+                         double* hi);
 };
 
 /// The active table. Resolved once (cpuid + DECAM_SIMD) on first use;

@@ -188,6 +188,73 @@ double pair_stats_vpass(const double* const* rows, const double* win,
   return total;
 }
 
+// log_ge1 (common/simd_kernels.h) on four lanes, operation for operation.
+// For u >= 1, b - bits(sqrt(1/2)) is positive, so the logical shift equals
+// the scalar arithmetic one; e < 2^11 then converts exactly through the
+// 2^52 magic constant (its bits OR e, minus 2^52).
+inline __m256d log_ge1_pd(__m256d u) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256i bits = _mm256_castpd_si256(u);
+  const __m256i e = _mm256_srli_epi64(
+      _mm256_sub_epi64(bits, _mm256_set1_epi64x(
+                                 static_cast<long long>(kSqrtHalfBits))),
+      52);
+  const __m256d f =
+      _mm256_castsi256_pd(_mm256_sub_epi64(bits, _mm256_slli_epi64(e, 52)));
+  const __m256d magic = _mm256_set1_pd(4503599627370496.0);  // 2^52
+  const __m256d ed = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(e, _mm256_castpd_si256(magic))),
+      magic);
+  const __m256d r =
+      _mm256_div_pd(_mm256_sub_pd(f, one), _mm256_add_pd(f, one));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d p = _mm256_mul_pd(r2, _mm256_set1_pd(1.0 / 13.0));
+  p = _mm256_mul_pd(r2, _mm256_add_pd(_mm256_set1_pd(1.0 / 11.0), p));
+  p = _mm256_mul_pd(r2, _mm256_add_pd(_mm256_set1_pd(1.0 / 9.0), p));
+  p = _mm256_mul_pd(r2, _mm256_add_pd(_mm256_set1_pd(1.0 / 7.0), p));
+  p = _mm256_mul_pd(r2, _mm256_add_pd(_mm256_set1_pd(1.0 / 5.0), p));
+  p = _mm256_mul_pd(r2, _mm256_add_pd(_mm256_set1_pd(1.0 / 3.0), p));
+  p = _mm256_add_pd(one, p);
+  const __m256d two_r = _mm256_mul_pd(_mm256_set1_pd(2.0), r);
+  return _mm256_add_pd(_mm256_mul_pd(ed, _mm256_set1_pd(kLn2)),
+                       _mm256_mul_pd(two_r, p));
+}
+
+// Four bins per step: the squares of two interleaved loads pair up through
+// hadd (re*re + im*im per bin, lanes 0 2 1 3) and one cross-lane permute
+// restores bin order. min_pd(v, lo) is v < lo ? v : lo, std::min's rule;
+// the lane extremes fold into the scalar ones before the tail.
+void log_magnitudes(double* out, const double* in, int n, double* lo,
+                    double* hi) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  __m256d lo4 = _mm256_set1_pd(*lo);
+  __m256d hi4 = _mm256_set1_pd(*hi);
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_loadu_pd(in + 2 * i);
+    const __m256d b = _mm256_loadu_pd(in + 2 * i + 4);
+    const __m256d sq = _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
+    const __m256d mag2 = _mm256_permute4x64_pd(sq, _MM_SHUFFLE(3, 1, 2, 0));
+    const __m256d v = log_ge1_pd(_mm256_add_pd(one, _mm256_sqrt_pd(mag2)));
+    _mm256_storeu_pd(out + i, v);
+    lo4 = _mm256_min_pd(v, lo4);
+    hi4 = _mm256_max_pd(v, hi4);
+  }
+  alignas(32) double lanes_lo[4];
+  alignas(32) double lanes_hi[4];
+  _mm256_store_pd(lanes_lo, lo4);
+  _mm256_store_pd(lanes_hi, hi4);
+  double l = *lo;
+  double h = *hi;
+  for (int k = 0; k < 4; ++k) {
+    l = std::min(l, lanes_lo[k]);
+    h = std::max(h, lanes_hi[k]);
+  }
+  log_magnitudes_tail(out + i, in + 2 * i, n - i, l, h);
+  *lo = l;
+  *hi = h;
+}
+
 }  // namespace
 
 const SimdOps& avx2_ops() {
@@ -195,7 +262,7 @@ const SimdOps& avx2_ops() {
       "avx2", hist_add_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      pair_stats_hpass, pair_stats_vpass,
+      pair_stats_hpass, pair_stats_vpass, log_magnitudes,
   };
   return ops;
 }

@@ -107,6 +107,11 @@ double pair_stats_vpass(const double* const* rows, const double* win,
   return total;
 }
 
+void log_magnitudes(double* out, const double* in, int n, double* lo,
+                    double* hi) {
+  log_magnitudes_tail(out, in, n, *lo, *hi);
+}
+
 }  // namespace
 
 const SimdOps& scalar_ops() {
@@ -114,7 +119,7 @@ const SimdOps& scalar_ops() {
       "scalar", hist_add_u16,
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      pair_stats_hpass, pair_stats_vpass,
+      pair_stats_hpass, pair_stats_vpass, log_magnitudes,
   };
   return ops;
 }

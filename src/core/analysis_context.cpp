@@ -5,7 +5,6 @@
 #include "obs/memstats.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "signal/spectrum.h"
 
 namespace decam::core {
 namespace {
@@ -117,8 +116,8 @@ void AnalysisContext::build_spectrum() {
   static auto& spectrum_hist =
       obs::MetricsRegistry::instance().histogram("context/spectrum");
   obs::Span span("context/spectrum", &spectrum_hist);
-  spectrum_ = centered_log_spectrum(*input_);
-  add_bytes(image_bytes(spectrum_));
+  spectrum_ = half_log_spectrum(*input_);
+  add_bytes(spectrum_->logmag.size() * sizeof(double));
 }
 
 void AnalysisContext::add_bytes(std::uint64_t bytes) {
@@ -158,7 +157,7 @@ const Image& AnalysisContext::filtered() const {
   return *filtered_;
 }
 
-const Image& AnalysisContext::spectrum() const {
+const HalfSpectrum& AnalysisContext::spectrum() const {
   DECAM_REQUIRE(spectrum_.has_value(), "context built without a spectrum");
   return *spectrum_;
 }

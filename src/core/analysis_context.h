@@ -17,9 +17,10 @@
 // never build behind the caller's back.
 //
 // Ownership: the context borrows `input` (non-owning pointer) and owns every
-// derived image. Keep the input alive for the context's lifetime; contexts
-// are scoped to scoring one image and are cheap to move, never copied
-// implicitly (Image is value-semantic, so copying would duplicate planes).
+// derived image and the spectrum stage. Keep the input alive for the
+// context's lifetime; contexts are scoped to scoring one image and are
+// cheap to move, never copied implicitly (Image is value-semantic, so
+// copying would duplicate planes).
 //
 // Config matching: intermediates are only valid for the spec they were built
 // with. A detector scores a shared context only when the context's spec
@@ -34,6 +35,7 @@
 #include "imaging/filter.h"
 #include "imaging/image.h"
 #include "imaging/scale.h"
+#include "signal/spectrum.h"
 
 namespace decam::core {
 
@@ -49,7 +51,7 @@ struct AnalysisContextSpec {
   std::optional<ScaleAlgo> up_algo;
   int filter_window = 0;  // > 0 enables the rank-filtered image
   RankOp filter_op = RankOp::Min;
-  bool spectrum = false;  // centered log-magnitude spectrum (steganalysis)
+  bool spectrum = false;  // half-plane log spectrum (steganalysis)
 
   /// True when a context built from this spec holds every intermediate
   /// `need` requests, with the same parameters. A need for the downscale
@@ -79,8 +81,8 @@ class AnalysisContext {
                   Build build = Build::Eager);
 
   /// Releases this context's contribution to the live-bytes gauge
-  /// (`mem/analysis_context_bytes` — the derived images of every context
-  /// currently alive, across threads).
+  /// (`mem/analysis_context_bytes` — the derived images and spectrum
+  /// stages of every context currently alive, across threads).
   ~AnalysisContext();
 
   AnalysisContext(AnalysisContext&& other) noexcept;
@@ -102,8 +104,11 @@ class AnalysisContext {
   const Image& round_trip() const;
   /// Rank-filtered input (filter_window, filter_op).
   const Image& filtered() const;
-  /// Centered log-magnitude spectrum of the input.
-  const Image& spectrum() const;
+  /// The input's spectrum stage: the log magnitudes of DFT columns
+  /// 0..w/2 and their range (signal/spectrum.h), which the steganalysis
+  /// detector reads at centered positions. No shifted, mirrored or
+  /// normalised plane is stored.
+  const HalfSpectrum& spectrum() const;
 
  private:
   void build_round_trip();
@@ -116,7 +121,7 @@ class AnalysisContext {
   std::optional<Image> downscaled_;
   std::optional<Image> round_trip_;
   std::optional<Image> filtered_;
-  std::optional<Image> spectrum_;
+  std::optional<HalfSpectrum> spectrum_;
   std::uint64_t bytes_ = 0;  // this context's share of the live-bytes gauge
 };
 

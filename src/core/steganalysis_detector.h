@@ -6,13 +6,37 @@
 // bright blob (the DC peak plus its natural 1/f skirt) while attack images
 // leave several — the "centered spectrum points" (CSP).
 //
+// The chain after the transform is one walk over the spectrum stage
+// (csp_walk): the circle of Eq. (7) is one run of pixels per row, whose
+// normalised values give the level mean + k*sigma; the same runs then
+// write a byte mask of the values above that level, and count_blobs
+// (cv/connected_components.h) labels it. No normalised, masked or binary
+// float plane is made.
+//
 // The score is the CSP count itself; the paper's fixed threshold is 2
 // (>= 2 blobs => attack) and needs no per-dataset calibration.
 #pragma once
 
 #include "core/detector.h"
+#include "signal/spectrum.h"
 
 namespace decam::core {
+
+/// What one CSP walk found.
+struct CspCount {
+  int blobs = 0;       // 8-connected foreground blobs of >= min_area pixels
+  double level = 0.0;  // mean + k * sigma of the values inside the circle
+};
+
+/// The CSP reduction of one spectrum stage, with the calling thread's
+/// SpectrumWorkspace as scratch. The low-pass circle keeps the pixels
+/// with dx^2 + dy^2 <= r^2 around ((w-1)/2, (h-1)/2), r = radius_fraction
+/// * min(w, h) / 2. Their normalised values (HalfSpectrum::normalized),
+/// added row by row, left to right, give the level mean + binarize_k *
+/// sigma; the foreground is the pixels inside whose value exceeds
+/// float(min(level, 254)). Throws when the circle holds no pixel.
+CspCount csp_walk(const HalfSpectrum& spectrum, double radius_fraction,
+                  double binarize_k, int min_area);
 
 struct SteganalysisDetectorConfig {
   // Low-pass radius as a fraction of min(width, height)/2 — D_T of Eq. (7).
@@ -40,11 +64,8 @@ class SteganalysisDetector final : public Detector {
   const SteganalysisDetectorConfig& config() const { return config_; }
 
  private:
-  /// Counts the blobs in the context's centered log-spectrum.
+  /// The CSP walk over the context's spectrum stage.
   double reduce(const AnalysisContext& context) const override;
-  /// Mask + binarise a centered log-spectrum (same dimensions as the image
-  /// it came from).
-  Image binarize_spectrum(const Image& spectrum) const;
 
   SteganalysisDetectorConfig config_;
 };

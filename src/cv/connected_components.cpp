@@ -1,26 +1,26 @@
 #include "cv/connected_components.h"
 
-#include <cstdint>
-#include <vector>
+#include "common/error.h"
 
 namespace decam {
 
-int count_blobs(const Image& binary, int min_area) {
-  DECAM_REQUIRE(binary.channels() == 1, "count_blobs expects 1 channel");
+int count_blobs(std::span<std::uint8_t> mask, int width, int height,
+                int min_area, std::vector<std::size_t>& stack) {
+  DECAM_REQUIRE(width > 0 && height > 0 &&
+                    mask.size() == static_cast<std::size_t>(width) * height,
+                "count_blobs mask size mismatch");
   DECAM_REQUIRE(min_area >= 1, "min_area must be >= 1");
-  const int w = binary.width();
-  const int h = binary.height();
-  const auto src = binary.plane(0);
-  std::vector<std::uint8_t> visited(src.size(), 0);
+  const int w = width;
+  const int h = height;
   // Explicit-stack flood fill: a recursive one would overflow on a large
-  // serpentine blob.
-  std::vector<std::size_t> stack;
+  // serpentine blob. A pixel is cleared when pushed, so each is filled once.
+  stack.clear();
   int count = 0;
-  for (std::size_t seed = 0; seed < src.size(); ++seed) {
-    if (src[seed] <= 0.0f || visited[seed] != 0) continue;
+  for (std::size_t seed = 0; seed < mask.size(); ++seed) {
+    if (mask[seed] == 0) continue;
     int area = 0;
     stack.push_back(seed);
-    visited[seed] = 1;
+    mask[seed] = 0;
     while (!stack.empty()) {
       const std::size_t idx = stack.back();
       stack.pop_back();
@@ -33,8 +33,8 @@ int count_blobs(const Image& binary, int min_area) {
           const int ny = y + dy;
           if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
           const std::size_t nidx = static_cast<std::size_t>(ny) * w + nx;
-          if (src[nidx] > 0.0f && visited[nidx] == 0) {
-            visited[nidx] = 1;
+          if (mask[nidx] != 0) {
+            mask[nidx] = 0;
             stack.push_back(nidx);
           }
         }

@@ -615,7 +615,8 @@ Image rank_filter(const Image& img, int k, RankOp op) {
   DECAM_REQUIRE(!img.empty(), "rank_filter of empty image");
   DECAM_REQUIRE(k >= 1, "window size must be >= 1");
   if (k == 1) return img;  // 1x1 window: identity for min/median/max
-  Image out(img.width(), img.height(), img.channels());
+  // Every route below stores each output sample once.
+  Image out = Image::uninitialized(img.width(), img.height(), img.channels());
   switch (op) {
     case RankOp::Min:
       rank_min_max(img, k, MinOp{}, out);

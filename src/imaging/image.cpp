@@ -4,12 +4,28 @@
 #include <cmath>
 
 namespace decam {
+namespace {
+
+std::size_t checked_size(int width, int height, int channels) {
+  DECAM_REQUIRE(width > 0 && height > 0, "image dimensions must be positive");
+  DECAM_REQUIRE(channels > 0, "channel count must be positive");
+  return static_cast<std::size_t>(width) * height * channels;
+}
+
+}  // namespace
 
 Image::Image(int width, int height, int channels, float fill)
     : width_(width), height_(height), channels_(channels) {
-  DECAM_REQUIRE(width > 0 && height > 0, "image dimensions must be positive");
-  DECAM_REQUIRE(channels > 0, "channel count must be positive");
-  data_.assign(static_cast<std::size_t>(width) * height * channels, fill);
+  data_.assign(checked_size(width, height, channels), fill);
+}
+
+Image Image::uninitialized(int width, int height, int channels) {
+  Image img;
+  img.data_.resize(checked_size(width, height, channels));
+  img.width_ = width;
+  img.height_ = height;
+  img.channels_ = channels;
+  return img;
 }
 
 float Image::at_clamped(int x, int y, int c) const {
@@ -58,11 +74,6 @@ Image& Image::operator-=(const Image& other) {
   return *this;
 }
 
-Image& Image::operator*=(float s) {
-  for (float& v : data_) v *= s;
-  return *this;
-}
-
 std::vector<std::uint8_t> Image::to_u8() const {
   std::vector<std::uint8_t> out(size());
   std::size_t i = 0;
@@ -81,7 +92,7 @@ Image Image::from_u8(std::span<const std::uint8_t> data, int width, int height,
                      int channels) {
   DECAM_REQUIRE(data.size() == static_cast<std::size_t>(width) * height * channels,
                 "interleaved byte buffer size mismatch");
-  Image img(width, height, channels);
+  Image img = uninitialized(width, height, channels);
   const std::size_t row_bytes = static_cast<std::size_t>(width) * channels;
   for (int y = 0; y < height; ++y) {
     const std::uint8_t* src = data.data() + y * row_bytes;

@@ -12,12 +12,48 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define DECAM_POISON_UNSET_SAMPLES 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DECAM_POISON_UNSET_SAMPLES 1
+#endif
+#endif
+
 namespace decam {
+
+/// Allocator whose value-less construct() default-initialises, so a
+/// resize() leaves floats unset instead of zero-filling them; construction
+/// with a value (assign(n, fill), copies) goes through std::construct_at
+/// as before. Under AddressSanitizer an unset float is a quiet NaN
+/// instead, so a writer that skips a sample changes what the parity
+/// suites compare.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+#ifdef DECAM_POISON_UNSET_SAMPLES
+    if constexpr (std::is_floating_point_v<U>) {
+      ::new (static_cast<void*>(p)) U(std::numeric_limits<U>::quiet_NaN());
+      return;
+    }
+#endif
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 
 class Image {
  public:
@@ -26,6 +62,11 @@ class Image {
 
   /// Allocates a width*height image with `channels` planes, zero-filled.
   Image(int width, int height, int channels = 1, float fill = 0.0f);
+
+  /// The same geometry with every sample left unset (quiet NaN under
+  /// AddressSanitizer): only for writers that store every sample before
+  /// anything reads one.
+  static Image uninitialized(int width, int height, int channels = 1);
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -74,7 +115,6 @@ class Image {
   /// Per-element arithmetic with shape checking (throws on mismatch).
   Image& operator+=(const Image& other);
   Image& operator-=(const Image& other);
-  Image& operator*=(float s);
 
   /// Interleaved 8-bit export (RGBRGB... or grayscale), clamping to [0,255].
   std::vector<std::uint8_t> to_u8() const;
@@ -99,7 +139,7 @@ class Image {
   int width_ = 0;
   int height_ = 0;
   int channels_ = 0;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 /// Elementwise absolute difference |a - b| (shape-checked).

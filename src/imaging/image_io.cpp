@@ -215,7 +215,7 @@ Image read_bmp(const std::string& path) {
   if (static_cast<std::size_t>(in.gcount()) != pixels.size()) {
     throw IoError(path + ": truncated BMP pixel data");
   }
-  Image img(w, h, 3);
+  Image img = Image::uninitialized(w, h, 3);
   for (int y = 0; y < h; ++y) {
     const int src_row = top_down ? y : (h - 1 - y);
     const std::uint8_t* row = &pixels[row_stride * src_row];

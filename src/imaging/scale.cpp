@@ -18,7 +18,7 @@ Image resize(const Image& src, int out_width, int out_height, ScaleAlgo algo) {
 
   // Horizontal pass into an intermediate out_width x src.height buffer.
   // Separability holds exactly for all our kernels.
-  Image mid(out_width, src.height(), src.channels());
+  Image mid = Image::uninitialized(out_width, src.height(), src.channels());
   for (int c = 0; c < src.channels(); ++c) {
     for (int y = 0; y < src.height(); ++y) {
       apply_kernel(*horiz, src.row(y, c).data(), 1, mid.row(y, c).data(), 1);
@@ -36,7 +36,7 @@ Image resize(const Image& src, int out_width, int out_height, ScaleAlgo algo) {
   // Each sweep is one runtime-dispatched SIMD row op (common/simd.h), whose
   // contract pins exactly that arithmetic on every variant.
   const simd::SimdOps& ops = simd::ops();
-  Image out(out_width, out_height, src.channels());
+  Image out = Image::uninitialized(out_width, out_height, src.channels());
   std::vector<double> acc(static_cast<std::size_t>(out_width));
   double* acc_p = acc.data();
   for (int c = 0; c < src.channels(); ++c) {

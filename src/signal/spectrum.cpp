@@ -1,11 +1,9 @@
 #include "signal/spectrum.h"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cmath>
-#include <cstdint>
+#include <limits>
 
+#include "common/simd.h"
 #include "obs/memstats.h"
 
 namespace decam {
@@ -19,7 +17,8 @@ std::atomic<std::uint64_t> g_workspace_bytes{0};
 
 std::uint64_t workspace_bytes(const SpectrumWorkspace& ws) {
   return ws.freq.capacity() * sizeof(Complex) +
-         ws.logmag.capacity() * sizeof(double);
+         ws.values.capacity() * sizeof(float) + ws.mask.capacity() +
+         ws.stack.capacity() * sizeof(std::size_t);
 }
 
 struct TrackedWorkspace {
@@ -44,79 +43,6 @@ struct TrackedWorkspace {
   }
 };
 
-// log(u) for u >= 1, accurate to ~1e-12 absolute — a branch-free
-// exponent/mantissa split plus a short atanh series, so the per-bin
-// magnitude loop below auto-vectorises (glibc log1p is a scalar call with
-// internal branching, ~3x slower and un-vectorisable).
-//
-// Subtracting the bit pattern of sqrt(1/2) before the shift lands the
-// mantissa f in [sqrt(1/2), sqrt(2)), which caps |r| = |f-1|/|f+1| at
-// 0.1716; the omitted series tail 2 r^15 / 15 is then < 5e-13. The
-// numerical-tolerance policy in DESIGN.md §10 covers this: spectrum values
-// are thresholded with k-sigma margins, so 1e-12 absolute noise is far
-// below anything the detector can see.
-inline double fast_log_ge1(double u) {
-  constexpr std::uint64_t kSqrtHalfBits = 0x3FE6A09E667F3BCDULL;
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(u);
-  const std::int64_t e =
-      static_cast<std::int64_t>(bits - kSqrtHalfBits) >> 52;
-  const double f = std::bit_cast<double>(
-      bits - (static_cast<std::uint64_t>(e) << 52));
-  const double r = (f - 1.0) / (f + 1.0);
-  const double r2 = r * r;
-  const double poly =
-      1.0 +
-      r2 * (1.0 / 3.0 +
-            r2 * (1.0 / 5.0 +
-                  r2 * (1.0 / 7.0 +
-                        r2 * (1.0 / 9.0 +
-                              r2 * (1.0 / 11.0 + r2 * (1.0 / 13.0))))));
-  constexpr double kLn2 = 0.6931471805599453;
-  return static_cast<double>(e) * kLn2 + 2.0 * r * poly;
-}
-
-// log(1 + |v|) without the hypot overflow dance of std::abs(complex):
-// magnitudes are bounded by 255 * w * h, nowhere near double overflow.
-inline double log_magnitude(const Complex& v) {
-  const double mag =
-      std::sqrt(v.real() * v.real() + v.imag() * v.imag());
-  return fast_log_ge1(1.0 + mag);
-}
-
-// Half-plane FFT + fused shift: bin (y, x) lands on row (y + h/2) mod h,
-// column (x + w/2) mod w, so each output row is written as contiguous runs,
-// no full-plane permutation pass. Logs are taken for columns 0..w/2 only;
-// every other bin copies its Hermitian partner's value, since
-// |F[y][x]| = |F[(h-y) mod h][w-x]| — bit for bit, as the two bins differ
-// only in the sign of the imaginary part.
-void shifted_log_magnitudes(const Image& img, SpectrumWorkspace& ws) {
-  fft2d_half_plane(img, ws.freq);
-  const int w = img.width();
-  const int h = img.height();
-  const int hx = w / 2;
-  const int hy = h / 2;
-  const int x_end = hx + 1;
-  const int wrap = std::min(w - hx, x_end);  // first column that wraps to 0
-  const auto shifted_row = [&](int y) {
-    return ws.logmag.data() +
-           static_cast<std::size_t>(y + hy >= h ? y + hy - h : y + hy) * w;
-  };
-  ws.logmag.resize(ws.freq.size());
-  for (int y = 0; y < h; ++y) {
-    const Complex* src = ws.freq.data() + static_cast<std::size_t>(y) * w;
-    double* dst = shifted_row(y);
-    for (int x = 0; x < wrap; ++x) dst[x + hx] = log_magnitude(src[x]);
-    for (int x = wrap; x < x_end; ++x) dst[x + hx - w] = log_magnitude(src[x]);
-  }
-  // Columns x_end..w-1 shift to x + hx - w; their partners w - x stay
-  // below w - hx, so they shift to w - x + hx.
-  for (int y = 0; y < h; ++y) {
-    const double* src = shifted_row(y == 0 ? 0 : h - y);
-    double* dst = shifted_row(y);
-    for (int x = x_end; x < w; ++x) dst[x + hx - w] = src[w - x + hx];
-  }
-}
-
 }  // namespace
 
 SpectrumWorkspace& thread_spectrum_workspace() {
@@ -132,29 +58,43 @@ SpectrumWorkspace& thread_spectrum_workspace() {
   return tracked.ws;
 }
 
-Image centered_log_spectrum(const Image& img, SpectrumWorkspace& workspace) {
-  shifted_log_magnitudes(img, workspace);
-  const std::vector<double>& logmag = workspace.logmag;
-  // Branch-free min/max (minmax_element's early-exit comparisons defeat
-  // vectorisation on a full double plane).
-  double lo = logmag[0];
-  double hi = logmag[0];
-  for (const double v : logmag) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+// The half-plane transform, then one dispatched pass per row that takes
+// the logs of columns 0..w/2 and folds their min and max
+// (simd::SimdOps::log_magnitudes). The mirrored columns are never logged:
+// their values are their partners', so the half plane's range is the full
+// plane's.
+HalfSpectrum half_log_spectrum(const Image& img) {
+  SpectrumWorkspace& ws = thread_spectrum_workspace();
+  fft2d_half_plane(img, ws.freq);
+  HalfSpectrum out;
+  out.width = img.width();
+  out.height = img.height();
+  const int hw = out.half_width();
+  out.logmag.resize(static_cast<std::size_t>(out.height) * hw);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  const simd::SimdOps& ops = simd::ops();
+  for (int y = 0; y < out.height; ++y) {
+    // std::complex<double> is layout-compatible with double[2].
+    const double* row = reinterpret_cast<const double*>(
+        ws.freq.data() + static_cast<std::size_t>(y) * out.width);
+    ops.log_magnitudes(out.logmag.data() + static_cast<std::size_t>(y) * hw,
+                       row, hw, &lo, &hi);
   }
-  const double span = std::max(hi - lo, 1e-12);
-  Image out(img.width(), img.height(), 1);
-  auto plane = out.plane(0);
-  for (std::size_t i = 0; i < logmag.size(); ++i) {
-    plane[i] = static_cast<float>(255.0 * (logmag[i] - lo) / span);
-  }
+  out.lo = lo;
+  out.hi = hi;
   thread_spectrum_workspace();  // fold any scratch growth into the gauge
   return out;
 }
 
 Image centered_log_spectrum(const Image& img) {
-  return centered_log_spectrum(img, thread_spectrum_workspace());
+  const HalfSpectrum spectrum = half_log_spectrum(img);
+  Image out = Image::uninitialized(img.width(), img.height(), 1);
+  for (int y = 0; y < out.height(); ++y) {
+    float* row = out.row(y).data();
+    for (int x = 0; x < out.width(); ++x) row[x] = spectrum.normalized(x, y);
+  }
+  return out;
 }
 
 }  // namespace decam

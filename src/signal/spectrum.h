@@ -1,41 +1,84 @@
 // Centered log-magnitude spectrum — Eq. (4) of the paper: the DFT is
 // shifted so the DC bin sits at the image centre, and log(1 + |F|) maps the
 // enormous dynamic range into something thresholdable. The steganalysis
-// detector then binarises this spectrum and counts bright blobs ("centered
-// spectrum points", CSP).
+// detector then masks, binarises and counts the bright blobs of this
+// spectrum ("centered spectrum points", CSP).
 //
-// The shift is fused into the magnitude pass: log1p(|F|) is written
-// directly at its fftshift-ed position, so neither the shifted complex
-// plane nor an intermediate complex copy ever exists. Only columns 0..w/2
-// are transformed and logged; every other bin copies its Hermitian
-// partner's value, which is bit-identical.
+// The stage the detector reads (HalfSpectrum) keeps only what a real input
+// needs: the log magnitudes of DFT columns 0..w/2, unshifted, and their
+// range. Every other bin's magnitude is its Hermitian partner's, bit for
+// bit (the two differ only in the sign of the imaginary part), and the
+// shift is index arithmetic, so neither a shifted nor a mirrored plane is
+// ever stored. HalfSpectrum::normalized() reads any centered position
+// through that arithmetic; the rendered spectrum (centered_log_spectrum)
+// and the detector's walk both go through it.
 #pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "imaging/image.h"
 #include "signal/fft.h"
 
 namespace decam {
 
-/// Reusable scratch for the spectrum pipeline: the complex frequency plane
-/// and the shifted log-magnitude buffer. Callers scoring many images (the
-/// AnalysisContext's spectrum stage) keep one per thread so no per-image
-/// allocation survives warm-up.
-struct SpectrumWorkspace {
-  std::vector<Complex> freq;
+/// The spectrum stage: log(1 + |F[y][x]|) for x in 0..width/2, row-major
+/// (height rows of half_width() values, DC at [0]), and the min and max
+/// of those values, which are the min and max of the full plane.
+struct HalfSpectrum {
+  int width = 0;  // geometry of the image the spectrum came from
+  int height = 0;
   std::vector<double> logmag;
+  double lo = 0.0;
+  double hi = 0.0;
+
+  int half_width() const { return width / 2 + 1; }
+
+  /// The log magnitude at (cx, cy) of the centered (fftshift-ed) plane,
+  /// whose DC bin sits at (width/2, height/2). Unshifted, that is bin
+  /// y = (cy + h - h/2) mod h, x = (cx + w - w/2) mod w: stored when
+  /// x <= w/2, else its Hermitian partner ((h - y) mod h, w - x) is.
+  double centered(int cx, int cy) const {
+    int y = cy + height - height / 2;
+    if (y >= height) y -= height;
+    int x = cx + width - width / 2;
+    if (x >= width) x -= width;
+    if (x > width / 2) {
+      y = y == 0 ? 0 : height - y;
+      x = width - x;
+    }
+    return logmag[static_cast<std::size_t>(y) * half_width() + x];
+  }
+
+  /// The centered value mapped linearly onto [0, 255] by the plane's
+  /// range: the one normalisation formula every reader uses.
+  float normalized(int cx, int cy) const {
+    const double span = std::max(hi - lo, 1e-12);
+    return static_cast<float>(255.0 * (centered(cx, cy) - lo) / span);
+  }
 };
 
-/// The calling thread's default workspace — what the convenience overloads
-/// below use.
+/// Reusable per-thread scratch of the CSP member: the complex frequency
+/// plane of the transform, and the detector walk's normalised values,
+/// byte mask and fill stack. Its bytes are the `mem/spectrum_workspace_bytes`
+/// gauge; none of it survives warm-up as a per-image allocation.
+struct SpectrumWorkspace {
+  std::vector<Complex> freq;
+  std::vector<float> values;
+  std::vector<std::uint8_t> mask;
+  std::vector<std::size_t> stack;
+};
+
+/// The calling thread's workspace. Each call folds any growth since the
+/// previous one into the gauge.
 SpectrumWorkspace& thread_spectrum_workspace();
 
-/// Computes the centered log-magnitude spectrum of `img` (luma is taken for
-/// color inputs) and linearly normalises it to [0, 255]. The output has the
-/// same geometry as the input, 1 channel.
-Image centered_log_spectrum(const Image& img);
+/// The spectrum stage of `img` (luma is taken for color inputs).
+HalfSpectrum half_log_spectrum(const Image& img);
 
-/// Scratch-reusing overload of the above. On return `workspace.logmag`
-/// holds the raw (unnormalised) shifted log magnitudes, row-major.
-Image centered_log_spectrum(const Image& img, SpectrumWorkspace& workspace);
+/// The centered spectrum rendered as an image: normalized() at every
+/// pixel, same geometry as the input, 1 channel.
+Image centered_log_spectrum(const Image& img);
 
 }  // namespace decam

@@ -7,6 +7,7 @@
 // bit-identity is replaced by this explicit tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -316,8 +317,9 @@ TEST(FftShiftParity, EvenSizesStaySelfInverse) {
   EXPECT_LE(max_abs_diff(grid, original), 0.0);
 }
 
-// The fused spectrum (shift folded into the magnitude pass, polynomial
-// log) against the definitional formula computed from the same transform.
+// The spectrum stage read at centered positions (the shift is index
+// arithmetic, the log polynomial) against the definitional formula computed
+// from the same transform.
 TEST(SpectrumParity, FusedLogMagnitudesMatchDefinition) {
   data::Rng rng(21);
   for (const auto& [w, h] : {std::pair{32, 32}, std::pair{15, 22}}) {
@@ -327,21 +329,26 @@ TEST(SpectrumParity, FusedLogMagnitudesMatchDefinition) {
     }
     std::vector<Complex> freq = fft2d(img);
     fftshift(freq, w, h);
-    SpectrumWorkspace workspace;
-    (void)centered_log_spectrum(img, workspace);
-    const std::vector<double>& actual = workspace.logmag;
-    ASSERT_EQ(actual.size(), freq.size());
-    for (std::size_t i = 0; i < freq.size(); ++i) {
-      EXPECT_NEAR(actual[i], std::log1p(std::abs(freq[i])), 1e-9)
-          << w << "x" << h << " bin " << i;
+    const HalfSpectrum stage = half_log_spectrum(img);
+    ASSERT_EQ(stage.logmag.size(),
+              static_cast<std::size_t>(h) * (w / 2 + 1));
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        EXPECT_NEAR(stage.centered(x, y),
+                    std::log1p(std::abs(freq[static_cast<std::size_t>(y) * w +
+                                             x])),
+                    1e-9)
+            << w << "x" << h << " at (" << x << ", " << y << ")";
+      }
     }
   }
 }
 
-// The spectrum takes logs on columns 0..w/2 only and copies every other bin
-// from its Hermitian partner. That must equal the full-plane definition bit
-// for bit: fft2d's mirrored bins are conj(partner), whose magnitude is the
-// partner's exactly. Odd and even sides of both axes, 1-px strips, luma.
+// The stage logs columns 0..w/2 only, and its centered accessor reads every
+// other bin from its Hermitian partner. That must equal the full-plane
+// definition bit for bit: fft2d's mirrored bins are conj(partner), whose
+// magnitude is the partner's exactly. The stage's range must be the full
+// plane's. Odd and even sides of both axes, 1-px strips, luma.
 TEST(SpectrumParity, HalfPlaneMirrorIsBitExact) {
   data::Rng rng(33);
   for (const int channels : {1, 3}) {
@@ -355,15 +362,23 @@ TEST(SpectrumParity, HalfPlaneMirrorIsBitExact) {
         }
         std::vector<Complex> freq = fft2d(img);
         fftshift(freq, w, h);
-        SpectrumWorkspace workspace;
-        (void)centered_log_spectrum(img, workspace);
-        const std::vector<double>& actual = workspace.logmag;
-        ASSERT_EQ(actual.size(), freq.size());
-        for (std::size_t i = 0; i < freq.size(); ++i) {
-          // Fatal: one report for the first differing bin, not thousands.
-          ASSERT_EQ(actual[i], testref::log1p_magnitude(freq[i]))
-              << w << "x" << h << "x" << channels << " bin " << i;
+        const HalfSpectrum stage = half_log_spectrum(img);
+        double lo = testref::log1p_magnitude(freq[0]);
+        double hi = lo;
+        for (int y = 0; y < h; ++y) {
+          for (int x = 0; x < w; ++x) {
+            const double want = testref::log1p_magnitude(
+                freq[static_cast<std::size_t>(y) * w + x]);
+            lo = std::min(lo, want);
+            hi = std::max(hi, want);
+            // Fatal: one report for the first differing bin, not thousands.
+            ASSERT_EQ(stage.centered(x, y), want)
+                << w << "x" << h << "x" << channels << " at (" << x << ", "
+                << y << ")";
+          }
         }
+        ASSERT_EQ(stage.lo, lo) << w << "x" << h << "x" << channels;
+        ASSERT_EQ(stage.hi, hi) << w << "x" << h << "x" << channels;
       }
     }
   }

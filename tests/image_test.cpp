@@ -101,8 +101,6 @@ TEST(Image, ArithmeticOperators) {
   EXPECT_FLOAT_EQ(a.at(0, 0, 0), 14.0f);
   a -= b;
   EXPECT_FLOAT_EQ(a.at(1, 0, 0), 10.0f);
-  a *= 0.5f;
-  EXPECT_FLOAT_EQ(a.at(0, 0, 0), 5.0f);
 }
 
 TEST(Image, ArithmeticShapeMismatchThrows) {

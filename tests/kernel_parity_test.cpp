@@ -1,8 +1,8 @@
 // Golden parity tests: the optimized kernels in src/imaging/ (separable
 // min/max folds and the median paths of the rank filter, scanline
-// convolution, row-major flattened-table resize) and the fused pair-stats
-// walk of src/metrics/ against the retained naive reference implementations
-// in reference_kernels.h.
+// convolution, row-major flattened-table resize), the fused pair-stats
+// walk of src/metrics/ and the steganalysis detector's CSP walk against the
+// retained naive reference implementations in reference_kernels.h.
 //
 // Tolerance policy (see imaging/filter.h): rank filters select actual input
 // samples and must match bit-for-bit, min/max down to the sign of a zero
@@ -18,16 +18,19 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/steganalysis_detector.h"
 #include "data/rng.h"
 #include "imaging/filter.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
 #include "metrics/fused.h"
 #include "reference_kernels.h"
+#include "signal/spectrum.h"
 
 namespace decam {
 namespace {
@@ -396,6 +399,97 @@ TEST(PairStatsParity, OddShapesMatchDefinitionExactly) {
         EXPECT_EQ(got.ssim, want.ssim) << what;
         EXPECT_EQ(got.psnr, want.psnr) << what;
       }
+    }
+  }
+}
+
+// The CSP walk over the spectrum stage against the chain it replaced
+// (testref::csp_chain on the rendered spectrum), level and count bit for
+// bit: odd and even sides, the CNN input, the scan corpus's Bluestein sides
+// (333x301 RGB) and 449², 1-px strips, constant and all-zero images, and
+// periodic grids that leave several blobs, each at a small disc, the
+// detector's default and a circle past the corners, with the detector's
+// area floor and with none. Where the old chain found the circle empty,
+// the walk must throw the same error.
+TEST(CspWalkParity, MatchesRenderedChainExactly) {
+  const auto grid = [](int w, int h, int period, int c) {
+    Image img(w, h, c, 128.0f);
+    for (int ch = 0; ch < c; ++ch) {
+      for (int y = 0; y < h; y += period) {
+        for (int x = 0; x < w; x += period) img.at(x, y, ch) = 255.0f;
+      }
+    }
+    return img;
+  };
+  struct Case {
+    std::string name;
+    Image img;
+    bool several_blobs;  // some radius leaves >= 2 blobs at area 1
+  };
+  const Case cases[] = {
+      {"31x17", random_image(31, 17, 1, 61), false},
+      {"32x32", random_image(32, 32, 1, 62), false},
+      {"17x32x3", random_image(17, 32, 3, 63), false},
+      {"33x33", random_image(33, 33, 1, 64), false},
+      {"224x224", random_image(224, 224, 1, 65), false},
+      {"333x301x3", random_image(333, 301, 3, 66), false},
+      {"449x449", random_image(449, 449, 1, 67), false},
+      {"1x1", random_image(1, 1, 1, 68), false},
+      {"1x2", random_image(1, 2, 1, 69), false},
+      {"2x1", random_image(2, 1, 1, 70), false},
+      {"3x1", random_image(3, 1, 1, 71), false},
+      {"1x17", random_image(1, 17, 1, 72), false},
+      {"17x1x3", random_image(17, 1, 3, 73), false},
+      {"constant", Image(40, 30, 3, 77.0f), false},
+      {"zero", Image(30, 40, 1, 0.0f), false},
+      {"grid64p4", grid(64, 64, 4, 1), true},
+      {"grid96x80p8x3", grid(96, 80, 8, 3), true},
+      {"grid101x99p5", grid(101, 99, 5, 1), true},
+  };
+  for (const Case& c : cases) {
+    const HalfSpectrum stage = half_log_spectrum(c.img);
+    const Image rendered = centered_log_spectrum(c.img);
+    const int floor = std::max<int>(
+        6, static_cast<int>(static_cast<long long>(c.img.width()) *
+                            c.img.height() / 4500));
+    int most_blobs = 0;
+    for (const double fraction : {0.1, 0.95, 1.5}) {
+      for (const int min_area : {1, floor}) {
+        const std::string what = c.name + " r" + std::to_string(fraction) +
+                                 " area" + std::to_string(min_area);
+        std::optional<testref::CspChain> want;
+        std::string want_error;
+        try {
+          want = testref::csp_chain(rendered, fraction, 2.5, min_area);
+        } catch (const std::invalid_argument& e) {
+          want_error = e.what();
+        }
+        if (!want) {
+          ASSERT_NE(want_error.find("low-pass mask left no pixels"),
+                    std::string::npos)
+              << what;
+          try {
+            (void)core::csp_walk(stage, fraction, 2.5, min_area);
+            ADD_FAILURE() << what << ": the walk did not throw";
+          } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "low-pass mask left no pixels"),
+                      std::string::npos)
+                << what;
+          }
+          continue;
+        }
+        const core::CspCount got =
+            core::csp_walk(stage, fraction, 2.5, min_area);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.level),
+                  std::bit_cast<std::uint64_t>(want->level))
+            << what << ": " << got.level << " vs " << want->level;
+        EXPECT_EQ(got.blobs, want->blobs) << what;
+        most_blobs = std::max(most_blobs, want->blobs);
+      }
+    }
+    if (c.several_blobs) {
+      EXPECT_GE(most_blobs, 2) << c.name;
     }
   }
 }

@@ -50,7 +50,6 @@ TEST(Mse, GrowsWithPerturbationMagnitude) {
   const Image base = noise_image(16, 16, 1, 5);
   Image small_shift = base;
   Image big_shift = base;
-  small_shift *= 1.0f;
   for (float& v : small_shift.plane(0)) v += 2.0f;
   for (float& v : big_shift.plane(0)) v += 20.0f;
   EXPECT_LT(mse(base, small_shift), mse(base, big_shift));

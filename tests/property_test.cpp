@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -128,17 +129,12 @@ TEST(QpOptimality, TwoOverlappingConstraintsStillNearOptimal) {
 
 // Brute-force component count via repeated mask erosion... simpler: union
 // by repeated label propagation until fixpoint.
-int brute_force_components(const Image& binary) {
-  const int w = binary.width();
-  const int h = binary.height();
+int brute_force_components(const std::vector<std::uint8_t>& mask, int w,
+                           int h) {
   std::vector<int> label(static_cast<std::size_t>(w) * h, 0);
   int next = 0;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (binary.at(x, y, 0) > 0.0f) {
-        label[static_cast<std::size_t>(y) * w + x] = ++next;
-      }
-    }
+  for (std::size_t i = 0; i < label.size(); ++i) {
+    if (mask[i] != 0) label[i] = ++next;
   }
   bool changed = true;
   while (changed) {
@@ -176,13 +172,12 @@ int brute_force_components(const Image& binary) {
 
 TEST(BlobProperty, CountMatchesBruteForceOnRandomMasks) {
   data::Rng rng(7);
+  std::vector<std::size_t> stack;
   for (int trial = 0; trial < 10; ++trial) {
-    Image mask(24, 18, 1);
-    for (float& v : mask.plane(0)) {
-      v = rng.next_bool(0.35) ? 255.0f : 0.0f;
-    }
-    EXPECT_EQ(count_blobs(mask),
-              brute_force_components(mask))
+    std::vector<std::uint8_t> mask(24 * 18);
+    for (std::uint8_t& v : mask) v = rng.next_bool(0.35) ? 1 : 0;
+    const int expected = brute_force_components(mask, 24, 18);
+    EXPECT_EQ(count_blobs(mask, 24, 18, 1, stack), expected)
         << "trial " << trial;
   }
 }

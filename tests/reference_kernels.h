@@ -5,8 +5,9 @@
 // algorithms; kernel_parity_test.cpp holds the fast paths to these
 // definitions — exact for rank filters, within a documented last-ulp
 // tolerance for the blurs and resize. The spectrum's polynomial log sits at
-// the end, for the bit-exact half-plane spectrum test, and the explicit
-// BT.601 luma image that the colour FFT parity test transforms.
+// the end, for the bit-exact half-plane spectrum test, then the explicit
+// BT.601 luma image that the colour FFT parity test transforms, and the
+// CSP chain as it ran on a rendered float spectrum before the one-pass walk.
 //
 // These are deliberately slow and obvious. Do not "optimize" them: their
 // only job is to be trivially auditable.
@@ -271,6 +272,107 @@ inline Image to_gray(const Image& img) {
     y[i] = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
   }
   return out;
+}
+
+// The CSP chain on a rendered spectrum (centered_log_spectrum): the
+// circular low-pass copy, the masked stats loop, binarisation into a float
+// plane and the flood fill over it — the steganalysis detector's reduction
+// before it became one walk over the spectrum stage.
+struct CspChain {
+  int blobs = 0;
+  double level = 0.0;
+};
+
+inline Image circular_low_pass(const Image& img, double radius) {
+  Image out = img;
+  const double cx = (img.width() - 1) / 2.0;
+  const double cy = (img.height() - 1) / 2.0;
+  const double r2 = radius * radius;
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      const double dx = x - cx;
+      const double dy = y - cy;
+      if (dx * dx + dy * dy > r2) out.at(x, y, 0) = 0.0f;
+    }
+  }
+  return out;
+}
+
+inline Image binarize(const Image& img, float level) {
+  Image out(img.width(), img.height(), 1);
+  const auto src = img.plane(0);
+  auto dst = out.plane(0);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    dst[i] = src[i] > level ? 255.0f : 0.0f;
+  }
+  return out;
+}
+
+inline int count_blobs(const Image& binary, int min_area) {
+  const int w = binary.width();
+  const int h = binary.height();
+  const auto src = binary.plane(0);
+  std::vector<std::uint8_t> visited(src.size(), 0);
+  std::vector<std::size_t> stack;
+  int count = 0;
+  for (std::size_t seed = 0; seed < src.size(); ++seed) {
+    if (src[seed] <= 0.0f || visited[seed] != 0) continue;
+    int area = 0;
+    stack.push_back(seed);
+    visited[seed] = 1;
+    while (!stack.empty()) {
+      const std::size_t idx = stack.back();
+      stack.pop_back();
+      ++area;
+      const int x = static_cast<int>(idx % static_cast<std::size_t>(w));
+      const int y = static_cast<int>(idx / static_cast<std::size_t>(w));
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          const int nx = x + dx;
+          const int ny = y + dy;
+          if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
+          const std::size_t nidx = static_cast<std::size_t>(ny) * w + nx;
+          if (src[nidx] > 0.0f && visited[nidx] == 0) {
+            visited[nidx] = 1;
+            stack.push_back(nidx);
+          }
+        }
+      }
+    }
+    if (area >= min_area) ++count;
+  }
+  return count;
+}
+
+inline CspChain csp_chain(const Image& spectrum, double radius_fraction,
+                          double binarize_k, int min_area) {
+  const double radius = radius_fraction *
+                        std::min(spectrum.width(), spectrum.height()) / 2.0;
+  const Image masked = circular_low_pass(spectrum, radius);
+  const double cx = (masked.width() - 1) / 2.0;
+  const double cy = (masked.height() - 1) / 2.0;
+  const double r2 = radius * radius;
+  double sum = 0.0, sum_sq = 0.0;
+  std::size_t count = 0;
+  for (int y = 0; y < masked.height(); ++y) {
+    for (int x = 0; x < masked.width(); ++x) {
+      const double dx = x - cx;
+      const double dy = y - cy;
+      if (dx * dx + dy * dy > r2) continue;
+      const double v = masked.at(x, y, 0);
+      sum += v;
+      sum_sq += v * v;
+      ++count;
+    }
+  }
+  DECAM_REQUIRE(count > 0, "low-pass mask left no pixels");
+  const double mean = sum / static_cast<double>(count);
+  const double variance =
+      std::max(sum_sq / static_cast<double>(count) - mean * mean, 0.0);
+  const double level = mean + binarize_k * std::sqrt(variance);
+  const Image binary =
+      binarize(masked, static_cast<float>(std::min(level, 254.0)));
+  return {count_blobs(binary, min_area), level};
 }
 
 }  // namespace decam::testref

@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/simd.h"
@@ -239,6 +241,54 @@ TEST_F(SimdParity, PairStatsVpass) {
         native_->pair_stats_vpass(rows.data(), kPairWin, c1, c2, n, 0.375);
     EXPECT_EQ(0, std::memcmp(&total_s, &total_n, sizeof(double)))
         << "vpass n=" << n << ": " << total_s << " vs " << total_n;
+  }
+}
+
+// The spectrum's log magnitudes: n = 0..9 (every tail length around a
+// 4-bin step) and 1031, with bins of |F| = 0, tiny |F| and |F| up to
+// 255 * w * h for a 4096² image; lo and hi start from values inside the
+// range so both the lanes and the carried-in extremes decide.
+TEST_F(SimdParity, LogMagnitudes) {
+  for (const int n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1031}) {
+    data::Rng rng(600u + n);
+    std::vector<double> bins(2 * static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      double re = 0.0;
+      double im = 0.0;
+      switch (i % 4) {
+        case 0:  // |F| = 0 (DC of an all-zero image)
+          break;
+        case 1:  // tiny magnitudes, where log(1 + |F|) ~ |F|
+          re = rng.next_range(-1e-9, 1e-9);
+          im = rng.next_range(-1e-300, 1e-300);
+          break;
+        case 2:  // the ordinary spectrum range
+          re = rng.next_range(-1e4, 1e4);
+          im = rng.next_range(-1e4, 1e4);
+          break;
+        default:  // up to the DC bound 255 * 4096 * 4096
+          re = rng.next_range(-255.0 * 4096 * 4096, 255.0 * 4096 * 4096);
+          im = rng.next_range(-1.0, 1.0);
+          break;
+      }
+      bins[2 * static_cast<std::size_t>(i)] = re;
+      bins[2 * static_cast<std::size_t>(i) + 1] = im;
+    }
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::pair<double, double> starts[] = {{kInf, -kInf}, {3.5, 3.5}};
+    for (const auto& [lo0, hi0] : starts) {
+      std::vector<double> out_s(static_cast<std::size_t>(n));
+      std::vector<double> out_n(out_s.size());
+      double lo_s = lo0, hi_s = hi0;
+      double lo_n = lo0, hi_n = hi0;
+      scalar_->log_magnitudes(out_s.data(), bins.data(), n, &lo_s, &hi_s);
+      native_->log_magnitudes(out_n.data(), bins.data(), n, &lo_n, &hi_n);
+      const std::string what = "log_magnitudes n=" + std::to_string(n) +
+                               " lo0=" + std::to_string(lo0);
+      expect_bits_equal(out_s, out_n, what);
+      EXPECT_EQ(0, std::memcmp(&lo_s, &lo_n, sizeof(double))) << what;
+      EXPECT_EQ(0, std::memcmp(&hi_s, &hi_n, sizeof(double))) << what;
+    }
   }
 }
 

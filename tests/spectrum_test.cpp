@@ -74,9 +74,7 @@ TEST(Spectrum, NaturalNoiseHasEnergyConcentratedAtLowFrequencies) {
   data::NoiseParams params;
   params.octaves = 5;
   const Image img = value_noise(96, 96, params, rng);
-  SpectrumWorkspace workspace;
-  (void)centered_log_spectrum(img, workspace);
-  const std::vector<double>& logmag = workspace.logmag;
+  const HalfSpectrum stage = half_log_spectrum(img);
   const int n = 96;
   const int centre = n / 2;
   // Mean log-magnitude in a small disc around DC vs far corona.
@@ -85,7 +83,7 @@ TEST(Spectrum, NaturalNoiseHasEnergyConcentratedAtLowFrequencies) {
   for (int y = 0; y < n; ++y) {
     for (int x = 0; x < n; ++x) {
       const double d = std::hypot(x - centre, y - centre);
-      const double v = logmag[static_cast<std::size_t>(y) * n + x];
+      const double v = stage.centered(x, y);
       if (d > 0.5 && d < 8.0) {
         near_sum += v;
         ++near_count;
