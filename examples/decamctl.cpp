@@ -34,6 +34,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/scale_attack.h"
@@ -65,7 +66,7 @@ namespace {
       "  craft <source> <target> <out> [--algo A] [--eps E]\n"
       "  scan <image|dir>... [--width W] [--height H] [--algo A]\n"
       "       [--profile F] [--stats] [--json] [--threads N]\n"
-      "       [--metrics-out F] [--profile-tree] [--stacks-out F]\n"
+      "       [--metrics-out F] [--profile-tree]\n"
       "       [--short-circuit] [--defense SPEC]\n"
       "       directories expand to their .ppm/.pgm/.bmp files (sorted);\n"
       "       several inputs are scanned in parallel, one line per file\n"
@@ -75,8 +76,8 @@ namespace {
       "       (skipped detectors report no score; verdict is unchanged);\n"
       "       --metrics-out writes an OpenMetrics exposition of every\n"
       "       counter/gauge/histogram (SIGUSR1 re-dumps it mid-run);\n"
-      "       --profile-tree prints the hierarchical stage profile,\n"
-      "       --stacks-out writes flamegraph-compatible collapsed stacks;\n"
+      "       --profile-tree prints the hierarchical stage profile\n"
+      "       (DECAM_PROFILE_FILE=F writes it as collapsed stacks at exit);\n"
       "       --defense runs every detector through a preprocessing chain\n"
       "       (spec grammar: none | step(+step)*, steps squeezeBITS,\n"
       "       medianK, gaussSIGMA, jpegQUALITY, e.g. squeeze4+jpeg75;\n"
@@ -133,7 +134,6 @@ struct Options {
   std::string profile;
   std::string out;
   std::string metrics_out;   // OpenMetrics exposition destination
-  std::string stacks_out;    // collapsed-stack (flamegraph) destination
   std::string defense;       // preprocessing chain spec ("" / "none" = off)
   int threads = 0;  // 0 = DECAM_THREADS env / hardware default
   bool stats = false;
@@ -198,8 +198,6 @@ Options parse(int argc, char** argv, int first) {
       options.threads = number<int>(next(), positive);
     } else if (arg == "--metrics-out") {
       options.metrics_out = next();
-    } else if (arg == "--stacks-out") {
-      options.stacks_out = next();
     } else if (arg == "--defense") {
       options.defense = next();
     } else if (arg == "--stats") {
@@ -356,9 +354,7 @@ int cmd_scan(const Options& options) {
   }
   const core::Scanner scanner(config, profile);
 
-  if (options.profile_tree || !options.stacks_out.empty()) {
-    obs::set_profiling_enabled(true);
-  }
+  if (options.profile_tree) obs::set_profiling_enabled(true);
   if (!options.metrics_out.empty()) {
     obs::install_openmetrics_signal_handler(options.metrics_out);
   }
@@ -455,30 +451,21 @@ int cmd_scan(const Options& options) {
 
     report::Table cache_table({"cache", "hits", "misses", "hit rate",
                                "evictions", "entries", "bytes"});
-    const auto add_cache_row = [&](const char* name, std::uint64_t hits,
-                                   std::uint64_t misses,
-                                   std::uint64_t evictions,
-                                   std::size_t entries, std::uint64_t bytes) {
-      const std::uint64_t lookups = hits + misses;
+    const std::pair<const char*, CacheStats> caches[] = {
+        {"kernel_cache", kernel_cache_stats()},
+        {"fft_plan_cache", fft_plan_cache_stats()},
+        {"bluestein_plan_cache", bluestein_plan_cache_stats()}};
+    for (const auto& [name, cache] : caches) {
+      const std::uint64_t lookups = cache.hits + cache.misses;
       cache_table.add_row(
-          {name, std::to_string(hits), std::to_string(misses),
+          {name, std::to_string(cache.hits), std::to_string(cache.misses),
            lookups > 0
-               ? report::format_percent(static_cast<double>(hits) /
+               ? report::format_percent(static_cast<double>(cache.hits) /
                                         static_cast<double>(lookups))
                : "-",
-           std::to_string(evictions), std::to_string(entries),
-           std::to_string(bytes)});
-    };
-    const KernelCacheStats kernels = kernel_cache_stats();
-    add_cache_row("kernel_cache", kernels.hits, kernels.misses,
-                  kernels.evictions, kernels.entries, kernels.resident_bytes);
-    const FftPlanCacheStats fft = fft_plan_cache_stats();
-    add_cache_row("fft_plan_cache", fft.hits, fft.misses, fft.evictions,
-                  fft.size, fft.resident_bytes);
-    const FftPlanCacheStats bluestein = bluestein_plan_cache_stats();
-    add_cache_row("bluestein_plan_cache", bluestein.hits, bluestein.misses,
-                  bluestein.evictions, bluestein.size,
-                  bluestein.resident_bytes);
+           std::to_string(cache.evictions), std::to_string(cache.entries),
+           std::to_string(cache.resident_bytes)});
+    }
     std::fprintf(sink, "\ncache utilisation:\n%s",
                  cache_table.render().c_str());
 
@@ -500,11 +487,6 @@ int cmd_scan(const Options& options) {
     std::fprintf(options.json ? stderr : stdout,
                  "\nstage profile (self-time ordered):\n%s",
                  obs::render_profile_tree().render().c_str());
-  }
-  if (!options.stacks_out.empty()) {
-    obs::write_collapsed_stacks(options.stacks_out);
-    std::fprintf(stderr, "wrote collapsed stacks to %s\n",
-                 options.stacks_out.c_str());
   }
   if (!options.metrics_out.empty()) {
     obs::write_openmetrics(options.metrics_out);

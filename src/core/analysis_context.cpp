@@ -129,18 +129,6 @@ AnalysisContext::~AnalysisContext() {
   g_context_bytes.fetch_sub(bytes_, std::memory_order_relaxed);
 }
 
-AnalysisContext::AnalysisContext(AnalysisContext&& other) noexcept
-    : input_(other.input_),
-      spec_(other.spec_),
-      downscaled_(std::move(other.downscaled_)),
-      round_trip_(std::move(other.round_trip_)),
-      filtered_(std::move(other.filtered_)),
-      spectrum_(std::move(other.spectrum_)),
-      bytes_(other.bytes_) {
-  // The moved-from context must not release our share in its destructor.
-  other.bytes_ = 0;
-}
-
 const Image& AnalysisContext::downscaled() const {
   DECAM_REQUIRE(downscaled_.has_value(), "context built without a downscale");
   return *downscaled_;

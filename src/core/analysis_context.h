@@ -19,8 +19,8 @@
 // Ownership: the context borrows `input` (non-owning pointer) and owns every
 // derived image and the spectrum stage. Keep the input alive for the
 // context's lifetime; contexts are scoped to scoring one image and are
-// cheap to move, never copied implicitly (Image is value-semantic, so
-// copying would duplicate planes).
+// neither copied nor moved (Image is value-semantic, so copying would
+// duplicate planes).
 //
 // Config matching: intermediates are only valid for the spec they were built
 // with. A detector scores a shared context only when the context's spec
@@ -85,7 +85,7 @@ class AnalysisContext {
   /// stages of every context currently alive, across threads).
   ~AnalysisContext();
 
-  AnalysisContext(AnalysisContext&& other) noexcept;
+  AnalysisContext(AnalysisContext&&) = delete;
   AnalysisContext& operator=(AnalysisContext&&) = delete;
   AnalysisContext(const AnalysisContext&) = delete;
   AnalysisContext& operator=(const AnalysisContext&) = delete;

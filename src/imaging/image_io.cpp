@@ -189,6 +189,12 @@ Image read_bmp(const std::string& path) {
   const std::uint32_t data_offset = get_u32(&head[10]);
   const std::uint32_t header_size = get_u32(&head[14]);
   if (header_size < 40) throw IoError(path + ": unsupported BMP header");
+  // Pixels start after both headers; the sum is 64-bit because biSize is an
+  // unchecked u32.
+  if (data_offset < 14 + std::uint64_t{header_size}) {
+    throw IoError(path + ": BMP pixel data offset " +
+                  std::to_string(data_offset) + " inside the headers");
+  }
   const std::int32_t w = static_cast<std::int32_t>(get_u32(&head[18]));
   std::int32_t h = static_cast<std::int32_t>(get_u32(&head[22]));
   const std::uint16_t bpp = get_u16(&head[28]);

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <list>
-#include <map>
-#include <mutex>
 #include <numbers>
 #include <tuple>
 
-#include "obs/memstats.h"
-#include "obs/metrics.h"
+#include "obs/lru_cache.h"
 
 namespace decam {
 
@@ -194,10 +190,6 @@ KernelTable make_kernel_table(int in_size, int out_size, ScaleAlgo algo) {
 
 namespace {
 
-// LRU cache of built tables. Battery/pipeline runs resize every image in a
-// dataset with the same few geometries; 64 entries comfortably covers a
-// sweep over all algorithms at several sizes while bounding memory (a table
-// is ~out_size * support * 8 bytes).
 // Heap actually held by a cached table (the vectors' allocations; the
 // struct itself lives inside the shared_ptr control block).
 std::uint64_t table_bytes(const KernelTable& table) {
@@ -205,93 +197,14 @@ std::uint64_t table_bytes(const KernelTable& table) {
          table.offsets.capacity() * sizeof(int);
 }
 
-class KernelTableCache {
- public:
-  static constexpr std::size_t kCapacity = 64;
+// Battery/pipeline runs resize every image in a dataset with the same few
+// geometries; 64 entries comfortably covers a sweep over all algorithms at
+// several sizes while bounding memory (a table is ~out_size * support * 8
+// bytes).
+using TableCache = obs::LruCache<std::tuple<int, int, ScaleAlgo>, KernelTable>;
 
-  std::shared_ptr<const KernelTable> get(int in_size, int out_size,
-                                         ScaleAlgo algo) {
-    static auto& registry = obs::MetricsRegistry::instance();
-    static auto& hit_counter = registry.counter("kernel_cache/hits");
-    static auto& miss_counter = registry.counter("kernel_cache/misses");
-    static auto& eviction_counter = registry.counter("kernel_cache/evictions");
-    const Key key{in_size, out_size, algo};
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = map_.find(key);
-      if (it != map_.end()) {
-        // Move to the front of the recency list.
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        ++hits_;
-        hit_counter.add();
-        return it->second.table;
-      }
-      ++misses_;
-      miss_counter.add();
-    }
-    // Build outside the lock: table construction is the expensive part and
-    // two threads racing on the same key just build the same table twice
-    // (both results are identical; the second insert wins harmlessly).
-    auto table = std::make_shared<const KernelTable>(
-        make_kernel_table(in_size, out_size, algo));
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.table;
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{table, lru_.begin()});
-    resident_bytes_ += table_bytes(*table);
-    if (map_.size() > kCapacity) {
-      const auto victim = map_.find(lru_.back());
-      resident_bytes_ -= table_bytes(*victim->second.table);
-      map_.erase(victim);
-      lru_.pop_back();
-      ++evictions_;
-      eviction_counter.add();
-    }
-    return table;
-  }
-
-  KernelCacheStats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {hits_, misses_, evictions_, map_.size(), kCapacity,
-            resident_bytes_};
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
-    hits_ = misses_ = evictions_ = 0;
-    resident_bytes_ = 0;
-  }
-
- private:
-  using Key = std::tuple<int, int, ScaleAlgo>;
-  struct Entry {
-    std::shared_ptr<const KernelTable> table;
-    std::list<Key>::iterator lru_it;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<Key, Entry> map_;
-  std::list<Key> lru_;  // front = most recently used
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t resident_bytes_ = 0;
-};
-
-KernelTableCache& table_cache() {
-  static KernelTableCache cache;
-  static const bool source_registered = [] {
-    obs::register_memory_source(
-        "kernel_cache", [] { return cache.stats().resident_bytes; });
-    return true;
-  }();
-  (void)source_registered;
+TableCache& kernel_cache() {
+  static TableCache cache("kernel_cache", table_bytes);
   return cache;
 }
 
@@ -300,12 +213,14 @@ KernelTableCache& table_cache() {
 std::shared_ptr<const KernelTable> get_kernel_table(int in_size, int out_size,
                                                     ScaleAlgo algo) {
   DECAM_REQUIRE(in_size > 0 && out_size > 0, "sizes must be positive");
-  return table_cache().get(in_size, out_size, algo);
+  return kernel_cache().get({in_size, out_size, algo}, [&] {
+    return make_kernel_table(in_size, out_size, algo);
+  });
 }
 
-KernelCacheStats kernel_cache_stats() { return table_cache().stats(); }
+KernelCacheStats kernel_cache_stats() { return kernel_cache().stats(); }
 
-void clear_kernel_cache() { table_cache().clear(); }
+void clear_kernel_cache() { kernel_cache().clear(); }
 
 void apply_kernel(const KernelTable& table, const float* in, int in_stride,
                   float* out, int out_stride) {

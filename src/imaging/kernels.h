@@ -22,11 +22,11 @@
 // apply; per-row weights always sum to 1 (asserted at build time).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/cache_stats.h"
 #include "common/error.h"
 
 namespace decam {
@@ -78,23 +78,17 @@ struct KernelTable {
 /// cached variant the resize hot path uses.
 KernelTable make_kernel_table(int in_size, int out_size, ScaleAlgo algo);
 
-/// Shared, immutable table from a process-wide thread-safe LRU cache keyed
-/// by (in_size, out_size, algo). Dataset runs resize every image with the
-/// same handful of geometries, so table construction amortises to a mutex
-/// hop + map lookup. Entries are shared_ptr so an eviction can never
+/// Shared, immutable table from the process-wide `kernel_cache`, keyed by
+/// (in_size, out_size, algo): a 64-entry LRU (obs/lru_cache.h, the
+/// template both FFT plan caches use too). Dataset runs resize every image
+/// with the same handful of geometries, so table construction amortises to
+/// a mutex hop + map lookup. Entries are shared_ptr so an eviction can never
 /// invalidate a table a resize in flight still holds.
 std::shared_ptr<const KernelTable> get_kernel_table(int in_size, int out_size,
                                                     ScaleAlgo algo);
 
 /// Kernel-table cache introspection (tests / stats reporting).
-struct KernelCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::size_t capacity = 0;
-  std::uint64_t resident_bytes = 0;  // heap held by the cached tables
-};
+using KernelCacheStats = CacheStats;
 KernelCacheStats kernel_cache_stats();
 /// Drops every cached table (tests; in-flight shared_ptrs stay valid).
 void clear_kernel_cache();

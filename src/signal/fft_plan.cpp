@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <list>
-#include <map>
-#include <mutex>
 #include <numbers>
+#include <utility>
 
 #include "common/error.h"
-#include "obs/memstats.h"
-#include "obs/metrics.h"
+#include "obs/lru_cache.h"
 
 namespace decam {
 namespace {
@@ -245,108 +242,18 @@ std::uint64_t plan_bytes(const BluesteinPlan& plan) {
          plan.kernel.capacity() * sizeof(Complex);
 }
 
-// Bounded thread-safe LRU, the same shape as imaging's KernelTableCache:
-// lookups under a mutex, plan construction outside it (two threads racing on
-// one key build identical plans; the second insert just reuses the first),
-// shared_ptr handout so eviction never invalidates a plan in flight.
-template <typename Plan>
-class PlanLruCache {
- public:
-  static constexpr std::size_t kCapacity = 64;
+// One cache per plan kind, keyed by (n, inverse).
+using SmoothCache = obs::LruCache<std::pair<std::size_t, bool>, FftPlan>;
+using BluesteinCache =
+    obs::LruCache<std::pair<std::size_t, bool>, BluesteinPlan>;
 
-  template <typename Build>
-  std::shared_ptr<const Plan> get(std::size_t n, bool inverse,
-                                  const Build& build,
-                                  obs::Counter& hit_counter,
-                                  obs::Counter& miss_counter,
-                                  obs::Counter& eviction_counter) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(n) << 1) |
-                              static_cast<std::uint64_t>(inverse);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = map_.find(key);
-      if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        ++hits_;
-        hit_counter.add();
-        return it->second.plan;
-      }
-      ++misses_;
-      miss_counter.add();
-    }
-    auto plan = std::make_shared<const Plan>(build(n, inverse));
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.plan;
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{plan, lru_.begin()});
-    resident_bytes_ += plan_bytes(*plan);
-    if (map_.size() > kCapacity) {
-      // Least-recently-used only — never the hot row/column plans a 2-D
-      // transform is holding (and shared_ptr keeps even an evicted plan
-      // alive until its last user finishes).
-      const auto victim = map_.find(lru_.back());
-      resident_bytes_ -= plan_bytes(*victim->second.plan);
-      map_.erase(victim);
-      lru_.pop_back();
-      ++evictions_;
-      eviction_counter.add();
-    }
-    return plan;
-  }
-
-  FftPlanCacheStats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {hits_, misses_, evictions_, map_.size(), kCapacity,
-            resident_bytes_};
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
-    hits_ = misses_ = evictions_ = 0;
-    resident_bytes_ = 0;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const Plan> plan;
-    std::list<std::uint64_t>::iterator lru_it;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> lru_;  // front = most recently used
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t resident_bytes_ = 0;
-};
-
-PlanLruCache<FftPlan>& smooth_cache() {
-  static PlanLruCache<FftPlan> cache;
-  static const bool source_registered = [] {
-    obs::register_memory_source(
-        "fft_plan_cache", [] { return cache.stats().resident_bytes; });
-    return true;
-  }();
-  (void)source_registered;
+SmoothCache& fft_plan_cache() {
+  static SmoothCache cache("fft_plan_cache", plan_bytes);
   return cache;
 }
 
-PlanLruCache<BluesteinPlan>& bluestein_cache() {
-  static PlanLruCache<BluesteinPlan> cache;
-  static const bool source_registered = [] {
-    obs::register_memory_source(
-        "bluestein_plan_cache",
-        [] { return cache.stats().resident_bytes; });
-    return true;
-  }();
-  (void)source_registered;
+BluesteinCache& bluestein_plan_cache() {
+  static BluesteinCache cache("bluestein_plan_cache", plan_bytes);
   return cache;
 }
 
@@ -384,32 +291,25 @@ BluesteinPlan make_bluestein_plan(std::size_t n, bool inverse) {
 }  // namespace
 
 std::shared_ptr<const FftPlan> get_fft_plan(std::size_t n, bool inverse) {
-  static auto& registry = obs::MetricsRegistry::instance();
-  static auto& hits = registry.counter("fft_plan_cache/hits");
-  static auto& misses = registry.counter("fft_plan_cache/misses");
-  static auto& evictions = registry.counter("fft_plan_cache/evictions");
-  return smooth_cache().get(n, inverse, make_fft_plan, hits, misses, evictions);
+  return fft_plan_cache().get({n, inverse},
+                              [&] { return make_fft_plan(n, inverse); });
 }
 
 std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
                                                         bool inverse) {
-  static auto& registry = obs::MetricsRegistry::instance();
-  static auto& hits = registry.counter("bluestein_plan_cache/hits");
-  static auto& misses = registry.counter("bluestein_plan_cache/misses");
-  static auto& evictions = registry.counter("bluestein_plan_cache/evictions");
-  return bluestein_cache().get(n, inverse, make_bluestein_plan, hits, misses,
-                               evictions);
+  return bluestein_plan_cache().get(
+      {n, inverse}, [&] { return make_bluestein_plan(n, inverse); });
 }
 
-FftPlanCacheStats fft_plan_cache_stats() { return smooth_cache().stats(); }
+FftPlanCacheStats fft_plan_cache_stats() { return fft_plan_cache().stats(); }
 
 FftPlanCacheStats bluestein_plan_cache_stats() {
-  return bluestein_cache().stats();
+  return bluestein_plan_cache().stats();
 }
 
 void clear_fft_plan_caches() {
-  smooth_cache().clear();
-  bluestein_cache().clear();
+  fft_plan_cache().clear();
+  bluestein_plan_cache().clear();
 }
 
 void fft_exec(const FftPlan& plan, Complex* data) {

@@ -9,16 +9,18 @@
 // length a Bluestein chirp sequence plus the pre-transformed kernel of its
 // convolution, which runs at a 7-smooth length. A 2-D transform of an H x W
 // image reuses two plans H + W times, and a dataset sweep reuses them
-// thousands of times, so plans live in a bounded thread-safe LRU cache (same
-// shape as the resize kernel-table cache in imaging/kernels.cpp) and are
-// handed out as shared_ptr — eviction can never invalidate a plan
-// mid-transform.
+// thousands of times, so plans live in bounded thread-safe LRU caches, one
+// per kind (obs/lru_cache.h, the template the resize kernel tables use
+// too), and are handed out as shared_ptr — eviction can never invalidate a
+// plan mid-transform.
 #pragma once
 
 #include <complex>
 #include <cstdint>
 #include <memory>
 #include <vector>
+
+#include "common/cache_stats.h"
 
 namespace decam {
 
@@ -70,19 +72,12 @@ std::shared_ptr<const FftPlan> get_fft_plan(std::size_t n, bool inverse);
 std::shared_ptr<const BluesteinPlan> get_bluestein_plan(std::size_t n,
                                                         bool inverse);
 
-struct FftPlanCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t size = 0;
-  std::size_t capacity = 0;
-  std::uint64_t resident_bytes = 0;  // heap held by the cached plans; a
-                                     // Bluestein plan's convolution sub-plans
-                                     // count in the smooth-length cache only
-};
-
-/// Separate stats for the two plan kinds (a Bluestein miss also costs two
-/// smooth-length lookups for its convolution plans).
+/// Separate stats for the two plan kinds, `fft_plan_cache` and
+/// `bluestein_plan_cache` (a Bluestein miss also costs two smooth-length
+/// lookups for its convolution plans). A Bluestein plan's resident bytes
+/// leave out its convolution sub-plans, which count in the smooth-length
+/// cache only.
+using FftPlanCacheStats = CacheStats;
 FftPlanCacheStats fft_plan_cache_stats();
 FftPlanCacheStats bluestein_plan_cache_stats();
 void clear_fft_plan_caches();

@@ -397,7 +397,7 @@ TEST(FftPlanCache, SizeSweepPastCapacityStaysCorrectAndBounded) {
     ASSERT_LE(max_abs_diff(back, signal), budget) << "n=" << n;
   }
   const FftPlanCacheStats stats = bluestein_plan_cache_stats();
-  EXPECT_LE(stats.size, stats.capacity);
+  EXPECT_LE(stats.entries, stats.capacity);
   EXPECT_GT(stats.misses, stats.capacity);  // the sweep really did churn
 }
 
@@ -417,7 +417,7 @@ TEST(FftPlanCache, HotSizeSurvivesChurn) {
   // 201 hot hits + 200 cold misses: with clear-all eviction the hot size
   // would miss every ~32 rounds as well.
   EXPECT_GE(stats.hits, 200u);
-  EXPECT_LE(stats.size, stats.capacity);
+  EXPECT_LE(stats.entries, stats.capacity);
 }
 
 // Every 7-smooth length runs a Stockham plan from the smooth cache; only a

@@ -232,13 +232,30 @@ TEST_F(ImageIoFuzzTest, BmpAbsurdPixelCountThrows) {
 }
 
 // data_offset past EOF (including 0xFFFFFFFF, which would wrap a naive
-// `offset + size` bound check) must throw, not read out of bounds.
+// `offset + size` bound check) must throw, not read out of bounds; so must
+// an offset inside the 14 + 40 header bytes, which would decode the headers
+// as pixels.
 TEST_F(ImageIoFuzzTest, BmpBadDataOffsetThrows) {
-  for (const std::uint32_t off : {100000u, 0xFFFFFFF0u, 0xFFFFFFFFu}) {
+  for (const std::uint32_t off :
+       {0u, 20u, 53u, 100000u, 0xFFFFFFF0u, 0xFFFFFFFFu}) {
     auto buf = valid_bmp_bytes();
     poke_u32(buf, 10, off);
     EXPECT_THROW(read_bmp(write_bytes("off.bmp", buf)), IoError)
         << "offset=" << off;
+  }
+}
+
+// A 124-byte (BITMAPV5) info header puts the pixels at 14 + 124 = 138.
+TEST_F(ImageIoFuzzTest, BmpV5HeaderOffsetDecodes) {
+  auto buf = valid_bmp_bytes();
+  buf.insert(buf.begin() + 54, 124 - 40, 0);
+  poke_u32(buf, 10, 138);
+  poke_u32(buf, 14, 124);
+  const Image img = read_bmp(write_bytes("v5.bmp", buf));
+  ASSERT_EQ(img.width(), 6);
+  ASSERT_EQ(img.height(), 5);
+  for (int c = 0; c < 3; ++c) {
+    for (const float v : img.plane(c)) EXPECT_EQ(v, 100.0f + 10.0f * c);
   }
 }
 

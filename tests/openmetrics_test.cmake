@@ -14,14 +14,16 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "quickstart failed: ${rc}")
 endif()
 
-# 2. Scan with telemetry sinks armed. Exit 3 = attack flagged (expected for
-# the quickstart attack image); anything else is a scan failure.
+# 2. Scan with telemetry sinks armed: the metrics by flag, the profile by
+# DECAM_PROFILE_FILE. Exit 3 = attack flagged (expected for the quickstart
+# attack image); anything else is a scan failure.
 set(METRICS ${WORK_DIR}/metrics.txt)
-execute_process(COMMAND ${DECAMCTL} scan
+execute_process(COMMAND ${CMAKE_COMMAND} -E env
+                        DECAM_PROFILE_FILE=${WORK_DIR}/stacks.txt
+                        ${DECAMCTL} scan
                         ${WORK_DIR}/quickstart_out/attack.ppm
                         --width 112 --height 112
                         --metrics-out ${METRICS}
-                        --stacks-out ${WORK_DIR}/stacks.txt
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 3)
   message(FATAL_ERROR "decamctl scan should flag the attack, got: ${rc}")
@@ -36,8 +38,8 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "openmetrics_check rejected ${METRICS}: ${rc}")
 endif()
 
-# 4. The collapsed-stack profile export rides the same flag set; it must
-# exist and every line must be "path;to;stage <self_us>".
+# 4. The collapsed-stack profile written at exit must exist and every line
+# must be "path;to;stage <self_us>".
 if(NOT EXISTS ${WORK_DIR}/stacks.txt)
   message(FATAL_ERROR "scan did not write stacks.txt")
 endif()
