@@ -195,7 +195,9 @@ int main(int argc, char** argv) {
     // scales, the 7-smooth mixed-radix path at the CNN input geometry
     // (224 = 2^5 * 7) and at Table 7's 448² (2^6 * 7, also a batch_mixed
     // geometry), and Bluestein on a prime side (449, convolution padded to
-    // 900 = 2^2 * 3^2 * 5^2). The /scalar twin shows the dispatched logs' win.
+    // 900 = 2^2 * 3^2 * 5^2). The /scalar twins run the same stage on the
+    // scalar table: its four-line transform on four plain doubles, and the
+    // scalar logs.
     {
       const Image pow2_512 = resize(big, 512, 512, ScaleAlgo::Bilinear);
       const Image pow2_256 = resize(big, 256, 256, ScaleAlgo::Bilinear);
@@ -214,6 +216,8 @@ int main(int argc, char** argv) {
             [&] { (void)half_log_spectrum(smooth_448); });
       bench("spectrum/bluestein", prime_449.plane_size(),
             [&] { (void)half_log_spectrum(prime_449); });
+      bench_scalar("spectrum/bluestein", prime_449.plane_size(),
+                   [&] { (void)half_log_spectrum(prime_449); });
     }
 
     // --- one full battery score (everything a `decamctl scan` pays) ---------
@@ -253,6 +257,10 @@ int main(int argc, char** argv) {
     // --- decode: interleaved PNM bytes into planes (a scan's first stage
     // after the file read) ---------------------------------------------------
     bench("image/from_u8", big_px, [&] {
+      (void)Image::from_u8(big_bytes, big.width(), big.height(),
+                           big.channels());
+    });
+    bench_scalar("image/from_u8", big_px, [&] {
       (void)Image::from_u8(big_bytes, big.width(), big.height(),
                            big.channels());
     });

@@ -2,8 +2,9 @@
 //
 // The per-tap inner loops of the imaging/metrics hot paths (resize tap
 // application, separable convolution, the fused pair-stats walk, the
-// row-start histogram rebuild of the median filter, and the spectrum's log
-// magnitudes with their min/max) funnel through a table of
+// row-start histogram rebuild of the median filter, the decoders' byte to
+// plane store, and the spectrum's line transform and log magnitudes with
+// their min/max) funnel through a table of
 // function pointers resolved once at startup: AVX2 on x86-64 hosts that
 // support it, and a portable scalar fallback everywhere else (aarch64
 // included). `DECAM_SIMD=scalar|avx2` overrides the choice per process (an
@@ -26,6 +27,7 @@
 // kernel core a run actually used.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace decam::simd {
@@ -45,6 +47,54 @@ inline constexpr int kPairBlock = kPairStats * kPairLanes;
 constexpr int pair_blocks(int n) { return (n + kPairLanes - 1) / kPairLanes; }
 constexpr int pair_products_width(int n) {
   return pair_blocks(n) * kPairLanes + kPairTaps - 1;
+}
+
+
+/// The FFT as SimdOps::fft_lanes reads it (common/fft_kernels.h runs
+/// it): lines per call, and a planned transform as plain arrays, which
+/// signal/fft_plan.h owns.
+inline constexpr int kFftLanes = 4;
+
+/// One Stockham stage: it splits each of `stride` interleaved
+/// sub-transforms of length radix * m into `radix` sub-transforms of
+/// length m. Input element q + stride * (p + j * m) feeds output
+/// q + stride * (radix * p + k), scaled by the twiddle W^(p * k) of the
+/// stage length radix * m.
+struct FftStage {
+  std::uint32_t radix = 0;
+  std::uint32_t m = 0;
+  std::uint32_t stride = 0;
+  std::uint32_t twiddle_offset = 0;  // m - 1 rows of radix - 1 twiddles
+};
+
+/// One unnormalised Stockham transform of length n as plain arrays.
+struct FftStages {
+  std::size_t n = 0;
+  bool inverse = false;
+  const FftStage* stages = nullptr;
+  std::size_t count = 0;
+  const double* twiddles = nullptr;  // (re, im) pairs
+};
+
+/// One planned transform of length n as plain arrays; signal/fft_plan.h
+/// owns the storage. Without a chirp it is a Stockham plan: `smooth`, then
+/// 1/n when inverse. With one it is Bluestein's: chirp multiply, `smooth`
+/// (the forward convolution transform, length m), kernel multiply,
+/// `conv_inverse` (the kernel carries its 1/m), chirp multiply (times 1/n
+/// when inverse).
+struct FftLanePlan {
+  std::size_t n = 1;
+  bool inverse = false;
+  FftStages smooth;
+  const double* chirp = nullptr;   // n (re, im) pairs
+  const double* kernel = nullptr;  // m (re, im) pairs
+  FftStages conv_inverse;
+};
+
+/// Doubles of work space one line of `plan` needs: a ping-pong buffer, and
+/// for Bluestein the padded convolution sequence as well.
+inline std::size_t fft_work_doubles(const FftLanePlan& plan) {
+  return (plan.chirp ? 4 : 2) * plan.smooth.n;
 }
 
 const char* to_string(Isa isa);
@@ -113,8 +163,8 @@ struct SimdOps {
   double (*pair_stats_vpass)(const double* const* rows, const double* win,
                              double c1, double c2, int n, double total);
 
-  /// The spectrum's log magnitudes (signal/spectrum.h). `in` holds n
-  /// interleaved complex bins (re, im); for each,
+  /// The spectrum's log magnitudes (signal/spectrum.h). Bin i is
+  /// (re[i], im[i]), and `out` may be `re` (in place); for each,
   ///   out[i] = log_ge1(1.0 + sqrt(re * re + im * im))
   /// and *lo = min(*lo, out[i]), *hi = max(*hi, out[i]). log_ge1(u) is the
   /// polynomial log for u >= 1 (common/simd_kernels.h): with b the bits of
@@ -124,8 +174,25 @@ struct SimdOps {
   /// (Horner, a multiply then an add per step), and the result is
   /// double(e) * ln2 + 2.0 * r * poly. Inputs are finite, so no value is
   /// NaN or -0 and min/max are exact in any order.
-  void (*log_magnitudes)(double* out, const double* in, int n, double* lo,
-                         double* hi);
+  void (*log_magnitudes)(double* out, const double* re, const double* im,
+                         int n, double* lo, double* hi);
+
+  /// The spectrum's line transform: `plan` on kFftLanes lines at once, in
+  /// place. Split form: element j of line l is (re[j * kFftLanes + l],
+  /// im[j * kFftLanes + l]) for j in [0, plan.n); `work` holds
+  /// kFftLanes * fft_work_doubles(plan) doubles of scratch. Each lane runs
+  /// the one butterfly template of common/fft_kernels.h with the plan's
+  /// stage order and twiddles (a multiply, then an add, never fused), so
+  /// every lane equals the 1-D transform of its line (PlannedFft) bit for
+  /// bit, whatever the other lanes hold.
+  void (*fft_lanes)(const FftLanePlan& plan, double* re, double* im,
+                    double* work);
+
+  /// Decode: n pixels of `channels` interleaved bytes to one float row per
+  /// channel, dst[c][i] = (float)src[i * channels + c]. A caller that
+  /// passes its planes in another order (BMP's B, G, R) reorders dst.
+  void (*deinterleave_u8)(float* const* dst, const std::uint8_t* src,
+                          int channels, int n);
 };
 
 /// The active table. Resolved once (cpuid + DECAM_SIMD) on first use;

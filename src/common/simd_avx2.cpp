@@ -13,6 +13,8 @@
 
 #include <immintrin.h>
 
+#include "common/fft_kernels.h"
+
 namespace decam::simd::detail {
 namespace {
 
@@ -220,21 +222,18 @@ inline __m256d log_ge1_pd(__m256d u) {
                        _mm256_mul_pd(two_r, p));
 }
 
-// Four bins per step: the squares of two interleaved loads pair up through
-// hadd (re*re + im*im per bin, lanes 0 2 1 3) and one cross-lane permute
-// restores bin order. min_pd(v, lo) is v < lo ? v : lo, std::min's rule;
+// Four bins per step. min_pd(v, lo) is v < lo ? v : lo, std::min's rule;
 // the lane extremes fold into the scalar ones before the tail.
-void log_magnitudes(double* out, const double* in, int n, double* lo,
-                    double* hi) {
+void log_magnitudes(double* out, const double* re, const double* im, int n,
+                    double* lo, double* hi) {
   const __m256d one = _mm256_set1_pd(1.0);
   __m256d lo4 = _mm256_set1_pd(*lo);
   __m256d hi4 = _mm256_set1_pd(*hi);
   int i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(in + 2 * i);
-    const __m256d b = _mm256_loadu_pd(in + 2 * i + 4);
-    const __m256d sq = _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
-    const __m256d mag2 = _mm256_permute4x64_pd(sq, _MM_SHUFFLE(3, 1, 2, 0));
+    const __m256d a = _mm256_loadu_pd(re + i);
+    const __m256d b = _mm256_loadu_pd(im + i);
+    const __m256d mag2 = _mm256_add_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b));
     const __m256d v = log_ge1_pd(_mm256_add_pd(one, _mm256_sqrt_pd(mag2)));
     _mm256_storeu_pd(out + i, v);
     lo4 = _mm256_min_pd(v, lo4);
@@ -250,9 +249,39 @@ void log_magnitudes(double* out, const double* in, int n, double* lo,
     l = std::min(l, lanes_lo[k]);
     h = std::max(h, lanes_hi[k]);
   }
-  log_magnitudes_tail(out + i, in + 2 * i, n - i, l, h);
+  log_magnitudes_tail(out + i, re + i, im + i, n - i, l, h);
   *lo = l;
   *hi = h;
+}
+
+// The lane type of the AVX2 fft_lanes: __m256d's four doubles, spelled
+// without its may_alias attribute, which a template argument drops
+// (-Wignored-attributes). GCC and Clang give it elementwise +, - and * (a
+// double operand is broadcast), which compile to vaddpd, vsubpd and vmulpd
+// here — never a fused multiply-add, since the TU is compiled with
+// -ffp-contract=off.
+typedef double Pd4 __attribute__((vector_size(32)));
+
+template <>
+struct LaneTraits<Pd4> {
+  static constexpr std::size_t width = 4;
+  static Pd4 load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Pd4 v) { _mm256_storeu_pd(p, v); }
+  static Pd4 broadcast(double x) { return _mm256_set1_pd(x); }
+};
+
+static_assert(LaneTraits<Pd4>::width == kFftLanes);
+
+void fft_lanes(const FftLanePlan& plan, double* re, double* im,
+               double* work) {
+  fft_exec<Pd4>(plan, re, im, work);
+}
+
+// The scalar body, compiled here with -mavx2: its fixed-stride loops
+// vectorise with byte shuffles the SSE2 baseline lacks.
+void deinterleave_u8(float* const* dst, const std::uint8_t* src, int channels,
+                     int n) {
+  deinterleave_u8_body(dst, src, channels, n);
 }
 
 }  // namespace
@@ -263,6 +292,7 @@ const SimdOps& avx2_ops() {
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass, log_magnitudes,
+      fft_lanes, deinterleave_u8,
   };
   return ops;
 }

@@ -73,22 +73,48 @@ inline double log_ge1(double u) {
   return static_cast<double>(e) * kLn2 + 2.0 * r * poly;
 }
 
-// log(1 + |v|) of one interleaved complex bin, without the hypot overflow
-// dance of std::abs(complex): magnitudes are bounded by 255 * w * h,
-// nowhere near double overflow.
+// log(1 + |v|) of one complex bin, without the hypot overflow dance of
+// std::abs(complex): magnitudes are bounded by 255 * w * h, nowhere near
+// double overflow.
 inline double log_magnitude(double re, double im) {
   return log_ge1(1.0 + std::sqrt(re * re + im * im));
 }
 
 // The scalar loop of log_magnitudes: every table's tail, and the whole of
 // the scalar table's.
-inline void log_magnitudes_tail(double* out, const double* in, int n,
-                                double& lo, double& hi) {
+inline void log_magnitudes_tail(double* out, const double* re,
+                                const double* im, int n, double& lo,
+                                double& hi) {
   for (int i = 0; i < n; ++i) {
-    const double v = log_magnitude(in[2 * i], in[2 * i + 1]);
+    const double v = log_magnitude(re[i], im[i]);
     out[i] = v;
     lo = std::min(lo, v);
     hi = std::max(hi, v);
+  }
+}
+
+// deinterleave_u8 (common/simd.h). The one- and three-channel loops have a
+// fixed stride, so the AVX2 TU's copy vectorises; any other channel count
+// takes the strided loop.
+inline void deinterleave_u8_body(float* const* dst, const std::uint8_t* src,
+                                 int channels, int n) {
+  if (channels == 1) {
+    float* const d0 = dst[0];
+    for (int i = 0; i < n; ++i) d0[i] = src[i];
+  } else if (channels == 3) {
+    float* const d0 = dst[0];
+    float* const d1 = dst[1];
+    float* const d2 = dst[2];
+    for (int i = 0; i < n; ++i) {
+      d0[i] = src[3 * i];
+      d1[i] = src[3 * i + 1];
+      d2[i] = src[3 * i + 2];
+    }
+  } else {
+    for (int c = 0; c < channels; ++c) {
+      float* const d = dst[c];
+      for (int i = 0; i < n; ++i) d[i] = src[i * channels + c];
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // fuse a multiply-add into an FMA here — that would change roundings and
 // break bit-parity with the vector variants, which use explicit
 // multiply/add instructions for the same reason.
+#include "common/fft_kernels.h"
 #include "common/simd_kernels.h"
 
 namespace decam::simd::detail {
@@ -107,9 +108,64 @@ double pair_stats_vpass(const double* const* rows, const double* win,
   return total;
 }
 
-void log_magnitudes(double* out, const double* in, int n, double* lo,
-                    double* hi) {
-  log_magnitudes_tail(out, in, n, *lo, *hi);
+void log_magnitudes(double* out, const double* re, const double* im, int n,
+                    double* lo, double* hi) {
+  log_magnitudes_tail(out, re, im, n, *lo, *hi);
+}
+
+// The lane type of the scalar fft_lanes: four plain doubles, one IEEE
+// operation per lane, so each lane is the 1-D double sequence.
+struct Quad {
+  double v[kFftLanes];
+};
+
+inline Quad operator+(Quad a, const Quad& b) {
+  for (int l = 0; l < kFftLanes; ++l) a.v[l] = a.v[l] + b.v[l];
+  return a;
+}
+inline Quad operator-(Quad a, const Quad& b) {
+  for (int l = 0; l < kFftLanes; ++l) a.v[l] = a.v[l] - b.v[l];
+  return a;
+}
+inline Quad operator*(Quad a, const Quad& b) {
+  for (int l = 0; l < kFftLanes; ++l) a.v[l] = a.v[l] * b.v[l];
+  return a;
+}
+inline Quad operator*(double s, Quad a) {
+  for (int l = 0; l < kFftLanes; ++l) a.v[l] = s * a.v[l];
+  return a;
+}
+inline Quad operator*(Quad a, double s) {
+  for (int l = 0; l < kFftLanes; ++l) a.v[l] = a.v[l] * s;
+  return a;
+}
+
+template <>
+struct LaneTraits<Quad> {
+  static constexpr std::size_t width = kFftLanes;
+  static Quad load(const double* p) {
+    Quad q;
+    for (int l = 0; l < kFftLanes; ++l) q.v[l] = p[l];
+    return q;
+  }
+  static void store(double* p, const Quad& q) {
+    for (int l = 0; l < kFftLanes; ++l) p[l] = q.v[l];
+  }
+  static Quad broadcast(double x) {
+    Quad q;
+    for (double& v : q.v) v = x;
+    return q;
+  }
+};
+
+void fft_lanes(const FftLanePlan& plan, double* re, double* im,
+               double* work) {
+  fft_exec<Quad>(plan, re, im, work);
+}
+
+void deinterleave_u8(float* const* dst, const std::uint8_t* src, int channels,
+                     int n) {
+  deinterleave_u8_body(dst, src, channels, n);
 }
 
 }  // namespace
@@ -120,6 +176,7 @@ const SimdOps& scalar_ops() {
       weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass, log_magnitudes,
+      fft_lanes, deinterleave_u8,
   };
   return ops;
 }

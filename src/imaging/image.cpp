@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/simd.h"
+
 namespace decam {
 namespace {
 
@@ -94,12 +96,13 @@ Image Image::from_u8(std::span<const std::uint8_t> data, int width, int height,
                 "interleaved byte buffer size mismatch");
   Image img = uninitialized(width, height, channels);
   const std::size_t row_bytes = static_cast<std::size_t>(width) * channels;
+  const simd::SimdOps& ops = simd::ops();
+  thread_local std::vector<float*> dst;  // per-thread: no block per decode
+  dst.resize(static_cast<std::size_t>(channels));
   for (int y = 0; y < height; ++y) {
-    const std::uint8_t* src = data.data() + y * row_bytes;
-    for (int c = 0; c < channels; ++c) {
-      float* const dst = img.row(y, c).data();
-      for (int x = 0; x < width; ++x) dst[x] = src[x * channels + c];
-    }
+    for (int c = 0; c < channels; ++c) dst[c] = img.row(y, c).data();
+    ops.deinterleave_u8(dst.data(), data.data() + y * row_bytes, channels,
+                        width);
   }
   return img;
 }

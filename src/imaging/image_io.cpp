@@ -8,6 +8,7 @@
 #include <fstream>
 #include <vector>
 
+#include "common/simd.h"
 #include "obs/span.h"
 
 namespace decam {
@@ -222,13 +223,13 @@ Image read_bmp(const std::string& path) {
     throw IoError(path + ": truncated BMP pixel data");
   }
   Image img = Image::uninitialized(w, h, 3);
+  const simd::SimdOps& ops = simd::ops();
   for (int y = 0; y < h; ++y) {
     const int src_row = top_down ? y : (h - 1 - y);
-    const std::uint8_t* row = &pixels[row_stride * src_row];
-    for (int c = 0; c < 3; ++c) {  // stored B, G, R
-      float* const dst = img.row(y, 2 - c).data();
-      for (int x = 0; x < w; ++x) dst[x] = row[3 * x + c];
-    }
+    // Stored B, G, R: the planes in that order.
+    float* const dst[3] = {img.row(y, 2).data(), img.row(y, 1).data(),
+                           img.row(y, 0).data()};
+    ops.deinterleave_u8(dst, &pixels[row_stride * src_row], 3, w);
   }
   return img;
 }

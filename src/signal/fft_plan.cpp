@@ -1,11 +1,11 @@
 #include "signal/fft_plan.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <utility>
 
 #include "common/error.h"
+#include "common/fft_kernels.h"
 #include "obs/lru_cache.h"
 
 namespace decam {
@@ -64,166 +64,25 @@ FftPlan make_fft_plan(std::size_t n, bool inverse) {
   return plan;
 }
 
-// ------------------------------------------------------------ butterflies --
-//
-// The arithmetic is spelled out on explicit doubles: std::complex
-// operator* compiles to a NaN-recovery branch around __muldc3 (Annex G
-// semantics), which blocks vectorisation and costs a call on every
-// butterfly. Plain real/imag products have no such path. `sign` is -1 for
-// the forward transform and +1 for the inverse.
+// ------------------------------------------------------------- 1-D runs --
 
-// cos and sin of 2*pi*k/R for k in [1, R/2], correctly rounded.
-template <int R>
-struct Roots;
-template <>
-struct Roots<3> {
-  static constexpr double c[] = {-0.5};
-  static constexpr double s[] = {0.8660254037844386};
-};
-template <>
-struct Roots<5> {
-  static constexpr double c[] = {0.30901699437494745, -0.8090169943749475};
-  static constexpr double s[] = {0.9510565162951535, 0.5877852522924731};
-};
-template <>
-struct Roots<7> {
-  static constexpr double c[] = {0.6234898018587335, -0.2225209339563144,
-                                 -0.9009688679024191};
-  static constexpr double s[] = {0.7818314824680298, 0.9749279121818236,
-                                 0.4338837391175581};
-};
-
-// In-place R-point DFT of (re, im), W = exp(sign*2*pi*i/R).
-template <int R>
-inline void small_dft(double (&re)[R], double (&im)[R], double sign) {
-  if constexpr (R == 2) {
-    const double r0 = re[0] + re[1], i0 = im[0] + im[1];
-    re[1] = re[0] - re[1];
-    im[1] = im[0] - im[1];
-    re[0] = r0;
-    im[0] = i0;
-  } else if constexpr (R == 4) {
-    const double u0r = re[0] + re[2], u0i = im[0] + im[2];
-    const double u1r = re[0] - re[2], u1i = im[0] - im[2];
-    const double u2r = re[1] + re[3], u2i = im[1] + im[3];
-    const double u3r = re[1] - re[3], u3i = im[1] - im[3];
-    // W^1 = (0, sign)
-    const double ju3r = -sign * u3i, ju3i = sign * u3r;
-    re[0] = u0r + u2r;
-    im[0] = u0i + u2i;
-    re[1] = u1r + ju3r;
-    im[1] = u1i + ju3i;
-    re[2] = u0r - u2r;
-    im[2] = u0i - u2i;
-    re[3] = u1r - ju3r;
-    im[3] = u1i - ju3i;
-  } else {
-    // Odd R: pair input j with R - j, t_j = a_j + a_{R-j} and
-    // d_j = a_j - a_{R-j}. For k in [1, R/2], with sums over j in [1, R/2],
-    //   X[k]     = a0 + sum cos(2pi jk/R) t_j + i sign sum sin(2pi jk/R) d_j
-    //   X[R - k] = the same with the sine term subtracted.
-    constexpr int H = R / 2;
-    double tr[H], ti[H], dr[H], di[H];
-    double b0r = re[0], b0i = im[0];
-    for (int j = 1; j <= H; ++j) {
-      tr[j - 1] = re[j] + re[R - j];
-      ti[j - 1] = im[j] + im[R - j];
-      dr[j - 1] = re[j] - re[R - j];
-      di[j - 1] = im[j] - im[R - j];
-      b0r += tr[j - 1];
-      b0i += ti[j - 1];
-    }
-    for (int k = 1; k <= H; ++k) {
-      double mr = re[0], mi = im[0], nr = 0.0, ni = 0.0;
-      for (int j = 1; j <= H; ++j) {
-        // Reduce jk mod R into [1, R/2]: cos is even, sin odd about R/2.
-        const int jk = (j * k) % R;
-        const bool upper = jk > H;
-        const int idx = upper ? R - jk : jk;
-        const double c = Roots<R>::c[idx - 1];
-        const double s = upper ? -Roots<R>::s[idx - 1] : Roots<R>::s[idx - 1];
-        mr += c * tr[j - 1];
-        mi += c * ti[j - 1];
-        nr += s * dr[j - 1];
-        ni += s * di[j - 1];
-      }
-      nr *= sign;
-      ni *= sign;
-      re[k] = mr - ni;
-      im[k] = mi + nr;
-      re[R - k] = mr + ni;
-      im[R - k] = mi - nr;
-    }
-    re[0] = b0r;
-    im[0] = b0i;
+// `plan` on one line of interleaved complexes, in place: split into
+// per-thread arrays, the butterfly template on one double, interleave back.
+// Only fft() and the Bluestein kernel build run it; a spectrum runs four
+// lines at once through SimdOps::fft_lanes.
+void transform_line(const simd::FftLanePlan& plan, Complex* data) {
+  thread_local std::vector<double> split;
+  const std::size_t n = plan.n;
+  const std::size_t need = 2 * n + simd::fft_work_doubles(plan);
+  if (split.size() < need) split.resize(need);
+  double* const re = split.data();
+  double* const im = re + n;
+  for (std::size_t k = 0; k < n; ++k) {
+    re[k] = data[k].real();
+    im[k] = data[k].imag();
   }
-}
-
-// The butterflies of one p across the `stride` interleaved sub-transforms:
-// inputs in[q + span*j], outputs out[q + stride*k], twiddles w[k - 1].
-template <int R, bool kTwiddled>
-inline void butterflies(std::size_t stride, std::size_t span,
-                        const Complex* in, Complex* out, const Complex* w,
-                        double sign) {
-  for (std::size_t q = 0; q < stride; ++q) {
-    double re[R], im[R];
-    for (int j = 0; j < R; ++j) {
-      re[j] = in[q + span * j].real();
-      im[j] = in[q + span * j].imag();
-    }
-    small_dft<R>(re, im, sign);
-    out[q] = Complex(re[0], im[0]);
-    for (int k = 1; k < R; ++k) {
-      if constexpr (kTwiddled) {
-        const double wr = w[k - 1].real(), wi = w[k - 1].imag();
-        out[q + stride * k] =
-            Complex(re[k] * wr - im[k] * wi, re[k] * wi + im[k] * wr);
-      } else {
-        out[q + stride * k] = Complex(re[k], im[k]);
-      }
-    }
-  }
-}
-
-// One Stockham stage, x -> y (FftPlan::Stage documents the indexing). With
-// m = 1 — always the last stage — every butterfly writes the positions it
-// read, so x == y is allowed.
-template <int R>
-void run_stage(const FftPlan::Stage& st, const Complex* tw, double sign,
-               const Complex* x, Complex* y) {
-  const std::size_t m = st.m;
-  const std::size_t stride = st.stride;
-  const std::size_t span = stride * m;
-  butterflies<R, false>(stride, span, x, y, nullptr, sign);
-  for (std::size_t p = 1; p < m; ++p) {
-    butterflies<R, true>(stride, span, x + stride * p, y + stride * R * p,
-                         tw + (p - 1) * (R - 1), sign);
-  }
-}
-
-// Every stage, no normalisation. Stages alternate between `data` and
-// scratch; the last one (m = 1) runs in place when its input is `data`, so
-// the result always lands in `data` without a copy.
-void run_stages(const FftPlan& plan, Complex* data) {
-  if (plan.stages.empty()) return;
-  thread_local std::vector<Complex> scratch;
-  if (scratch.size() < plan.n) scratch.resize(plan.n);
-  const double sign = plan.inverse ? 1.0 : -1.0;
-  const Complex* src = data;
-  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
-    const FftPlan::Stage& st = plan.stages[i];
-    const bool last = i + 1 == plan.stages.size();
-    Complex* dst = last || src != data ? data : scratch.data();
-    const Complex* tw = plan.twiddles.data() + st.twiddle_offset;
-    switch (st.radix) {
-      case 2: run_stage<2>(st, tw, sign, src, dst); break;
-      case 3: run_stage<3>(st, tw, sign, src, dst); break;
-      case 4: run_stage<4>(st, tw, sign, src, dst); break;
-      case 5: run_stage<5>(st, tw, sign, src, dst); break;
-      default: run_stage<7>(st, tw, sign, src, dst); break;
-    }
-    src = dst;
-  }
+  simd::detail::fft_exec<double>(plan, re, im, im + n);
+  for (std::size_t k = 0; k < n; ++k) data[k] = Complex(re[k], im[k]);
 }
 
 // ----------------------------------------------------------------- cache --
@@ -282,7 +141,10 @@ BluesteinPlan make_bluestein_plan(std::size_t n, bool inverse) {
   }
   // Stored transformed with the convolution's 1/m folded in, so the
   // per-call inverse transform needs no normalisation pass.
-  run_stages(*plan.conv_forward, plan.kernel.data());
+  simd::FftLanePlan forward;
+  forward.n = plan.m;
+  forward.smooth = plan.conv_forward->view();
+  transform_line(forward, plan.kernel.data());
   const double inv_m = 1.0 / static_cast<double>(plan.m);
   for (Complex& v : plan.kernel) v *= inv_m;
   return plan;
@@ -312,66 +174,31 @@ void clear_fft_plan_caches() {
   bluestein_plan_cache().clear();
 }
 
-void fft_exec(const FftPlan& plan, Complex* data) {
-  run_stages(plan, data);
-  if (plan.inverse) {
-    const double inv_n = 1.0 / static_cast<double>(plan.n);
-    for (std::size_t i = 0; i < plan.n; ++i) data[i] *= inv_n;
-  }
-}
-
-void bluestein_exec(const BluesteinPlan& plan, Complex* data) {
-  const std::size_t n = plan.n;
-  const std::size_t m = plan.m;
-  // Grow-only per-thread scratch: one live convolution per thread, reused
-  // across every call (the old implementation allocated m complexes per
-  // transform — per image row/column).
-  thread_local std::vector<Complex> scratch;
-  if (scratch.size() < m) scratch.resize(m);
-  Complex* x = scratch.data();
-  const Complex* chirp = plan.chirp.data();
-  // Explicit real/imag products for the same __muldc3 reason as the
-  // butterfly kernels above.
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ar = data[k].real(), ai = data[k].imag();
-    const double cr = chirp[k].real(), ci = chirp[k].imag();
-    x[k] = Complex(ar * cr - ai * ci, ar * ci + ai * cr);
-  }
-  std::fill(x + n, x + m, Complex(0, 0));
-  run_stages(*plan.conv_forward, x);
-  const Complex* kernel = plan.kernel.data();
-  for (std::size_t k = 0; k < m; ++k) {
-    const double ar = x[k].real(), ai = x[k].imag();
-    const double kr = kernel[k].real(), ki = kernel[k].imag();
-    x[k] = Complex(ar * kr - ai * ki, ar * ki + ai * kr);
-  }
-  run_stages(*plan.conv_inverse, x);  // 1/m lives in the kernel
-  const double scale =
-      plan.inverse ? 1.0 / static_cast<double>(n) : 1.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double ar = x[k].real(), ai = x[k].imag();
-    const double cr = chirp[k].real(), ci = chirp[k].imag();
-    data[k] = Complex(scale * (ar * cr - ai * ci),
-                      scale * (ar * ci + ai * cr));
-  }
+simd::FftStages FftPlan::view() const {
+  return {n, inverse, stages.data(), stages.size(),
+          reinterpret_cast<const double*>(twiddles.data())};
 }
 
 PlannedFft::PlannedFft(std::size_t n, bool inverse) : n_(n) {
   DECAM_REQUIRE(n >= 1, "fft of empty signal");
+  lanes_.n = n;
+  lanes_.inverse = inverse;
   if (n == 1) return;
   if (is_smooth(n)) {
     smooth_ = get_fft_plan(n, inverse);
+    lanes_.smooth = smooth_->view();
   } else {
     bluestein_ = get_bluestein_plan(n, inverse);
+    // std::complex<double> is layout-compatible with double[2].
+    lanes_.smooth = bluestein_->conv_forward->view();
+    lanes_.chirp = reinterpret_cast<const double*>(bluestein_->chirp.data());
+    lanes_.kernel = reinterpret_cast<const double*>(bluestein_->kernel.data());
+    lanes_.conv_inverse = bluestein_->conv_inverse->view();
   }
 }
 
 void PlannedFft::operator()(Complex* data) const {
-  if (smooth_) {
-    fft_exec(*smooth_, data);
-  } else if (bluestein_) {
-    bluestein_exec(*bluestein_, data);
-  }
+  transform_line(lanes_, data);
 }
 
 }  // namespace decam

@@ -1,5 +1,7 @@
 // FFT execution plans — the precomputed, cacheable half of the spectral
-// engine (DESIGN.md §10).
+// engine (DESIGN.md §10). The butterflies that execute them are one
+// template over the lane type (common/fft_kernels.h): PlannedFft runs it on
+// one line, and the SimdOps entry fft_lanes on four lines per vector.
 //
 // A transform of length n always does the same twiddle arithmetic and the
 // same data shuffle; only the samples change. Plans hoist everything
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/cache_stats.h"
+#include "common/simd.h"
 
 namespace decam {
 
@@ -31,16 +34,8 @@ using Complex = std::complex<double>;
 /// then radix 3, 5 and 7. Each stage reads one buffer and writes the other
 /// in natural order, so no bit-reversal pass exists.
 struct FftPlan {
-  /// One stage splits each of `stride` interleaved sub-transforms of length
-  /// radix * m into `radix` sub-transforms of length m: input element
-  /// q + stride * (p + j * m) feeds output q + stride * (radix * p + k),
-  /// scaled by the twiddle W^(p * k) of the stage length radix * m.
-  struct Stage {
-    std::uint32_t radix = 0;
-    std::uint32_t m = 0;
-    std::uint32_t stride = 0;
-    std::uint32_t twiddle_offset = 0;  // m - 1 rows of radix - 1 twiddles
-  };
+  /// simd::FftStage (common/simd.h) documents the indexing.
+  using Stage = simd::FftStage;
   std::size_t n = 0;
   bool inverse = false;
   std::vector<Stage> stages;
@@ -48,6 +43,10 @@ struct FftPlan {
   /// p - 1 holds W^(p * k) for k in [1, radix), p in [1, m), with
   /// W = exp(sign * 2 * pi * i / L). Row p = 0 would be all ones.
   std::vector<Complex> twiddles;
+
+  /// The stages as the butterfly template reads them; valid while the plan
+  /// lives.
+  simd::FftStages view() const;
 };
 
 /// Plan for one length with a prime factor above 7 + direction, via
@@ -82,28 +81,26 @@ FftPlanCacheStats fft_plan_cache_stats();
 FftPlanCacheStats bluestein_plan_cache_stats();
 void clear_fft_plan_caches();
 
-/// In-place execution, natural order in and out (+ 1/n normalisation when
-/// the plan is inverse). Stages ping-pong between `data` and grow-only
-/// per-thread scratch.
-void fft_exec(const FftPlan& plan, Complex* data);
-
-/// In-place Bluestein execution over `data[0..n)`, using per-thread scratch
-/// sized once per m (no per-call allocation after warm-up).
-void bluestein_exec(const BluesteinPlan& plan, Complex* data);
-
 /// One planned 1-D transform: resolves the plan (7-smooth or Bluestein)
-/// once at construction so row/column loops pay the cache lookup once, not
-/// per line. Execution is in-place over `n` contiguous elements.
+/// once at construction, so a row or column loop pays one cache lookup, not
+/// one per line (n = 1 needs no plan and looks nothing up). It runs in two
+/// forms, which give the same bits line for line: operator() on one line,
+/// and lanes() handed to simd::ops().fft_lanes for four lines at once.
 class PlannedFft {
  public:
   PlannedFft(std::size_t n, bool inverse);
   std::size_t size() const { return n_; }
+  /// In place over `n` contiguous elements, natural order in and out
+  /// (+ 1/n normalisation when inverse).
   void operator()(Complex* data) const;
+  /// The plan as plain arrays; valid while this object lives.
+  const simd::FftLanePlan& lanes() const { return lanes_; }
 
  private:
   std::size_t n_;
   std::shared_ptr<const FftPlan> smooth_;
   std::shared_ptr<const BluesteinPlan> bluestein_;
+  simd::FftLanePlan lanes_;
 };
 
 }  // namespace decam

@@ -4,6 +4,8 @@
 // detector then masks, binarises and counts the bright blobs of this
 // spectrum ("centered spectrum points", CSP).
 //
+// The transform is the stage's own: row pairs packed four lines per vector,
+// then the columns 0..w/2 four per vector in place (DESIGN.md §10).
 // The stage the detector reads (HalfSpectrum) keeps only what a real input
 // needs: the log magnitudes of DFT columns 0..w/2, unshifted, and their
 // range. Every other bin's magnitude is its Hermitian partner's, bit for
@@ -19,7 +21,7 @@
 #include <vector>
 
 #include "imaging/image.h"
-#include "signal/fft.h"
+#include "signal/fft_plan.h"
 
 namespace decam {
 
@@ -59,12 +61,23 @@ struct HalfSpectrum {
   }
 };
 
-/// Reusable per-thread scratch of the CSP member: the complex frequency
-/// plane of the transform, and the detector walk's normalised values,
-/// byte mask and fill stack. Its bytes are the `mem/spectrum_workspace_bytes`
-/// gauge; none of it survives warm-up as a per-image allocation.
+/// Reusable per-thread scratch of the CSP member: the transform's lane
+/// buffers, and the detector walk's normalised values, byte mask and fill
+/// stack. Its bytes are the `mem/spectrum_workspace_bytes` gauge; none of it
+/// survives warm-up as a per-image allocation.
+///
+/// The lane buffers hold split complexes, four lines per element
+/// (simd::kFftLanes, SimdOps::fft_lanes): `lines` the row pass's four
+/// packed row pairs (8 * w doubles), `groups` the columns 0..w/2 four at a
+/// time, each group h elements of re then h of im (about 8 * w * h bytes
+/// in all), and `work` the lane transform's scratch. Each call sizes them
+/// exactly and leaves them unset (NaN under AddressSanitizer,
+/// DefaultInitAllocator), so a read of a lane nobody wrote shows.
 struct SpectrumWorkspace {
-  std::vector<Complex> freq;
+  using LaneBuffer = std::vector<double, DefaultInitAllocator<double>>;
+  LaneBuffer lines;
+  LaneBuffer groups;
+  LaneBuffer work;
   std::vector<float> values;
   std::vector<std::uint8_t> mask;
   std::vector<std::size_t> stack;

@@ -1,19 +1,26 @@
 // Parity harness for the planned spectral engine (DESIGN.md §10): every
 // transform path — Stockham radix-4/2/3/5/7 plans, Bluestein convolution,
-// the real-input 2-D fast path, the in-place fftshift — is checked against a
-// naive O(n^2) reference DFT and the straightforward copy implementations
-// they replaced. The acceptance budget is 1e-9 of the transform's peak
-// magnitude: FFT restructuring legally reorders floating-point sums, so
-// bit-identity is replaced by this explicit tolerance.
+// the real-input 2-D transform and fftshift of the test reference — is
+// checked against a naive O(n^2) reference DFT and the straightforward copy
+// implementations they replaced. The acceptance budget is 1e-9 of the
+// transform's peak magnitude: FFT restructuring legally reorders
+// floating-point sums, so bit-identity is replaced by this explicit
+// tolerance. The four-line lanes, in contrast, are held bit for bit: each
+// lane to the 1-D transform of its line, and the spectrum stage to the
+// interleaved reference and to pinned hashes of its bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "data/rng.h"
+#include "common/simd.h"
 #include "reference_kernels.h"
 #include "signal/fft.h"
 #include "signal/spectrum.h"
@@ -191,7 +198,8 @@ void expect_image_transform_matches_naive(int w, int h, std::uint64_t seed) {
   const Image img = random_image(w, h, seed);
   const auto expected = naive_dft2d(real_plane(img), w, h);
   const double budget = 1e-9 * std::max(peak_magnitude(expected), 1.0);
-  EXPECT_LE(max_abs_diff(fft2d(img), expected), budget) << w << "x" << h;
+  EXPECT_LE(max_abs_diff(testref::fft2d(img), expected), budget)
+      << w << "x" << h;
 }
 
 // 2-D shapes: squares, rectangles, degenerate 1xN / Nx1 strips, odd/even
@@ -211,9 +219,10 @@ TEST_P(Fft2dNaiveParity, RoundTripRecoversGrid) {
   const Image img =
       random_image(w, h, static_cast<std::uint64_t>(h) * 911 + w);
   const auto original = real_plane(img);
-  const auto back = separable(fft2d(img), w, h, [](std::vector<Complex>& line) {
-    fft(line, true);
-  });
+  const auto back = separable(testref::fft2d(img), w, h,
+                              [](std::vector<Complex>& line) {
+                                fft(line, true);
+                              });
   const double budget = 1e-9 * std::max(peak_magnitude(original), 1.0);
   EXPECT_LE(max_abs_diff(back, original), budget) << w << "x" << h;
 }
@@ -261,25 +270,28 @@ TEST(RealFft2dParity, ColorInputMatchesExplicitLumaTransform) {
       v = static_cast<float>(rng.next_range(0.0, 255.0));
     }
   }
-  const auto direct = fft2d(rgb);
-  const auto via_gray = fft2d(testref::to_gray(rgb));
+  const auto direct = testref::fft2d(rgb);
+  const auto via_gray = testref::fft2d(testref::to_gray(rgb));
   const double budget = 1e-9 * std::max(peak_magnitude(via_gray), 1.0);
   EXPECT_LE(max_abs_diff(direct, via_gray), budget);
 }
 
+// The spectrum stage reuses one per-thread workspace, sized exactly for
+// each geometry: a run after larger and smaller geometries must equal the
+// interleaved reference of its own.
 TEST(RealFft2dParity, ScratchOverloadReusesBufferAcrossGeometries) {
-  std::vector<Complex> scratch;
   data::Rng rng(7);
   for (const auto& [w, h] : {std::pair{16, 12}, std::pair{9, 5},
-                             std::pair{24, 24}}) {
+                             std::pair{24, 24}, std::pair{9, 5}}) {
     Image img(w, h, 1);
     for (float& v : img.plane(0)) {
       v = static_cast<float>(rng.next_range(0.0, 255.0));
     }
-    fft2d(img, scratch);
-    const auto fresh = fft2d(img);
-    ASSERT_EQ(scratch.size(), fresh.size());
-    EXPECT_LE(max_abs_diff(scratch, fresh), 0.0) << w << "x" << h;
+    const HalfSpectrum stage = half_log_spectrum(img);
+    const testref::HalfLogSpectrum want = testref::half_log_spectrum(img);
+    ASSERT_EQ(stage.logmag, want.logmag) << w << "x" << h;
+    EXPECT_EQ(stage.lo, want.lo) << w << "x" << h;
+    EXPECT_EQ(stage.hi, want.hi) << w << "x" << h;
   }
 }
 
@@ -293,7 +305,7 @@ TEST_P(FftShiftParity, MatchesReferenceCopyImplementation) {
   auto grid = random_signal(static_cast<std::size_t>(w) * h,
                             static_cast<std::uint64_t>(w) * 13 + h);
   const auto expected = reference_fftshift(grid, w, h);
-  fftshift(grid, w, h);
+  testref::fftshift(grid, w, h);
   EXPECT_LE(max_abs_diff(grid, expected), 0.0) << w << "x" << h;
 }
 
@@ -312,8 +324,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FftShiftParity, EvenSizesStaySelfInverse) {
   auto grid = random_signal(16 * 12, 5);
   const auto original = grid;
-  fftshift(grid, 16, 12);
-  fftshift(grid, 16, 12);
+  testref::fftshift(grid, 16, 12);
+  testref::fftshift(grid, 16, 12);
   EXPECT_LE(max_abs_diff(grid, original), 0.0);
 }
 
@@ -327,8 +339,8 @@ TEST(SpectrumParity, FusedLogMagnitudesMatchDefinition) {
     for (float& v : img.plane(0)) {
       v = static_cast<float>(rng.next_range(0.0, 255.0));
     }
-    std::vector<Complex> freq = fft2d(img);
-    fftshift(freq, w, h);
+    std::vector<Complex> freq = testref::fft2d(img);
+    testref::fftshift(freq, w, h);
     const HalfSpectrum stage = half_log_spectrum(img);
     ASSERT_EQ(stage.logmag.size(),
               static_cast<std::size_t>(h) * (w / 2 + 1));
@@ -360,8 +372,8 @@ TEST(SpectrumParity, HalfPlaneMirrorIsBitExact) {
             v = static_cast<float>(rng.next_range(0.0, 255.0));
           }
         }
-        std::vector<Complex> freq = fft2d(img);
-        fftshift(freq, w, h);
+        std::vector<Complex> freq = testref::fft2d(img);
+        testref::fftshift(freq, w, h);
         const HalfSpectrum stage = half_log_spectrum(img);
         double lo = testref::log1p_magnitude(freq[0]);
         double hi = lo;
@@ -381,6 +393,193 @@ TEST(SpectrumParity, HalfPlaneMirrorIsBitExact) {
         ASSERT_EQ(stage.hi, hi) << w << "x" << h << "x" << channels;
       }
     }
+  }
+}
+
+// The bits of a double, so a comparison sees -0 and NaN payloads.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << what << " at " << i;
+  }
+}
+
+// The active table's four-line transform against the 1-D transform of each
+// line, bit for bit: every lane holds its own random line, so a lane swap
+// or a lane that reads its neighbour shows. Buffers are sized exactly, so
+// an AddressSanitizer build sees any read past the last element. ctest
+// reruns this suite on the scalar table (simd_dispatch_fft_parity).
+class FftLaneParity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftLaneParity, EachLaneEqualsTheLineTransform) {
+  const std::size_t n = GetParam();
+  constexpr int kLanes = simd::kFftLanes;
+  for (const bool inverse : {false, true}) {
+    std::vector<std::vector<Complex>> lines;
+    for (int l = 0; l < kLanes; ++l) {
+      lines.push_back(random_signal(n, n * 131 + l * 17 + inverse));
+    }
+    std::vector<double> re(n * kLanes), im(n * kLanes);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (int l = 0; l < kLanes; ++l) {
+        re[j * kLanes + l] = lines[l][j].real();
+        im[j * kLanes + l] = lines[l][j].imag();
+      }
+    }
+    const PlannedFft plan(n, inverse);
+    std::vector<double> work(kLanes * simd::fft_work_doubles(plan.lanes()));
+    simd::ops().fft_lanes(plan.lanes(), re.data(), im.data(), work.data());
+    for (int l = 0; l < kLanes; ++l) {
+      std::vector<Complex> want = lines[l];
+      fft(want, inverse);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(bits(re[j * kLanes + l]), bits(want[j].real()))
+            << "n=" << n << " inverse=" << inverse << " lane " << l
+            << " bin " << j;
+        ASSERT_EQ(bits(im[j * kLanes + l]), bits(want[j].imag()))
+            << "n=" << n << " inverse=" << inverse << " lane " << l
+            << " bin " << j;
+      }
+    }
+  }
+}
+
+// Each radix alone (2, 3, 4, 5, 7 and their squares), mixed radices at the
+// detector's geometries, and Bluestein lengths (11 -> 21, 37 -> 75,
+// 301 -> 625, 333 -> 672, 449 -> 900).
+INSTANTIATE_TEST_SUITE_P(Lengths, FftLaneParity,
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 16, 25,
+                                           49, 224, 448, 480, 640, 672, 900,
+                                           11, 37, 301, 333, 449),
+                         [](const auto& info) {
+                           return "n" + std::to_string(info.param);
+                         });
+
+// The spectrum stage on its lanes against the interleaved transform it
+// replaced (testref::half_log_spectrum): the values, lo and hi, bit for
+// bit. Every w and h in 1..17 covers every h mod 8 (leftover row pairs
+// beside zero lines, the odd last row) and every (w/2 + 1) mod 4 (a
+// partial last column group); 333x301 and 449x449 take Bluestein both ways.
+void expect_stage_matches_reference(int w, int h, int channels,
+                                    std::uint64_t seed) {
+  data::Rng rng(seed);
+  Image img(w, h, channels);
+  for (int c = 0; c < channels; ++c) {
+    for (float& v : img.plane(c)) {
+      v = static_cast<float>(rng.next_range(0.0, 255.0));
+    }
+  }
+  const HalfSpectrum stage = half_log_spectrum(img);
+  const testref::HalfLogSpectrum want = testref::half_log_spectrum(img);
+  const std::string what = std::to_string(w) + "x" + std::to_string(h) +
+                           "x" + std::to_string(channels);
+  expect_same_bits(stage.logmag, want.logmag, what);
+  EXPECT_EQ(bits(stage.lo), bits(want.lo)) << what;
+  EXPECT_EQ(bits(stage.hi), bits(want.hi)) << what;
+}
+
+TEST(SpectrumParity, LanesMatchInterleavedReferenceOnSmallShapes) {
+  for (const int channels : {1, 3}) {
+    for (int w = 1; w <= 17; ++w) {
+      for (int h = 1; h <= 17; ++h) {
+        expect_stage_matches_reference(w, h, channels,
+                                       static_cast<std::uint64_t>(w * 100 + h));
+      }
+    }
+  }
+}
+
+TEST(SpectrumParity, LanesMatchInterleavedReferenceOnBluesteinShapes) {
+  expect_stage_matches_reference(333, 301, 3, 333);
+  expect_stage_matches_reference(449, 449, 1, 449);
+}
+
+// Leftover lines run beside zero lines: after a spectrum, the workspace's
+// packed lines hold the last row block's transform, and every lane past
+// the used ones must be the (all-zero) transform of zeros — not whatever
+// the previous, fuller image left there, nor the NaN an AddressSanitizer
+// build leaves in an unset lane. The lanes never mix, so this is the one
+// place where a dropped zero line shows.
+TEST(SpectrumParity, LeftoverLinesRunBesideZeroLines) {
+  constexpr int kLanes = simd::kFftLanes;
+  const int w = 12;
+  for (const int h : {1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 14}) {
+    expect_stage_matches_reference(w, 16, 1, 77);  // all four lanes used
+    expect_stage_matches_reference(w, h, 1, 78 + h);
+    const int lines = (h + 1) / 2;
+    const int used = lines - (lines - 1) / kLanes * kLanes;
+    const SpectrumWorkspace& ws = thread_spectrum_workspace();
+    ASSERT_EQ(ws.lines.size(), 2u * w * kLanes);
+    for (int l = used; l < kLanes; ++l) {
+      for (std::size_t j = 0; j < 2u * w; ++j) {
+        ASSERT_EQ(ws.lines[j * kLanes + l], 0.0)
+            << "h=" << h << " lane " << l << " element " << j;
+      }
+    }
+  }
+}
+
+// FNV-1a over the bits of each double in order.
+std::uint64_t fnv1a(std::uint64_t hash, double v) {
+  const std::uint64_t b = bits(v);
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (b >> (8 * i)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// The bits the spectrum stage and the 1-D transform produced before they
+// ran on lanes, pinned as hashes: the references above share the one
+// butterfly template with the stage, so a change to its arithmetic (a
+// reordered radix-5 sum, say) moves both sides of those comparisons and
+// only a pinned value sees it. Shapes cover radix 5 and 7 squared, mixed
+// radices, Bluestein on both axes (301 -> 625 = 5^4) and RGB luma.
+TEST(SpectrumParity, StageBitsArePinned) {
+  struct Case {
+    int w, h, channels;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {25, 49, 1, 0xcb1a4d8e8549caacULL}, {60, 45, 3, 0x2587f94c6f999ccdULL},
+      {37, 11, 1, 0x2393da934d7d6a40ULL}, {301, 20, 3, 0x8ddb1e8409cff22cULL},
+      {224, 14, 1, 0x53302c75fb3c9977ULL}, {17, 9, 3, 0xe97c4743bc240476ULL},
+  };
+  for (const Case& c : cases) {
+    data::Rng rng(1000 + static_cast<std::uint64_t>(c.w) * 7 + c.h);
+    Image img(c.w, c.h, c.channels);
+    for (int ch = 0; ch < c.channels; ++ch) {
+      for (float& v : img.plane(ch)) {
+        v = static_cast<float>(rng.next_range(0.0, 255.0));
+      }
+    }
+    const HalfSpectrum stage = half_log_spectrum(img);
+    std::uint64_t hash = kFnvBasis;
+    for (const double v : stage.logmag) hash = fnv1a(hash, v);
+    hash = fnv1a(fnv1a(hash, stage.lo), stage.hi);
+    EXPECT_EQ(hash, c.hash) << c.w << "x" << c.h << "x" << c.channels;
+  }
+  const std::pair<std::size_t, std::uint64_t> lines[] = {
+      {5, 0x0a05eb861fb09494ULL}, {25, 0x729686f5aad88ee0ULL},
+      {125, 0xdba8687a0f3f41ccULL}, {301, 0xef9d3b557e45aaf8ULL}};
+  for (const auto& [n, want] : lines) {
+    data::Rng rng(n);
+    std::vector<Complex> signal(n);
+    for (Complex& v : signal) {
+      v = Complex(rng.next_range(-1.0, 1.0), rng.next_range(-1.0, 1.0));
+    }
+    fft(signal, false);
+    std::uint64_t hash = kFnvBasis;
+    for (const Complex& v : signal) {
+      hash = fnv1a(fnv1a(hash, v.real()), v.imag());
+    }
+    EXPECT_EQ(hash, want) << "n=" << n;
   }
 }
 

@@ -376,6 +376,33 @@ TEST(ResizeParity, RowMajorPassMatchesColumnStridedReference) {
   }
 }
 
+// Downscales by more than 4x run the horizontal pass only on the source
+// rows a vertical tap names. The rows it skips stay unset — quiet NaNs
+// under AddressSanitizer — so a vertical tap that reads one fails here.
+TEST(ResizeParity, LargeDownscaleSkipsOnlyUntappedRows) {
+  const ResizeCase cases[] = {
+      {97, 83, 13, 11, 3},  // both axes, 7.5x
+      {20, 90, 20, 9, 1},   // vertical only, 10x
+      {61, 200, 7, 23, 3},  // 8.7x, a tall source
+  };
+  for (const ResizeCase& rc : cases) {
+    const Image img =
+        random_image(rc.in_w, rc.in_h, rc.c, 6000u + rc.in_h * 13u + rc.out_h);
+    for (const ScaleAlgo algo :
+         {ScaleAlgo::Nearest, ScaleAlgo::Bilinear, ScaleAlgo::Bicubic,
+          ScaleAlgo::Area, ScaleAlgo::Lanczos4}) {
+      const std::string what = std::string(to_string(algo)) + " " +
+                               std::to_string(rc.in_w) + "x" +
+                               std::to_string(rc.in_h) + "->" +
+                               std::to_string(rc.out_w) + "x" +
+                               std::to_string(rc.out_h);
+      expect_close(resize(img, rc.out_w, rc.out_h, algo),
+                   testref::resize(img, rc.out_w, rc.out_h, algo),
+                   kFullScaleTol, what);
+    }
+  }
+}
+
 // The fused walk against the definition, bit for bit, on shapes the
 // battery goldens never reach: a partial last 4-pixel block (every width
 // mod 4), images narrower or shorter than the 11-tap window, and 1-pixel

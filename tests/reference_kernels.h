@@ -6,7 +6,9 @@
 // definitions — exact for rank filters, within a documented last-ulp
 // tolerance for the blurs and resize. The spectrum's polynomial log sits at
 // the end, for the bit-exact half-plane spectrum test, then the explicit
-// BT.601 luma image that the colour FFT parity test transforms, and the
+// BT.601 luma image that the colour FFT parity test transforms, the
+// interleaved 2-D transform and fftshift the spectrum stage ran before its
+// four-line lanes (the bit-for-bit reference of half_log_spectrum), and the
 // CSP chain as it ran on a rendered float spectrum before the one-pass walk.
 //
 // These are deliberately slow and obvious. Do not "optimize" them: their
@@ -20,12 +22,14 @@
 #include <complex>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "imaging/filter.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
 #include "metrics/fused.h"
+#include "signal/fft_plan.h"
 
 namespace decam::testref {
 
@@ -270,6 +274,164 @@ inline Image to_gray(const Image& img) {
   auto y = out.plane(0);
   for (std::size_t i = 0; i < y.size(); ++i) {
     y[i] = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
+  }
+  return out;
+}
+
+// The 2-D transform as the spectrum stage ran it before the lanes: one
+// interleaved complex line at a time through PlannedFft, into a w x h
+// complex plane. Row pass, two real rows per complex transform:
+// z = row0 + i*row1 costs one FFT, and the two spectra untangle through
+// Hermitian symmetry
+//   F0[k] = (Z[k] + conj(Z[w-k])) / 2,  F1[k] = -i (Z[k] - conj(Z[w-k])) / 2;
+// an odd last row runs alone. Then columns 0..w/2, gathered eight at a
+// time into contiguous tiles. Only those columns are written.
+inline void fft2d_half_plane(const Image& img, std::vector<Complex>& out) {
+  const int w = img.width();
+  const int h = img.height();
+  const std::size_t stride = static_cast<std::size_t>(w);
+  out.resize(img.plane_size());
+  const bool rgb = img.channels() == 3;
+  const float* r = img.data();
+  const float* g = rgb ? r + img.plane_size() : nullptr;
+  const float* b = rgb ? r + 2 * img.plane_size() : nullptr;
+  const auto luma = [&](std::size_t i) -> double {
+    if (!rgb) return static_cast<double>(r[i]);
+    const float y = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
+    return static_cast<double>(y);
+  };
+  const int x_end = w / 2 + 1;
+  const PlannedFft row_fft(static_cast<std::size_t>(w), false);
+  std::vector<Complex> z(stride);
+  int y = 0;
+  for (; y + 1 < h; y += 2) {
+    const std::size_t i0 = static_cast<std::size_t>(y) * stride;
+    const std::size_t i1 = i0 + stride;
+    for (int x = 0; x < w; ++x) {
+      z[static_cast<std::size_t>(x)] = Complex(luma(i0 + x), luma(i1 + x));
+    }
+    row_fft(z.data());
+    Complex* o0 = out.data() + i0;
+    Complex* o1 = out.data() + i1;
+    o0[0] = Complex(z[0].real(), 0.0);
+    o1[0] = Complex(z[0].imag(), 0.0);
+    for (int k = 1; k < x_end; ++k) {
+      const Complex a = z[static_cast<std::size_t>(k)];
+      const Complex bk = std::conj(z[static_cast<std::size_t>(w - k)]);
+      const Complex sum = a + bk;
+      const Complex diff = a - bk;
+      o0[k] = Complex(0.5 * sum.real(), 0.5 * sum.imag());
+      o1[k] = Complex(0.5 * diff.imag(), -0.5 * diff.real());
+    }
+  }
+  if (h & 1) {
+    const std::size_t i0 = static_cast<std::size_t>(h - 1) * stride;
+    for (int x = 0; x < w; ++x) {
+      z[static_cast<std::size_t>(x)] = Complex(luma(i0 + x), 0.0);
+    }
+    row_fft(z.data());
+    std::copy_n(z.data(), x_end, out.data() + i0);
+  }
+  if (h == 1) return;
+  constexpr int kColumnTile = 8;
+  const PlannedFft col_fft(static_cast<std::size_t>(h), false);
+  const std::size_t hs = static_cast<std::size_t>(h);
+  std::vector<Complex> tile(hs * kColumnTile);
+  for (int x = 0; x < x_end; x += kColumnTile) {
+    const int tw = std::min(kColumnTile, x_end - x);
+    for (int yy = 0; yy < h; ++yy) {
+      const Complex* src = out.data() + static_cast<std::size_t>(yy) * w + x;
+      for (int c = 0; c < tw; ++c) tile[static_cast<std::size_t>(c) * hs + yy] = src[c];
+    }
+    for (int c = 0; c < tw; ++c) col_fft(tile.data() + static_cast<std::size_t>(c) * hs);
+    for (int yy = 0; yy < h; ++yy) {
+      Complex* dst = out.data() + static_cast<std::size_t>(yy) * w + x;
+      for (int c = 0; c < tw; ++c) dst[c] = tile[static_cast<std::size_t>(c) * hs + yy];
+    }
+  }
+}
+
+// The full plane: the half plane, and its right half from
+// F[y][x] = conj(F[(h-y) mod h][w-x]).
+inline std::vector<Complex> fft2d(const Image& img) {
+  std::vector<Complex> out;
+  fft2d_half_plane(img, out);
+  const int w = img.width();
+  const int h = img.height();
+  const std::size_t stride = static_cast<std::size_t>(w);
+  for (int y = 0; y < h; ++y) {
+    const std::size_t ym = y == 0 ? 0 : static_cast<std::size_t>(h - y);
+    const Complex* src = out.data() + ym * stride;
+    Complex* dst = out.data() + static_cast<std::size_t>(y) * stride;
+    for (int x = w / 2 + 1; x < w; ++x) dst[x] = std::conj(src[w - x]);
+  }
+  return out;
+}
+
+// Swaps quadrants so the zero-frequency bin moves to the centre, in place:
+// each row rotated right by w/2, then the rows by h/2 (a block swap for
+// even heights, the rotation's permutation cycles for odd ones).
+inline void fftshift(std::vector<Complex>& data, int width, int height) {
+  const int hx = width / 2;
+  const int hy = height / 2;
+  if (hx > 0) {
+    for (int y = 0; y < height; ++y) {
+      Complex* row = data.data() + static_cast<std::size_t>(y) * width;
+      std::rotate(row, row + (width - hx), row + width);
+    }
+  }
+  if (hy == 0) return;
+  const std::size_t stride = static_cast<std::size_t>(width);
+  if (height % 2 == 0) {
+    for (int y = 0; y < hy; ++y) {
+      Complex* a = data.data() + static_cast<std::size_t>(y) * stride;
+      Complex* b = data.data() + static_cast<std::size_t>(y + hy) * stride;
+      std::swap_ranges(a, a + stride, b);
+    }
+    return;
+  }
+  std::vector<Complex> tmp(stride);
+  const int cycles = std::gcd(height, hy);
+  for (int c = 0; c < cycles; ++c) {
+    std::copy_n(data.data() + static_cast<std::size_t>(c) * stride, stride,
+                tmp.data());
+    int dst = c;
+    while (true) {
+      int src = dst - hy;
+      if (src < 0) src += height;
+      if (src == c) break;
+      std::copy_n(data.data() + static_cast<std::size_t>(src) * stride, stride,
+                  data.data() + static_cast<std::size_t>(dst) * stride);
+      dst = src;
+    }
+    std::copy_n(tmp.data(), stride,
+                data.data() + static_cast<std::size_t>(dst) * stride);
+  }
+}
+
+// The spectrum stage from the interleaved transform: log1p_magnitude of
+// columns 0..w/2, row-major, and the range.
+struct HalfLogSpectrum {
+  std::vector<double> logmag;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+};
+
+inline HalfLogSpectrum half_log_spectrum(const Image& img) {
+  std::vector<Complex> freq;
+  fft2d_half_plane(img, freq);
+  const int w = img.width();
+  const int hw = w / 2 + 1;
+  HalfLogSpectrum out;
+  out.logmag.reserve(static_cast<std::size_t>(img.height()) * hw);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < hw; ++x) {
+      const double v =
+          log1p_magnitude(freq[static_cast<std::size_t>(y) * w + x]);
+      out.logmag.push_back(v);
+      out.lo = std::min(out.lo, v);
+      out.hi = std::max(out.hi, v);
+    }
   }
   return out;
 }

@@ -14,6 +14,7 @@
 #include "common/simd.h"
 #include "data/rng.h"
 #include "imaging/filter.h"
+#include "signal/fft_plan.h"
 #include "obs/metrics.h"
 
 namespace decam {
@@ -251,7 +252,8 @@ TEST_F(SimdParity, PairStatsVpass) {
 TEST_F(SimdParity, LogMagnitudes) {
   for (const int n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1031}) {
     data::Rng rng(600u + n);
-    std::vector<double> bins(2 * static_cast<std::size_t>(n));
+    std::vector<double> re_of(static_cast<std::size_t>(n));
+    std::vector<double> im_of(re_of.size());
     for (int i = 0; i < n; ++i) {
       double re = 0.0;
       double im = 0.0;
@@ -271,23 +273,94 @@ TEST_F(SimdParity, LogMagnitudes) {
           im = rng.next_range(-1.0, 1.0);
           break;
       }
-      bins[2 * static_cast<std::size_t>(i)] = re;
-      bins[2 * static_cast<std::size_t>(i) + 1] = im;
+      re_of[static_cast<std::size_t>(i)] = re;
+      im_of[static_cast<std::size_t>(i)] = im;
     }
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const std::pair<double, double> starts[] = {{kInf, -kInf}, {3.5, 3.5}};
     for (const auto& [lo0, hi0] : starts) {
+      // The native run is in place (out = re), as the spectrum runs it.
       std::vector<double> out_s(static_cast<std::size_t>(n));
-      std::vector<double> out_n(out_s.size());
+      std::vector<double> out_n = re_of;
       double lo_s = lo0, hi_s = hi0;
       double lo_n = lo0, hi_n = hi0;
-      scalar_->log_magnitudes(out_s.data(), bins.data(), n, &lo_s, &hi_s);
-      native_->log_magnitudes(out_n.data(), bins.data(), n, &lo_n, &hi_n);
+      scalar_->log_magnitudes(out_s.data(), re_of.data(), im_of.data(), n,
+                              &lo_s, &hi_s);
+      native_->log_magnitudes(out_n.data(), out_n.data(), im_of.data(), n,
+                              &lo_n, &hi_n);
       const std::string what = "log_magnitudes n=" + std::to_string(n) +
                                " lo0=" + std::to_string(lo0);
       expect_bits_equal(out_s, out_n, what);
       EXPECT_EQ(0, std::memcmp(&lo_s, &lo_n, sizeof(double))) << what;
       EXPECT_EQ(0, std::memcmp(&hi_s, &hi_n, sizeof(double))) << what;
+    }
+  }
+}
+
+// The four-line transform on both tables, bit for bit, with different
+// random data in every lane so that a lane swap shows. Buffers are sized
+// exactly: an AddressSanitizer build sees a read past the last element.
+TEST_F(SimdParity, FftLanes) {
+  constexpr int kLanes = simd::kFftLanes;
+  for (const std::size_t n :
+       {1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 49, 224, 448, 480, 640, 672, 900, 11,
+        37, 301, 333, 449}) {
+    for (const bool inverse : {false, true}) {
+      data::Rng rng(700u + n * 2 + inverse);
+      std::vector<double> re(n * kLanes), im(n * kLanes);
+      for (double& v : re) v = rng.next_range(-255.0, 255.0);
+      for (double& v : im) v = rng.next_range(-255.0, 255.0);
+      const PlannedFft plan(n, inverse);
+      const std::size_t work = kLanes * simd::fft_work_doubles(plan.lanes());
+      std::vector<double> re_s = re, im_s = im, work_s(work);
+      std::vector<double> re_n = re, im_n = im, work_n(work);
+      scalar_->fft_lanes(plan.lanes(), re_s.data(), im_s.data(),
+                         work_s.data());
+      native_->fft_lanes(plan.lanes(), re_n.data(), im_n.data(),
+                         work_n.data());
+      const std::string what = "fft_lanes n=" + std::to_string(n) +
+                               (inverse ? " inverse" : " forward");
+      expect_bits_equal(re_s, re_n, what + " re");
+      expect_bits_equal(im_s, im_n, what + " im");
+    }
+  }
+}
+
+// The decoders' byte-to-plane store, 1 and 3 channels, every length across
+// the vector widths and one long row; each plane sized exactly.
+TEST_F(SimdParity, DeinterleaveU8) {
+  std::vector<int> sizes;
+  for (int n = 0; n <= 33; ++n) sizes.push_back(n);
+  sizes.push_back(1031);
+  for (const int channels : {1, 3}) {
+    for (const int n : sizes) {
+      data::Rng rng(800u + n * 3 + channels);
+      std::vector<std::uint8_t> src(static_cast<std::size_t>(n) * channels);
+      for (std::uint8_t& b : src) {
+        b = static_cast<std::uint8_t>(rng.next_range(0.0, 256.0));
+      }
+      std::vector<std::vector<float>> out_s(
+          channels, std::vector<float>(static_cast<std::size_t>(n)));
+      std::vector<std::vector<float>> out_n = out_s;
+      std::vector<float*> dst_s, dst_n;
+      for (int c = 0; c < channels; ++c) {
+        dst_s.push_back(out_s[c].data());
+        dst_n.push_back(out_n[c].data());
+      }
+      scalar_->deinterleave_u8(dst_s.data(), src.data(), channels, n);
+      native_->deinterleave_u8(dst_n.data(), src.data(), channels, n);
+      for (int c = 0; c < channels; ++c) {
+        const std::string what = "deinterleave_u8 channels=" +
+                                 std::to_string(channels) +
+                                 " n=" + std::to_string(n) +
+                                 " plane " + std::to_string(c);
+        expect_bits_equal(out_s[c], out_n[c], what);
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(out_s[c][static_cast<std::size_t>(i)],
+                    static_cast<float>(src[static_cast<std::size_t>(i) * channels + c]))
+              << what << " at " << i;
+        }
+      }
     }
   }
 }
