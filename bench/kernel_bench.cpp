@@ -39,7 +39,9 @@
 
 #include "bench_common.h"
 #include "common/simd.h"
+#include "core/filtering_detector.h"
 #include "core/pipeline.h"
+#include "core/scaling_detector.h"
 #include "core/steganalysis_detector.h"
 #include "data/rng.h"
 #include "data/synth.h"
@@ -227,24 +229,37 @@ int main(int argc, char** argv) {
       const core::Battery battery(config);
       bench("battery/score", big_px, [&] { (void)battery.score(big); });
 
-      // The same score on a prebuilt context isolates the metric reductions
-      // from intermediate construction (round trip, filter, spectrum).
+      // The same score on a prebuilt context (the downscale and the
+      // spectrum) isolates the reductions from stage construction. The
+      // round trip and the minimum filter are produced row by row inside
+      // their reductions, so they count here.
       core::AnalysisContext context(big, battery.context_spec());
       bench("battery/score_fused", big_px,
             [&] { (void)battery.score(context); });
 
-      // Per-stage breakdown over the same prebuilt intermediates, so a
-      // regression in one stage is attributable without re-deriving it from
-      // battery/score deltas.
-      bench("battery/pair_stats/scaling", big_px, [&] {
-        (void)pair_stats(big, context.round_trip());
-      });
-      bench("battery/pair_stats/filtering", big_px, [&] {
-        (void)pair_stats(big, context.filtered());
-      });
-      bench_scalar("battery/pair_stats/filtering", big_px, [&] {
-        (void)pair_stats(big, context.filtered());
-      });
+      // Per-stage breakdown, so a regression in one stage is attributable
+      // without re-deriving it from battery/score deltas. The */rows
+      // entries time what the deployed scaling/MSE and filtering/min/SSIM
+      // members run on that context: the upscale's rows folded into the
+      // MSE, the 2x2 minimum's rows fed to the SSIM walk.
+      const core::ScalingDetector scaling_mse{
+          {.down_width = cnn, .down_height = cnn}};
+      bench("battery/scaling/mse_rows", big_px,
+            [&] { (void)scaling_mse.score(context); });
+      const core::FilteringDetector filtering_ssim{
+          core::FilteringDetectorConfig{}};
+      bench("battery/filtering/ssim_rows", big_px,
+            [&] { (void)filtering_ssim.score(context); });
+      // The pair reductions alone, over planes built outside the timing.
+      const Image round_trip = scale_round_trip(
+          big, cnn, cnn, ScaleAlgo::Bilinear, ScaleAlgo::Bilinear);
+      const Image filtered = rank_filter(big, 2, RankOp::Min);
+      bench("battery/pair_stats/scaling", big_px,
+            [&] { (void)pair_stats(big, round_trip); });
+      bench("battery/pair_stats/filtering", big_px,
+            [&] { (void)pair_stats(big, filtered); });
+      bench_scalar("battery/pair_stats/filtering", big_px,
+                   [&] { (void)pair_stats(big, filtered); });
       const core::SteganalysisDetector steg{core::SteganalysisDetectorConfig{}};
       bench("battery/steganalysis/csp", big_px,
             [&] { (void)steg.score(context); });

@@ -37,8 +37,7 @@ bool AnalysisContextSpec::covers(const AnalysisContextSpec& need) const {
   const bool downscale =
       !wants_downscale(need) ||
       (down_width == need.down_width && down_height == need.down_height &&
-       down_algo == need.down_algo &&
-       (!need.up_algo || up_algo == need.up_algo));
+       down_algo == need.down_algo);
   const bool filter = need.filter_window <= 0 ||
                       (filter_window == need.filter_window &&
                        filter_op == need.filter_op);
@@ -77,7 +76,7 @@ void AnalysisContext::ensure(AnalysisStage stage) {
       if (wants_downscale(spec_) && !downscaled_) build_round_trip();
       return;
     case AnalysisStage::Filter:
-      if (spec_.filter_window > 0 && !filtered_) build_filter();
+      if (spec_.filter_window > 0 && !filter_built_) build_filter();
       return;
     case AnalysisStage::Spectrum:
       if (spec_.spectrum && !spectrum_) build_spectrum();
@@ -89,27 +88,20 @@ void AnalysisContext::build_round_trip() {
   static auto& round_trip_hist =
       obs::MetricsRegistry::instance().histogram("context/round_trip");
   obs::Span span("context/round_trip", &round_trip_hist);
-  if (!spec_.up_algo) {
-    downscaled_ = resize(*input_, spec_.down_width, spec_.down_height,
-                         spec_.down_algo);
-  } else {
-    // One downscale serves both the pipeline view (histogram baseline) and
-    // the round trip — resize(resize(I)) is exactly scale_round_trip.
-    RoundTripImages images =
-        scale_round_trip_full(*input_, spec_.down_width, spec_.down_height,
-                              spec_.down_algo, *spec_.up_algo);
-    downscaled_ = std::move(images.down);
-    round_trip_ = std::move(images.up);
-  }
-  add_bytes(image_bytes(downscaled_) + image_bytes(round_trip_));
+  downscaled_ =
+      resize(*input_, spec_.down_width, spec_.down_height, spec_.down_algo);
+  add_bytes(image_bytes(downscaled_));
 }
 
 void AnalysisContext::build_filter() {
   static auto& filter_hist =
       obs::MetricsRegistry::instance().histogram("context/filter");
   obs::Span span("context/filter", &filter_hist);
-  filtered_ = rank_filter(*input_, spec_.filter_window, spec_.filter_op);
-  add_bytes(image_bytes(filtered_));
+  filter_built_ = true;
+  if (spec_.filter_op == RankOp::Median) {
+    filtered_ = rank_filter(*input_, spec_.filter_window, RankOp::Median);
+    add_bytes(image_bytes(filtered_));
+  }
 }
 
 void AnalysisContext::build_spectrum() {
@@ -134,14 +126,9 @@ const Image& AnalysisContext::downscaled() const {
   return *downscaled_;
 }
 
-const Image& AnalysisContext::round_trip() const {
-  DECAM_REQUIRE(round_trip_.has_value(), "context built without a round trip");
-  return *round_trip_;
-}
-
 const Image& AnalysisContext::filtered() const {
   DECAM_REQUIRE(filtered_.has_value(),
-                "context built without a filtered image");
+                "context built without a median-filtered image");
   return *filtered_;
 }
 

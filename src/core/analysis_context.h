@@ -8,18 +8,24 @@
 // global caches) and score all their members against it.
 //
 // Staging: the spec expands to an ordered plan of stages (analysis_plan():
-// round trip, rank filter, spectrum). An Eager context (the default)
-// materialises every planned stage in the constructor. A Deferred context
-// records the spec and materialises a stage the first time ensure(stage) is
-// called — the short-circuit ensemble vote uses this so a detector skipped
-// by an already-decided majority never pays for its intermediates. ensure()
-// is non-const and must be called before the const accessors; accessors
-// never build behind the caller's back.
+// round trip, rank filter, spectrum). The round-trip stage holds the
+// downscale, and the reductions stream the upscale back from it row by row
+// (imaging/scale.h ResizeRows); a Min/Max filter stage holds nothing, its
+// reductions streaming the filtered rows from the input (imaging/filter.h
+// RankRows), and only a Median stage keeps its plane. So no
+// full-resolution round trip or min/max-filtered plane is ever stored.
+// An Eager context (the default) materialises every planned stage in the
+// constructor. A Deferred context records the spec and materialises a
+// stage the first time ensure(stage) is called — the short-circuit
+// ensemble vote uses this so a detector skipped by an already-decided
+// majority never pays for its intermediates. ensure() is non-const and
+// must be called before the const accessors; accessors never build behind
+// the caller's back.
 //
-// Ownership: the context borrows `input` (non-owning pointer) and owns every
-// derived image and the spectrum stage. Keep the input alive for the
-// context's lifetime; contexts are scoped to scoring one image and are
-// neither copied nor moved (Image is value-semantic, so copying would
+// Ownership: the context borrows `input` (non-owning pointer) and owns the
+// downscale, a Median's plane and the spectrum stage. Keep the input alive
+// for the context's lifetime; contexts are scoped to scoring one image and
+// are neither copied nor moved (Image is value-semantic, so copying would
 // duplicate planes).
 //
 // Config matching: intermediates are only valid for the spec they were built
@@ -46,16 +52,12 @@ struct AnalysisContextSpec {
   int down_width = 0;   // > 0 enables the downscale
   int down_height = 0;
   ScaleAlgo down_algo = ScaleAlgo::Bilinear;  // victim pipeline's scaler
-  // Reconstruction scaler. Set: the downscale is also scaled back to the
-  // input geometry (the round trip); unset: the downscale alone.
-  std::optional<ScaleAlgo> up_algo;
-  int filter_window = 0;  // > 0 enables the rank-filtered image
+  int filter_window = 0;  // > 0 enables the rank-filter stage
   RankOp filter_op = RankOp::Min;
   bool spectrum = false;  // half-plane log spectrum (steganalysis)
 
   /// True when a context built from this spec holds every intermediate
-  /// `need` requests, with the same parameters. A need for the downscale
-  /// alone (no up_algo) is covered whatever the reconstruction scaler.
+  /// `need` requests, with the same parameters.
   bool covers(const AnalysisContextSpec& need) const;
 };
 
@@ -81,8 +83,8 @@ class AnalysisContext {
                   Build build = Build::Eager);
 
   /// Releases this context's contribution to the live-bytes gauge
-  /// (`mem/analysis_context_bytes` — the derived images and spectrum
-  /// stages of every context currently alive, across threads).
+  /// (`mem/analysis_context_bytes` — the downscales, Median planes and
+  /// spectrum stages of every context currently alive, across threads).
   ~AnalysisContext();
 
   AnalysisContext(AnalysisContext&&) = delete;
@@ -98,11 +100,11 @@ class AnalysisContext {
   /// through Detector::score(AnalysisContext&) — before the accessors.
   void ensure(AnalysisStage stage);
 
-  /// The pipeline's view: input resized to (down_width, down_height).
+  /// The pipeline's view: input resized to (down_width, down_height). A
+  /// round-trip reduction streams its upscale from it (ResizeRows).
   const Image& downscaled() const;
-  /// Downscale-then-upscale reconstruction at the input geometry.
-  const Image& round_trip() const;
-  /// Rank-filtered input (filter_window, filter_op).
+  /// The Median-filtered input (filter_window). A Min or Max filter stage
+  /// keeps no plane: its reductions stream RankRows over input().
   const Image& filtered() const;
   /// The input's spectrum stage: the log magnitudes of DFT columns
   /// 0..w/2 and their range (signal/spectrum.h), which the steganalysis
@@ -119,8 +121,8 @@ class AnalysisContext {
   const Image* input_;
   AnalysisContextSpec spec_;
   std::optional<Image> downscaled_;
-  std::optional<Image> round_trip_;
-  std::optional<Image> filtered_;
+  bool filter_built_ = false;
+  std::optional<Image> filtered_;  // a Median's plane
   std::optional<HalfSpectrum> spectrum_;
   std::uint64_t bytes_ = 0;  // this context's share of the live-bytes gauge
 };

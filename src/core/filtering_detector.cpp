@@ -1,7 +1,6 @@
 #include "core/filtering_detector.h"
 
 #include "metrics/mse.h"
-#include "metrics/ssim.h"
 #include "obs/span.h"
 
 namespace decam::core {
@@ -18,17 +17,32 @@ Image FilteringDetector::filtered(const Image& input) const {
   return rank_filter(input, config_.window, config_.op);
 }
 
+template <typename Fn>
+auto FilteringDetector::over_filtered(const AnalysisContext& context,
+                                      Fn&& fn) const {
+  if (config_.op == RankOp::Median) {
+    PlaneRows filtered(context.filtered());
+    return fn(filtered);
+  }
+  RankRows filtered(context.input(), config_.window, config_.op);
+  return fn(filtered);
+}
+
 double FilteringDetector::reduce(const AnalysisContext& context) const {
   DECAM_SPAN(span_name_);
   const Image& input = context.input();
-  return config_.metric == Metric::MSE ? mse(input, context.filtered())
-                                       : ssim(input, context.filtered());
+  return over_filtered(context, [&](RowSource& filtered) {
+    return config_.metric == Metric::MSE ? mse(input, filtered)
+                                         : pair_stats(input, filtered).ssim;
+  });
 }
 
 PairStats FilteringDetector::metrics(AnalysisContext& context) const {
   std::optional<AnalysisContext> own;
   const AnalysisContext& stages = staged(context, own);
-  return pair_stats(stages.input(), stages.filtered());
+  return over_filtered(stages, [&](RowSource& filtered) {
+    return pair_stats(stages.input(), filtered);
+  });
 }
 
 void FilteringDetector::prime(AnalysisContextSpec& spec) const {

@@ -37,6 +37,10 @@ class FilteringDetector final : public Detector {
 
  private:
   double reduce(const AnalysisContext& context) const override;
+  /// `fn(F)` over the filtered image's rows: a Min or Max streams them
+  /// from the input (RankRows), a Median reads the plane its stage kept.
+  template <typename Fn>
+  auto over_filtered(const AnalysisContext& context, Fn&& fn) const;
 
   FilteringDetectorConfig config_;
   // "detector/" + name(): built once, so a span with both sinks off

@@ -18,9 +18,9 @@ double HistogramDetector::reduce(const AnalysisContext& context) const {
 }
 
 void HistogramDetector::prime(AnalysisContextSpec& spec) const {
-  // Only claim the downscale slot when nobody with an up-algo has; the
-  // scaling detector's round trip produces the same downscaled image, and
-  // the downscale alone (no up_algo) is covered by any reconstruction.
+  // Only claim the downscale slot when no member has: the scaling
+  // detector streams its round trip from the same downscale, so one stage
+  // serves both whatever its reconstruction scaler.
   if (spec.down_width == 0) {
     spec.down_width = config_.down_width;
     spec.down_height = config_.down_height;

@@ -10,7 +10,7 @@
 //            score everything.
 //
 // Scoring runs the full battery once per image, sharing the expensive
-// intermediates (round trip, filtered image, spectrum) across metrics, and
+// intermediates (downscale, spectrum) across metrics, and
 // the whole result is cached on disk as TSV keyed by a config hash: the
 // first bench to run pays the generation cost, the rest reuse it.
 #pragma once
@@ -44,8 +44,9 @@ struct ExperimentConfig {
   std::string cache_key() const;
 };
 
-/// Full score battery for one image. Sharing the round trip / filtered
-/// image / spectrum across metrics is what keeps the pipeline fast.
+/// Full score battery for one image. Sharing the downscale and spectrum
+/// across metrics, and reducing each derived image as it is produced, is
+/// what keeps the pipeline fast.
 struct ScoreRow {
   double scaling_mse = 0.0;
   double scaling_ssim = 0.0;
@@ -92,8 +93,8 @@ class Battery {
   /// member the context's spec does not cover scores a private context.
   ScoreRow score(AnalysisContext& context) const;
 
-  /// The intermediates the members consume: round trip at the CNN
-  /// geometry, 2x2 minimum filter, centered log-spectrum.
+  /// The stages the members consume: the round trip's downscale to the
+  /// CNN geometry, the 2x2 minimum filter, the half-plane log spectrum.
   AnalysisContextSpec context_spec() const;
 
  private:

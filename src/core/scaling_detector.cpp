@@ -1,7 +1,6 @@
 #include "core/scaling_detector.h"
 
 #include "metrics/mse.h"
-#include "metrics/ssim.h"
 #include "obs/span.h"
 
 namespace decam::core {
@@ -19,33 +18,36 @@ Image ScalingDetector::round_trip(const Image& input) const {
                           config_.down_algo, config_.up_algo);
 }
 
-const Image& ScalingDetector::checked_round_trip(
+ResizeRows ScalingDetector::round_trip_rows(
     const AnalysisContext& context) const {
-  DECAM_REQUIRE(context.input().width() > config_.down_width &&
-                    context.input().height() > config_.down_height,
+  const Image& input = context.input();
+  DECAM_REQUIRE(input.width() > config_.down_width &&
+                    input.height() > config_.down_height,
                 "input must be larger than the CNN geometry");
-  return context.round_trip();
+  return ResizeRows(context.downscaled(), input.width(), input.height(),
+                    config_.up_algo);
 }
 
 double ScalingDetector::reduce(const AnalysisContext& context) const {
   DECAM_SPAN(config_.metric == Metric::MSE ? "detector/scaling/mse"
                                            : "detector/scaling/ssim");
-  const Image& round = checked_round_trip(context);
-  return config_.metric == Metric::MSE ? mse(context.input(), round)
-                                       : ssim(context.input(), round);
+  ResizeRows round = round_trip_rows(context);
+  return config_.metric == Metric::MSE
+             ? mse(context.input(), round)
+             : pair_stats(context.input(), round).ssim;
 }
 
 PairStats ScalingDetector::metrics(AnalysisContext& context) const {
   std::optional<AnalysisContext> own;
   const AnalysisContext& stages = staged(context, own);
-  return pair_stats(stages.input(), checked_round_trip(stages));
+  ResizeRows round = round_trip_rows(stages);
+  return pair_stats(stages.input(), round);
 }
 
 void ScalingDetector::prime(AnalysisContextSpec& spec) const {
   spec.down_width = config_.down_width;
   spec.down_height = config_.down_height;
   spec.down_algo = config_.down_algo;
-  spec.up_algo = config_.up_algo;
 }
 
 std::string ScalingDetector::name() const {

@@ -37,9 +37,10 @@ class ScalingDetector final : public Detector {
 
  private:
   double reduce(const AnalysisContext& context) const override;
-  /// The context's round trip, once the input passed the size check that
-  /// every entry point shares.
-  const Image& checked_round_trip(const AnalysisContext& context) const;
+  /// The round trip S as rows: the context's downscale upscaled back to
+  /// the input geometry one row at a time, once the input passed the size
+  /// check that every entry point shares. S is never stored.
+  ResizeRows round_trip_rows(const AnalysisContext& context) const;
 
   ScalingDetectorConfig config_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -11,6 +12,7 @@
 #endif
 
 #include "common/simd.h"
+#include "obs/memstats.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -42,41 +44,36 @@ void fold_into(float* acc, const float* b, int n, Op op) {
   for (int x = 0; x < n; ++x) acc[x] = op(acc[x], b[x]);
 }
 
-// Separable rank min/max, k >= 2, O(k) per sample. Each input row's
-// horizontal fold (op over row[x .. x+k-1]) lands in a ring of k row
-// buffers; each output row folds the ring rows y .. y+k-1. A tap past the
-// right or bottom edge repeats the last column or row, which an earlier
-// step already folded in and a keep-first fold ignores, so both folds stop
-// at the edge (the bottom row folds with itself: op(a, a) is a). Folding
-// window rows top to bottom and each row left to right returns the
-// window's first extremum in row-major order: the naive filter's sample,
-// bit for bit.
+// Output row y of the separable rank min/max, k >= 2, O(k) per sample.
+// Each input row's horizontal fold (op over row[x .. x+k-1]) lands in a
+// ring of k row buffers, input rows entering in order (`next` is the first
+// one not yet folded); the output row folds the ring rows y .. y+k-1. A
+// tap past the right or bottom edge repeats the last column or row, which
+// an earlier step already folded in and a keep-first fold ignores, so both
+// folds stop at the edge (the bottom row folds with itself: op(a, a) is
+// a). Folding window rows top to bottom and each row left to right returns
+// the window's first extremum in row-major order: the naive filter's
+// sample, bit for bit.
 template <typename Op>
-void rank_min_max(const Image& img, int k, Op op, Image& out) {
+void rank_min_max_row(const Image& img, int k, float* ring, int& next, int y,
+                      int c, float* out, Op op) {
   const int w = img.width();
   const int h = img.height();
-  std::vector<float> ring(static_cast<std::size_t>(k) * w);
   auto slot = [&](int r) {
-    return ring.data() + static_cast<std::size_t>(r % k) * w;
+    return ring + static_cast<std::size_t>(r % k) * w;
   };
-  for (int c = 0; c < img.channels(); ++c) {
-    int next = 0;  // first input row not yet folded into the ring
-    for (int y = 0; y < h; ++y) {
-      const int last = std::min(y + k - 1, h - 1);
-      for (; next <= last; ++next) {
-        const float* row = img.row(next, c).data();
-        float* dst = slot(next);
-        fold_pair(dst, row, row + 1, w - 1, op);
-        dst[w - 1] = row[w - 1];
-        for (int d = 2; d < std::min(k, w); ++d) {
-          fold_into(dst, row + d, w - d, op);
-        }
-      }
-      float* o = out.row(y, c).data();
-      fold_pair(o, slot(y), slot(std::min(y + 1, last)), w, op);
-      for (int r = y + 2; r <= last; ++r) fold_into(o, slot(r), w, op);
+  const int last = std::min(y + k - 1, h - 1);
+  for (; next <= last; ++next) {
+    const float* row = img.row(next, c).data();
+    float* dst = slot(next);
+    fold_pair(dst, row, row + 1, w - 1, op);
+    dst[w - 1] = row[w - 1];
+    for (int d = 2; d < std::min(k, w); ++d) {
+      fold_into(dst, row + d, w - d, op);
     }
   }
+  fold_pair(out, slot(y), slot(std::min(y + 1, last)), w, op);
+  for (int r = y + 2; r <= last; ++r) fold_into(out, slot(r), w, op);
 }
 
 // Exact median via an incrementally maintained sorted window: sliding one
@@ -610,6 +607,66 @@ MedianPath classify_median_path(const Image& img) {
   return MedianPath::Grid8;
 }
 
+namespace {
+std::atomic<std::uint64_t> g_rank_scratch_bytes{0};
+}  // namespace
+
+// One thread's rank scratch: the ring of k input-row folds and the row
+// that row() hands out.
+struct RankScratch {
+  std::vector<float, DefaultInitAllocator<float>> ring;
+  std::vector<float, DefaultInitAllocator<float>> row;
+  bool busy = false;
+  obs::ScratchShare share{"rank_scratch", g_rank_scratch_bytes};
+};
+
+RankRows::RankRows(const Image& img, int k, RankOp op)
+    : RowSource(img.width(), img.height(), img.channels()),
+      img_(img),
+      k_(k),
+      op_(op) {
+  DECAM_REQUIRE(!img.empty(), "rank filter of empty image");
+  DECAM_REQUIRE(k >= 1, "window size must be >= 1");
+  DECAM_REQUIRE(op != RankOp::Median, "rank rows stream min and max only");
+  thread_local RankScratch scratch;
+  DECAM_ASSERT(!scratch.busy);
+  scratch_ = &scratch;
+  const std::size_t w = static_cast<std::size_t>(img.width());
+  size_exactly(scratch.ring, static_cast<std::size_t>(k) * w);
+  size_exactly(scratch.row, w);
+  scratch.share.set(
+      (scratch.ring.capacity() + scratch.row.capacity()) * sizeof(float));
+  scratch.busy = true;
+}
+
+RankRows::~RankRows() { scratch_->busy = false; }
+
+void RankRows::write_row(int y, int c, float* out) {
+  if (y == 0) {
+    channel_ = c;
+    next_out_ = next_in_ = 0;
+  }
+  DECAM_ASSERT(c == channel_ && y == next_out_ && y < height());
+  ++next_out_;
+  if (k_ == 1) {
+    const float* row = img_.row(y, c).data();
+    std::copy(row, row + width(), out);
+  } else if (op_ == RankOp::Min) {
+    rank_min_max_row(img_, k_, scratch_->ring.data(), next_in_, y, c, out,
+                     MinOp{});
+  } else {
+    rank_min_max_row(img_, k_, scratch_->ring.data(), next_in_, y, c, out,
+                     MaxOp{});
+  }
+}
+
+const float* RankRows::row(int y, int c) {
+  if (k_ == 1) return img_.row(y, c).data();
+  float* out = scratch_->row.data();
+  write_row(y, c, out);
+  return out;
+}
+
 Image rank_filter(const Image& img, int k, RankOp op) {
   DECAM_SPAN("imaging/rank_filter");
   DECAM_REQUIRE(!img.empty(), "rank_filter of empty image");
@@ -617,16 +674,15 @@ Image rank_filter(const Image& img, int k, RankOp op) {
   if (k == 1) return img;  // 1x1 window: identity for min/median/max
   // Every route below stores each output sample once.
   Image out = Image::uninitialized(img.width(), img.height(), img.channels());
-  switch (op) {
-    case RankOp::Min:
-      rank_min_max(img, k, MinOp{}, out);
-      break;
-    case RankOp::Max:
-      rank_min_max(img, k, MaxOp{}, out);
-      break;
-    case RankOp::Median:
-      rank_median(img, k, out);
-      break;
+  if (op == RankOp::Median) {
+    rank_median(img, k, out);
+    return out;
+  }
+  RankRows rows(img, k, op);
+  for (int c = 0; c < img.channels(); ++c) {
+    for (int y = 0; y < img.height(); ++y) {
+      rows.write_row(y, c, out.row(y, c).data());
+    }
   }
   return out;
 }

@@ -71,6 +71,39 @@ inline constexpr std::size_t kMedianClassifyBlock = 1024;
 /// One-pass classifier over every plane; exposed for tests and benches.
 MedianPath classify_median_path(const Image& img);
 
+struct RankScratch;
+
+/// rank_filter(img, k, op) for a Min or Max, one output row at a time: the
+/// direct separable fold above, its ring of k row buffers in the calling
+/// thread's rank scratch (kept across calls, counted as
+/// `mem/rank_scratch_bytes`). rank_filter() stores every row into a plane;
+/// the filtering detector hands each row straight to its reduction, so
+/// that plane is never stored. The ring only moves forward, so rows must
+/// come in the planar order RowSource states. k = 1 hands out the input's
+/// own rows. One RankRows per thread at a time: a second one while the
+/// first is alive is a library bug and aborts.
+class RankRows final : public RowSource {
+ public:
+  RankRows(const Image& img, int k, RankOp op);
+  ~RankRows();
+  RankRows(const RankRows&) = delete;
+  RankRows& operator=(const RankRows&) = delete;
+
+  /// The row in the scratch's row buffer (the input's row when k = 1).
+  const float* row(int y, int c) override;
+  /// Writes row y of channel c to `out` (width() floats).
+  void write_row(int y, int c, float* out);
+
+ private:
+  const Image& img_;
+  int k_;
+  RankOp op_;
+  RankScratch* scratch_;
+  int channel_ = 0;  // the channel the ring holds rows of
+  int next_out_ = 0;  // the next output row of that channel
+  int next_in_ = 0;  // the first input row not yet folded into the ring
+};
+
 /// k x k rank filter (k >= 1). Each output pixel is the min/median/max of
 /// the window anchored at that pixel, per channel.
 Image rank_filter(const Image& img, int k, RankOp op);

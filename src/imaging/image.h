@@ -55,6 +55,16 @@ struct DefaultInitAllocator : std::allocator<T> {
   }
 };
 
+/// Sizes per-thread scratch to exactly n elements, keeping its capacity,
+/// with every element unset again (a quiet NaN under AddressSanitizer, so
+/// a read of an element no writer stored shows in the parity suites).
+template <typename T>
+void size_exactly(std::vector<T, DefaultInitAllocator<T>>& buffer,
+                  std::size_t n) {
+  buffer.clear();
+  buffer.resize(n);
+}
+
 class Image {
  public:
   /// Empty image (width == height == channels == 0).
@@ -144,5 +154,45 @@ class Image {
 
 /// Elementwise absolute difference |a - b| (shape-checked).
 Image absdiff(const Image& a, const Image& b);
+
+/// An image handed out one row at a time, so that a reduction can read a
+/// derived image (a resize, a rank filter) without its planes ever being
+/// stored. Callers ask for rows in planar order: channel ascending, then
+/// row ascending, each row once.
+class RowSource {
+ public:
+  int width() const { return width_; }
+  int height() const { return height_; }
+  int channels() const { return channels_; }
+  bool same_shape(const Image& image) const {
+    return width_ == image.width() && height_ == image.height() &&
+           channels_ == image.channels();
+  }
+
+  /// Row y of channel c: width() samples, valid until the next call.
+  virtual const float* row(int y, int c) = 0;
+
+ protected:
+  RowSource(int width, int height, int channels)
+      : width_(width), height_(height), channels_(channels) {}
+  ~RowSource() = default;
+
+ private:
+  int width_;
+  int height_;
+  int channels_;
+};
+
+/// A stored image as a RowSource: its rows, read in place.
+class PlaneRows final : public RowSource {
+ public:
+  explicit PlaneRows(const Image& image)
+      : RowSource(image.width(), image.height(), image.channels()),
+        image_(image) {}
+  const float* row(int y, int c) override { return image_.row(y, c).data(); }
+
+ private:
+  const Image& image_;
+};
 
 }  // namespace decam

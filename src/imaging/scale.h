@@ -6,10 +6,40 @@
 // coordinate convention and the deliberate absence of anti-aliasing).
 #pragma once
 
+#include <memory>
+
 #include "imaging/image.h"
 #include "imaging/kernels.h"
 
 namespace decam {
+
+struct ResizeScratch;
+
+/// resize(src, out_width, out_height, algo) one output row at a time. The
+/// constructor runs the horizontal pass into the calling thread's resize
+/// scratch (kept across calls, counted as `mem/resize_scratch_bytes`), and
+/// each row is one vertical pass over it. resize() stores every row into a
+/// plane; the scaling detector folds each row of its round trip straight
+/// into its reduction, so that plane is never stored. Rows may be asked
+/// for in any order. One ResizeRows per thread at a time: a second one
+/// while the first is alive is a library bug and aborts.
+class ResizeRows final : public RowSource {
+ public:
+  ResizeRows(const Image& src, int out_width, int out_height, ScaleAlgo algo);
+  ~ResizeRows();
+  ResizeRows(const ResizeRows&) = delete;
+  ResizeRows& operator=(const ResizeRows&) = delete;
+
+  /// The row in the scratch's row buffer.
+  const float* row(int y, int c) override;
+  /// Writes row y of channel c to `out` (width() floats).
+  void write_row(int y, int c, float* out) const;
+
+ private:
+  std::shared_ptr<const KernelTable> vert_;
+  ResizeScratch* scratch_;
+  std::size_t mid_plane_;  // samples per channel of the horizontal pass
+};
 
 /// Resamples `src` to out_width x out_height with the given algorithm.
 /// All channels are processed independently; output values are NOT clamped
@@ -27,16 +57,5 @@ inline Image resize(const Image& src, int out_side, ScaleAlgo algo) {
 /// `down` is the victim pipeline's scaler; `up` the reconstruction scaler.
 Image scale_round_trip(const Image& src, int down_width, int down_height,
                        ScaleAlgo down, ScaleAlgo up);
-
-/// Both halves of the round trip. Callers that also need the pipeline's
-/// downscaled view (core::AnalysisContext, the histogram baseline) take this
-/// variant so the downscale is computed once, not twice.
-struct RoundTripImages {
-  Image down;  // src at (down_width, down_height)
-  Image up;    // `down` scaled back to src geometry
-};
-RoundTripImages scale_round_trip_full(const Image& src, int down_width,
-                                      int down_height, ScaleAlgo down,
-                                      ScaleAlgo up);
 
 }  // namespace decam

@@ -2,14 +2,31 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/simd.h"
+#include "obs/memstats.h"
 
 namespace decam {
 namespace {
+
+std::atomic<std::uint64_t> g_workspace_bytes{0};
+
+// The calling thread's scratch for the walk, sized on first use and reused
+// across images. `ring` holds the horizontal window sums of the 11 most
+// recent source rows, pixel-blocked [block][stat][4 lanes]
+// (common/simd.h), with a row stride kept off multiples of 4 KiB; `prod`
+// is the edge-padded products row (a, b, a², b², ab as doubles) the
+// horizontal taps read.
+struct PairStatsWorkspace {
+  std::vector<double> ring;
+  std::vector<double> prod;
+  obs::ScratchShare share{"pair_stats_workspace", g_workspace_bytes};
+};
 
 constexpr double kC1 = (0.01 * 255.0) * (0.01 * 255.0);
 constexpr double kC2 = (0.03 * 255.0) * (0.03 * 255.0);
@@ -42,12 +59,12 @@ const std::array<double, kTaps>& ssim_window() {
 // pair_stats_vpass of common/simd.h. Every windowed sum starts at 0.0 and
 // adds its taps in ascending order, and the map sum stays one sequential
 // add per pixel, so blocking the loops leaves every output bit unchanged.
-double fused_plane(std::span<const float> a, std::span<const float> b,
-                   int width, int height, PairStatsWorkspace& ws,
-                   double& mse_sum) {
+double fused_plane(const Image& a, RowSource& b, int c,
+                   PairStatsWorkspace& ws, double& mse_sum) {
+  const int width = a.width();
+  const int height = a.height();
   const std::array<double, kTaps>& win = ssim_window();
   const simd::SimdOps& ops = simd::ops();
-  const std::size_t w_sz = static_cast<std::size_t>(width);
   // The vertical pass reads the same block of all 11 ring rows; a row
   // stride of a multiple of 4 KiB would map them onto one L1 set. Rows
   // start on a cache line (7 doubles of slack to align the ring), so no
@@ -64,12 +81,12 @@ double fused_plane(std::span<const float> a, std::span<const float> b,
                  simd::pair_products_width(width));
 
   // Horizontal pass for source row y into ring slot y % 11. The MSE sum
-  // rides along in the same walk, so each source pixel is read once.
+  // rides along in the same walk, so each source pixel is read once, and
+  // b's rows are asked for in planar order.
   const auto compute_mid_row = [&](int y) {
-    const std::size_t base = static_cast<std::size_t>(y) * w_sz;
     mse_sum = ops.pair_stats_hpass(
         ring + static_cast<std::size_t>(y % kTaps) * stride,
-        ws.prod.data(), a.data() + base, b.data() + base, win.data(), width,
+        ws.prod.data(), a.row(y, c).data(), b.row(y, c), win.data(), width,
         mse_sum);
   };
 
@@ -94,23 +111,20 @@ double fused_plane(std::span<const float> a, std::span<const float> b,
 
 }  // namespace
 
-PairStatsWorkspace& thread_pair_stats_workspace() {
-  thread_local PairStatsWorkspace workspace;
-  return workspace;
-}
-
-PairStats pair_stats(const Image& a, const Image& b,
-                     PairStatsWorkspace& workspace) {
-  DECAM_REQUIRE(a.same_shape(b), "pair_stats: shape mismatch");
+PairStats pair_stats(const Image& a, RowSource& b) {
+  DECAM_REQUIRE(b.same_shape(a), "pair_stats: shape mismatch");
   DECAM_REQUIRE(!a.empty(), "pair_stats of empty images");
+  thread_local PairStatsWorkspace workspace;
   const std::size_t n = a.plane_size();
   double mse_sum = 0.0;
   double ssim_total = 0.0;
   for (int c = 0; c < a.channels(); ++c) {
-    ssim_total += fused_plane(a.plane(c), b.plane(c), a.width(), a.height(),
-                              workspace, mse_sum) /
+    ssim_total += fused_plane(a, b, c, workspace, mse_sum) /
                   static_cast<double>(n);
   }
+  workspace.share.set(
+      (workspace.ring.capacity() + workspace.prod.capacity()) *
+      sizeof(double));
   PairStats stats;
   stats.mse = mse_sum / static_cast<double>(a.size());
   stats.ssim = ssim_total / a.channels();
@@ -124,7 +138,8 @@ PairStats pair_stats(const Image& a, const Image& b,
 }
 
 PairStats pair_stats(const Image& a, const Image& b) {
-  return pair_stats(a, b, thread_pair_stats_workspace());
+  PlaneRows rows(b);
+  return pair_stats(a, rows);
 }
 
 }  // namespace decam

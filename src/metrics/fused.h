@@ -20,8 +20,6 @@
 // in tests/reference_kernels.h pin this down.
 #pragma once
 
-#include <vector>
-
 #include "imaging/image.h"
 
 namespace decam {
@@ -33,26 +31,14 @@ struct PairStats {
   double psnr = 0.0;
 };
 
-/// Reusable scratch for the fused pass. One per thread (pair_stats() uses
-/// the calling thread's); sized on first use and reused across images.
-/// `ring` holds the horizontal window sums of the 11 most recent source
-/// rows, pixel-blocked [block][stat][4 lanes] (common/simd.h), with a row
-/// stride kept off multiples of 4 KiB; `prod` is the edge-padded products
-/// row (a, b, a², b², ab as doubles) the horizontal taps read.
-struct PairStatsWorkspace {
-  std::vector<double> ring;
-  std::vector<double> prod;
-};
-
-/// The calling thread's default workspace.
-PairStatsWorkspace& thread_pair_stats_workspace();
-
 /// MSE + mean windowed SSIM + PSNR of (a, b) in one traversal. Shapes must
 /// match; results are bit-identical to mse(a, b), ssim(a, b), psnr(a, b).
+/// `b`'s rows are read once each, in planar order, one row at a time (a
+/// resize or rank producer, or an image's planes), so a derived image is
+/// reduced without being stored. The walk's scratch is the calling
+/// thread's, kept across calls and counted as
+/// `mem/pair_stats_workspace_bytes`.
+PairStats pair_stats(const Image& a, RowSource& b);
 PairStats pair_stats(const Image& a, const Image& b);
-
-/// Scratch-reusing overload of the above.
-PairStats pair_stats(const Image& a, const Image& b,
-                     PairStatsWorkspace& workspace);
 
 }  // namespace decam

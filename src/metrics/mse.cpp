@@ -4,18 +4,36 @@
 #include <limits>
 
 namespace decam {
+namespace {
 
-double mse(const Image& a, const Image& b) {
-  DECAM_REQUIRE(a.same_shape(b), "mse: shape mismatch");
-  DECAM_REQUIRE(!a.empty(), "mse of empty images");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = static_cast<double>(pa[i]) - static_cast<double>(pb[i]);
+// sum + d_0 * d_0 + ... + d_{n-1} * d_{n-1}, d_i = (double)a[i] -
+// (double)b[i], added one sample at a time in index order: the MSE walk
+// over one row.
+double fold_squared_diff(const float* a, const float* b, int n, double sum) {
+  for (int i = 0; i < n; ++i) {
+    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
     sum += d * d;
   }
+  return sum;
+}
+
+}  // namespace
+
+double mse(const Image& a, RowSource& b) {
+  DECAM_REQUIRE(b.same_shape(a), "mse: shape mismatch");
+  DECAM_REQUIRE(!a.empty(), "mse of empty images");
+  double sum = 0.0;
+  for (int c = 0; c < a.channels(); ++c) {
+    for (int y = 0; y < a.height(); ++y) {
+      sum = fold_squared_diff(a.row(y, c).data(), b.row(y, c), a.width(), sum);
+    }
+  }
   return sum / static_cast<double>(a.size());
+}
+
+double mse(const Image& a, const Image& b) {
+  PlaneRows rows(b);
+  return mse(a, rows);
 }
 
 double psnr(const Image& a, const Image& b) {

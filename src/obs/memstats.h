@@ -13,6 +13,7 @@
 // first use.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -28,6 +29,36 @@ namespace decam::obs {
 /// static initializer.
 void register_memory_source(std::string_view name,
                             std::function<std::uint64_t()> bytes_fn);
+
+/// One thread's share of a memory source that counts per-thread scratch.
+/// The source's total is a namespace-scope atomic (constant-initialised,
+/// so it outlives every thread's share); each thread's scratch holds a
+/// ScratchShare on it, whose construction registers the source. set()
+/// moves this thread's share to the bytes its scratch holds now, and the
+/// thread's exit takes the share out again, so sampling is one relaxed
+/// load.
+class ScratchShare {
+ public:
+  ScratchShare(std::string_view source, std::atomic<std::uint64_t>& total)
+      : total_(total) {
+    register_memory_source(source, [&total] {
+      return total.load(std::memory_order_relaxed);
+    });
+  }
+  ~ScratchShare() { total_.fetch_sub(bytes_, std::memory_order_relaxed); }
+  ScratchShare(const ScratchShare&) = delete;
+  ScratchShare& operator=(const ScratchShare&) = delete;
+
+  /// A shrink wraps modulo 2^64 and lands exactly.
+  void set(std::uint64_t bytes) {
+    total_.fetch_add(bytes - bytes_, std::memory_order_relaxed);
+    bytes_ = bytes;
+  }
+
+ private:
+  std::atomic<std::uint64_t>& total_;
+  std::uint64_t bytes_ = 0;
+};
 
 /// Current resident set size of the process in bytes (VmRSS), or 0 when
 /// /proc/self/status is unavailable.

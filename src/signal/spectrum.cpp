@@ -11,9 +11,7 @@ namespace decam {
 namespace {
 
 // Bytes held by every live thread's spectrum workspace, for the
-// `mem/spectrum_workspace_bytes` gauge. Each thread reconciles its own
-// contribution against this total when it touches its workspace (and on
-// thread exit), so sampling is one relaxed load.
+// `mem/spectrum_workspace_bytes` gauge.
 std::atomic<std::uint64_t> g_workspace_bytes{0};
 
 std::uint64_t workspace_bytes(const SpectrumWorkspace& ws) {
@@ -25,31 +23,8 @@ std::uint64_t workspace_bytes(const SpectrumWorkspace& ws) {
 
 struct TrackedWorkspace {
   SpectrumWorkspace ws;
-  std::uint64_t accounted = 0;
-
-  // Folds any capacity change since the last call into the global total.
-  // Runs at workspace handout, so a buffer grown during the previous use is
-  // visible to the next export (off by at most one image's growth).
-  void reconcile() {
-    const std::uint64_t now = workspace_bytes(ws);
-    if (now >= accounted) {
-      g_workspace_bytes.fetch_add(now - accounted, std::memory_order_relaxed);
-    } else {
-      g_workspace_bytes.fetch_sub(accounted - now, std::memory_order_relaxed);
-    }
-    accounted = now;
-  }
-
-  ~TrackedWorkspace() {
-    g_workspace_bytes.fetch_sub(accounted, std::memory_order_relaxed);
-  }
+  obs::ScratchShare share{"spectrum_workspace", g_workspace_bytes};
 };
-
-// Sizes a lane buffer to exactly n doubles, every one unset again.
-void size_exactly(SpectrumWorkspace::LaneBuffer& buffer, std::size_t n) {
-  buffer.clear();
-  buffer.resize(n);
-}
 
 constexpr int kLanes = simd::kFftLanes;
 
@@ -171,16 +146,12 @@ void row_pass(const Image& img, const PlannedFft& row_fft,
 
 SpectrumWorkspace& thread_spectrum_workspace() {
   thread_local TrackedWorkspace tracked;
-  static const bool source_registered = [] {
-    obs::register_memory_source("spectrum_workspace", [] {
-      return g_workspace_bytes.load(std::memory_order_relaxed);
-    });
-    return true;
-  }();
-  (void)source_registered;
-  tracked.reconcile();
+  // Handout folds in what the previous use grew, so an export is off by
+  // at most one image's growth.
+  tracked.share.set(workspace_bytes(tracked.ws));
   return tracked.ws;
 }
+
 
 // The row pass, then group by group: the four columns' transform in place
 // and, while the group is hot, the dispatched logs

@@ -17,6 +17,7 @@
 #include "core/steganalysis_detector.h"
 #include "data/rng.h"
 #include "data/synth.h"
+#include "obs/memstats.h"
 #include "runtime/parallel.h"
 
 namespace decam::core {
@@ -291,6 +292,61 @@ TEST(ScannerCalibrate, RejectsBadPercentileOrMarginBeforeLoading) {
         << margin;
   }
   EXPECT_EQ(loads.load(), 0);
+}
+
+double memory_gauge(const std::string& source) {
+  obs::sample_memory_gauges();
+  return obs::MetricsRegistry::instance()
+      .gauge("mem/" + source + "_bytes")
+      .value();
+}
+
+// The deployed members' stages over a 1024x768 RGB image hold the round
+// trip's 224² downscale and the spectrum stage, nothing for the minimum
+// filter: the full-resolution round trip and filtered planes are produced
+// row by row inside the reductions. A scan leaves the context gauge where
+// it found it, and the scratch that replaced the planes is counted.
+TEST(Scanner, DeployedStagesHoldNoFullResolutionPlane) {
+  Image image(1024, 768, 3);
+  for (int c = 0; c < 3; ++c) {
+    for (int y = 0; y < image.height(); ++y) {
+      for (int x = 0; x < image.width(); ++x) {
+        image.at(x, y, c) = static_cast<float>((7 * x + 13 * y + 29 * c) % 256);
+      }
+    }
+  }
+  const ScanConfig deployed;
+  AnalysisContextSpec spec;
+  ScalingDetector({.down_width = deployed.model_width,
+                   .down_height = deployed.model_height})
+      .prime(spec);
+  FilteringDetector({}).prime(spec);
+  SteganalysisDetector().prime(spec);
+  const double downscale = 224.0 * 224.0 * 3.0 * sizeof(float);
+  const double spectrum = 768.0 * (1024 / 2 + 1) * sizeof(double);
+  const double before = memory_gauge("analysis_context");
+  {
+    AnalysisContext context(image, spec, AnalysisContext::Build::Deferred);
+    context.ensure(AnalysisStage::RoundTrip);
+    context.ensure(AnalysisStage::Filter);
+    EXPECT_EQ(memory_gauge("analysis_context") - before, downscale);
+    for (const AnalysisStage stage : analysis_plan(spec)) {
+      context.ensure(stage);
+    }
+    EXPECT_EQ(memory_gauge("analysis_context") - before,
+              downscale + spectrum);
+  }
+  EXPECT_EQ(memory_gauge("analysis_context"), before);
+
+  const Scanner scanner(deployed, Scanner::generic_profile());
+  const ScanRecord record = scanner.scan(image);
+  ASSERT_TRUE(record.error.empty()) << record.error;
+  EXPECT_EQ(memory_gauge("analysis_context"), before);
+  // The upscale's horizontal pass (1024 x 224 x 3 floats), the 2-row
+  // minimum ring and its output row, and the SSIM walk's ring.
+  EXPECT_GE(memory_gauge("resize_scratch"), 1024.0 * 224 * 3 * sizeof(float));
+  EXPECT_GE(memory_gauge("rank_scratch"), 3.0 * 1024 * sizeof(float));
+  EXPECT_GT(memory_gauge("pair_stats_workspace"), 11.0 * 1024 * 5);
 }
 
 }  // namespace
