@@ -81,6 +81,8 @@ namespace {
       "       --defense runs every detector through a preprocessing chain\n"
       "       (spec grammar: none | step(+step)*, steps squeezeBITS,\n"
       "       medianK, gaussSIGMA, jpegQUALITY, e.g. squeeze4+jpeg75;\n"
+      "       median3 is the fast median; any other K runs the exact\n"
+      "       sorted window, whose cost grows with K^2;\n"
       "       NOTE: thresholds calibrated on raw images do not transfer;\n"
       "       calibrate with the same --defense)\n"
       "  calibrate <benign...> --out F [--percentile P] [--margin M]\n"

@@ -2,9 +2,8 @@
 //
 // The per-tap inner loops of the imaging/metrics hot paths (resize tap
 // application, separable convolution, the fused pair-stats walk, the
-// row-start histogram rebuild of the median filter, the decoders' byte to
-// plane store, and the spectrum's line transform and log magnitudes with
-// their min/max) funnel through a table of
+// decoders' byte to plane store, and the spectrum's line transform and log
+// magnitudes with their min/max) funnel through a table of
 // function pointers resolved once at startup: AVX2 on x86-64 hosts that
 // support it, and a portable scalar fallback everywhere else (aarch64
 // included). `DECAM_SIMD=scalar|avx2` overrides the choice per process (an
@@ -103,10 +102,6 @@ const char* to_string(Isa isa);
 /// every table; `n` is the element count and buffers may be unaligned.
 struct SimdOps {
   const char* name;  // matches to_string() of the owning Isa
-
-  /// dst[i] += add[i] over uint16 bins (mod 2^16; exact whenever the true
-  /// result fits, which histogram counts do by construction).
-  void (*hist_add_u16)(std::uint16_t* dst, const std::uint16_t* add, int n);
 
   /// out[i] = (float)(w * (double)in[i])
   void (*weighted_assign_f32)(float* out, const float* in, double w, int n);

@@ -18,19 +18,6 @@
 namespace decam::simd::detail {
 namespace {
 
-void hist_add_u16(std::uint16_t* dst, const std::uint16_t* add, int n) {
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(add + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_add_epi16(d, a));
-  }
-  for (; i < n; ++i) dst[i] = static_cast<std::uint16_t>(dst[i] + add[i]);
-}
-
 void weighted_assign_f32(float* out, const float* in, double w, int n) {
   const __m256d wv = _mm256_set1_pd(w);
   int i = 0;
@@ -288,8 +275,7 @@ void deinterleave_u8(float* const* dst, const std::uint8_t* src, int channels,
 
 const SimdOps& avx2_ops() {
   static const SimdOps ops = {
-      "avx2", hist_add_u16,
-      weighted_assign_f32, weighted_init_f64, weighted_add_f64,
+      "avx2", weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass, log_magnitudes,
       fft_lanes, deinterleave_u8,

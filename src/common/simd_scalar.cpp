@@ -10,12 +10,6 @@
 namespace decam::simd::detail {
 namespace {
 
-void hist_add_u16(std::uint16_t* dst, const std::uint16_t* add, int n) {
-  for (int i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::uint16_t>(dst[i] + add[i]);
-  }
-}
-
 void weighted_assign_f32(float* out, const float* in, double w, int n) {
   for (int i = 0; i < n; ++i) {
     out[i] = static_cast<float>(w * static_cast<double>(in[i]));
@@ -172,8 +166,7 @@ void deinterleave_u8(float* const* dst, const std::uint8_t* src, int channels,
 
 const SimdOps& scalar_ops() {
   static const SimdOps ops = {
-      "scalar", hist_add_u16,
-      weighted_assign_f32, weighted_init_f64, weighted_add_f64,
+      "scalar", weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass, log_magnitudes,
       fft_lanes, deinterleave_u8,

@@ -1,7 +1,7 @@
 #include "core/preprocess_defense.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -52,6 +52,24 @@ void validate_step(const DefenseStep& step) {
   throw std::invalid_argument("defense: unknown step kind");
 }
 
+// Reads a spec step's parameter into step.param: a decimal integer for
+// squeeze, median and jpeg, a fixed-point decimal for gauss, and the whole
+// of `text` must be consumed (as decamctl reads its numeric flags).
+bool parse_param(const std::string& text, DefenseStep& step) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  std::from_chars_result result{};
+  if (step.kind == DefenseKind::Gaussian) {
+    result = std::from_chars(first, last, step.param,
+                             std::chars_format::fixed);
+  } else {
+    int value = 0;
+    result = std::from_chars(first, last, value);
+    step.param = value;
+  }
+  return result.ec == std::errc{} && result.ptr == last;
+}
+
 Image apply_step(const Image& input, const DefenseStep& step) {
   switch (step.kind) {
     case DefenseKind::Squeeze:
@@ -67,15 +85,19 @@ Image apply_step(const Image& input, const DefenseStep& step) {
   return input;
 }
 
-// Integer parameters print without a decimal point; gauss sigmas print with
-// just enough digits to round-trip through parse() ("0.8", not "0.800000").
+// Integer parameters print without a decimal point; gauss sigmas print in
+// the shortest fixed-point form that parses back to the same double ("0.8",
+// "0.00001"), so every name round-trips through parse(). 512 chars hold any
+// double in (0, 16] in fixed form, subnormals included.
 std::string param_string(const DefenseStep& step) {
   if (step.kind != DefenseKind::Gaussian) {
     return std::to_string(static_cast<int>(step.param));
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", step.param);
-  return buf;
+  char buf[512];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), step.param,
+                                    std::chars_format::fixed);
+  DECAM_ASSERT(result.ec == std::errc{});
+  return std::string(buf, result.ptr);
 }
 
 }  // namespace
@@ -102,7 +124,7 @@ Image bit_depth_squeeze(const Image& input, int bits) {
     for (float& v : out.plane(c)) {
       // Snap to the nearest of the 2^bits levels, then round the level
       // value itself to the 8-bit integer grid so squeezed images stay
-      // eligible for the Grid8 histogram median. Idempotent: adjacent
+      // eligible for the Grid8 median network. Idempotent: adjacent
       // integer levels are >= 2 apart (bits <= 7), so the +-0.5 integer
       // rounding never moves a value into a different level's basin; for
       // bits == 8 step == 1 and both roundings are exact.
@@ -144,20 +166,10 @@ DefenseChain DefenseChain::parse(const std::string& spec) {
       throw std::invalid_argument("defense: unknown step '" + token +
                                   "' in spec '" + spec + "'");
     }
-    const std::string param = token.substr(name_len);
-    std::size_t consumed = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(param, &consumed);
-    } catch (const std::exception&) {
+    if (!parse_param(token.substr(name_len), step)) {
       throw std::invalid_argument("defense: bad parameter in step '" + token +
                                   "' of spec '" + spec + "'");
     }
-    if (consumed != param.size()) {
-      throw std::invalid_argument("defense: bad parameter in step '" + token +
-                                  "' of spec '" + spec + "'");
-    }
-    step.param = value;
     validate_step(step);
     steps.push_back(step);
     pos = end + 1;

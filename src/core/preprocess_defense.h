@@ -21,12 +21,12 @@
 //
 // Bit-exactness caveat (DESIGN.md §13): smoothing and JPEG requantization
 // produce non-integral float pixels, so a defended image generally leaves
-// the 8-bit integer grid — downstream rank medians take the exact
-// sorted-window path instead of the histogram fast path, and detector
+// the 8-bit integer grid — a downstream 3x3 median takes the exact
+// sorted-window path instead of the selection network, and detector
 // scores are NOT comparable to calibrations made on undefended images.
 // bit_depth_squeeze is the exception: its output is again exactly integral
-// in [0, 255] (and the transform is idempotent), so it keeps the fast
-// median path eligible.
+// in [0, 255] (and the transform is idempotent), so it keeps the network
+// eligible.
 #pragma once
 
 #include <memory>
@@ -56,9 +56,9 @@ struct DefenseStep {
 /// [0, 255] range is mapped onto 2^bits near-evenly spaced INTEGER levels
 /// (round(i * 255/(2^bits-1))) and each value snaps to the nearest level.
 /// Values outside [0, 255] are clamped first. Output pixels are always
-/// exactly integral in [0, 255] — squeezed images keep the Grid8 median
-/// fast path — and re-applying the squeeze is an exact no-op (idempotence
-/// is pinned in tests/preprocess_defense_test.cpp).
+/// exactly integral in [0, 255] — squeezed images keep the Grid8 3x3
+/// median network eligible — and re-applying the squeeze is an exact no-op
+/// (idempotence is pinned in tests/preprocess_defense_test.cpp).
 Image bit_depth_squeeze(const Image& input, int bits);
 
 /// An ordered list of defense steps applied left to right. Parsed from a
@@ -68,9 +68,16 @@ Image bit_depth_squeeze(const Image& input, int bits);
 ///   spec    := "none" | step ("+" step)*
 ///   step    := "squeeze" BITS | "median" K | "gauss" SIGMA | "jpeg" QUALITY
 ///
-/// e.g. "squeeze4", "median3", "gauss0.8", "squeeze5+jpeg75". parse()
-/// throws std::invalid_argument on anything else; name() returns the
-/// canonical spec (round-trips through parse()).
+/// BITS, K and QUALITY are decimal integers and SIGMA a fixed-point
+/// decimal ("0.8", ".5", "2"), each the whole rest of its step: no
+/// whitespace, exponent or hex form. e.g. "squeeze4", "median3",
+/// "gauss0.8", "squeeze5+jpeg75". parse() throws std::invalid_argument on
+/// anything else; name() returns the canonical spec (round-trips through
+/// parse()).
+///
+/// median3 is the fast median: on 8-bit images it runs the 3x3 selection
+/// network. Every other K runs the exact sorted window, whose cost grows
+/// with K² (DESIGN.md §12 has the numbers).
 class DefenseChain {
  public:
   DefenseChain() = default;

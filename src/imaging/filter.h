@@ -3,10 +3,9 @@
 // Algorithm 2 uses k = 2), median, or maximum (the paper's Fig. 4
 // comparison and the ablation benches sweep all three) — onto the
 // per-operation paths below: one direct separable pass for min/max; for
-// median a 3x3 min/max selection network, an 8-bit running-histogram
-// median, or the exact sorted-window fallback. k = 1 returns the input. The
-// Gaussian blur supports the synthetic dataset generator, the `gauss`
-// defense and the robustness experiments.
+// median a 3x3 min/max selection network or the exact sorted window. k = 1
+// returns the input. The Gaussian blur supports the synthetic dataset
+// generator, the `gauss` defense and the robustness experiments.
 //
 // Min/max: each row's k-tap fold goes into a ring of k row buffers, and
 // each output row folds k ring rows, so the cost is about 2(k - 1) vector
@@ -36,21 +35,20 @@
 // so outputs stay bit-identical across implementations. Rank filters select
 // an actual input sample and are bit-exact by construction.
 //
-// Float -> grid eligibility (median): Image stores floats, but the fast
-// medians work on the 8-bit value grid, so rank_filter classifies the image
-// once per call (classify_median_path). An image whose values are all
-// exactly integral in [0, 255] is Grid8: k = 3 runs the selection network
-// (column sort, then med3(max3(lo), med3(mid), min3(hi))) on the u8
-// relabeling, every other k the 8-bit Perreault–Hébert histogram. Anything
-// else — fractional, negative, out-of-range, infinite or NaN values — takes
-// the exact sorted-window median. The classifier runs in blocks of
-// kMedianClassifyBlock samples: each block is a branch-free pass of
-// compares (integrality tested as (x + 2^23) - 2^23 == x, no int casts),
-// and the scan stops only between blocks, once a block leaves the grid.
-// Every path returns an actual sample of the window, and u8 -> float
-// reconstruction is exact on the grid, so the result is bit-identical to
-// the naive filter no matter which path ran. The rank_median/{grid8, exact}
-// counters record the routing.
+// Median routes: Image stores floats, but the 3x3 network works on the
+// 8-bit value grid, so a k = 3 median classifies the image once per call
+// (classify_median_path). An image whose values are all exactly integral
+// in [0, 255] is Grid8 and runs the selection network (column sort, then
+// med3(max3(lo), med3(mid), min3(hi))) on its u8 relabeling. Anything else
+// — fractional, negative, out-of-range, infinite or NaN values — and every
+// other k take the exact sorted-window median, whose cost grows with k^2.
+// The classifier runs in blocks of kMedianClassifyBlock samples: each
+// block is a branch-free pass of compares (integrality tested as
+// (x + 2^23) - 2^23 == x, no int casts), and the scan stops only between
+// blocks, once a block leaves the grid. Both routes return an actual sample
+// of the window, and u8 -> float reconstruction is exact on the grid, so
+// the result is bit-identical to the naive filter whichever route ran. The
+// rank_median/{grid8, exact} counters record the routing.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +59,8 @@ namespace decam {
 
 enum class RankOp { Min, Median, Max };
 
-/// Which median implementation an image is eligible for (see the
-/// float -> grid eligibility contract above).
+/// Which k = 3 median route an image is eligible for (see the median
+/// routes above).
 enum class MedianPath { Grid8, Exact };
 
 /// Samples per classify_median_path block (the early-exit granularity).

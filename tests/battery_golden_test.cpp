@@ -236,8 +236,8 @@ TEST(BatteryGolden, HistogramSharesTheDownscaleAcrossUpScalers) {
   }
 }
 
-// A median filtering detector on an 8-bit-quantised scene takes the
-// histogram median path (the grid every decoded scan image is on); its
+// A median filtering detector on an 8-bit-quantised scene takes the 3x3
+// selection network (the grid every decoded scan image is on); its
 // score must equal the naive sorted-window reference bit for bit, under
 // native and forced-scalar dispatch alike.
 TEST(BatteryGolden, MedianGridPathScoresBitIdentical) {

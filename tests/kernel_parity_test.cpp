@@ -147,9 +147,9 @@ TEST(RankFilterParity, MinMaxSignedZeroTiesMatchReferenceBitForBit) {
   }
 }
 
-// The median paths (imaging/filter.h eligibility contract). Quantised
-// values land on the 8-bit grid (selection network and Perreault–Hébert
-// path), i/256 values off it (sorted-window path); both must reproduce the
+// The median routes (imaging/filter.h). Quantised values land on the 8-bit
+// grid (the selection network at k = 3, the sorted window at every other
+// k), i/256 values off it (the sorted window); both must reproduce the
 // naive reference bit for bit, k = 15 included (larger than every test
 // shape, so the whole window is border replication).
 const int kGridKs[] = {1, 2, 3, 4, 5, 9, 15};

@@ -120,7 +120,7 @@ TEST(PreprocessDefense, SqueezeRejectsBadBitCounts) {
 TEST(PreprocessDefense, SpecGrammarRoundTrips) {
   for (const char* spec :
        {"none", "squeeze4", "median3", "gauss0.8", "jpeg75",
-        "squeeze4+jpeg75", "median5+gauss1.5+jpeg90"}) {
+        "squeeze4+jpeg75", "median5+gauss1.5+jpeg90", "gauss0.00001"}) {
     const DefenseChain chain = DefenseChain::parse(spec);
     EXPECT_EQ(chain.name(), spec);
     // The canonical name parses back to an identically-behaving chain.
@@ -136,7 +136,11 @@ TEST(PreprocessDefense, SpecGrammarRejectsGarbage) {
        {"", "pixmask", "squeeze", "squeeze0", "squeeze9", "squeeze4x",
         "median2.5", "median17", "gauss0", "gauss-1", "jpeg0", "jpeg101",
         "squeeze4+", "+jpeg75", "none+jpeg75", "jpeg75 ", "median1e300",
-        "squeezeinf", "jpegnan", "median-inf"}) {
+        "squeezeinf", "jpegnan", "median-inf",
+        // Parameters are plain decimals: no whitespace, hex, fraction of
+        // an integer kind, or exponent.
+        "median 3", "median\t3", "median0x3", "median3.0", "squeeze4e0",
+        "jpeg7.5e1", "gauss 0.8", "gauss0x1p-1"}) {
     EXPECT_THROW(DefenseChain::parse(spec), std::invalid_argument)
         << "spec '" << spec << "'";
   }

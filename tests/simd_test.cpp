@@ -68,8 +68,8 @@ TEST(SimdDispatch, GaugeTracksActiveIsa) {
 
 // --- native-vs-scalar parity of each table entry -------------------------
 
-// Sizes straddling the AVX2 vector widths (8 floats / 4 doubles / 16
-// uint16), plus scalar-tail-only and empty cases.
+// Sizes straddling the AVX2 vector widths (8 floats / 4 doubles), plus
+// scalar-tail-only and empty cases.
 const int kSizes[] = {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 100};
 
 std::vector<float> random_floats(int n, std::uint64_t seed, double lo = -2.0,
@@ -84,15 +84,6 @@ std::vector<double> random_doubles(int n, std::uint64_t seed) {
   data::Rng rng(seed);
   std::vector<double> out(static_cast<std::size_t>(n));
   for (double& v : out) v = rng.next_range(-1000.0, 1000.0);
-  return out;
-}
-
-std::vector<std::uint16_t> random_u16(int n, std::uint64_t seed) {
-  data::Rng rng(seed);
-  std::vector<std::uint16_t> out(static_cast<std::size_t>(n));
-  for (std::uint16_t& v : out) {
-    v = static_cast<std::uint16_t>(rng.next_range(0.0, 65536.0));
-  }
   return out;
 }
 
@@ -125,17 +116,6 @@ void expect_bits_equal(const std::vector<T>& got, const std::vector<T>& want,
   if (got.empty()) return;  // data() may be null, and memcmp must not see it
   ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(T)))
       << what;
-}
-
-TEST_F(SimdParity, HistOps) {
-  for (const int n : kSizes) {
-    const auto add = random_u16(n, 10u + n);
-    auto a = random_u16(n, 30u + n);
-    auto b = a;
-    scalar_->hist_add_u16(a.data(), add.data(), n);
-    native_->hist_add_u16(b.data(), add.data(), n);
-    expect_bits_equal(a, b, "hist_add_u16 n=" + std::to_string(n));
-  }
 }
 
 TEST_F(SimdParity, WeightedRowOps) {
@@ -404,6 +384,16 @@ TEST(MedianPathCounters, RecordRouting) {
   const std::uint64_t exact_before = exact.value();
   (void)rank_filter(img, 3, RankOp::Median);
   EXPECT_EQ(exact.value(), exact_before + 1);
+  // Only k = 3 has a Grid8 route: a grid image at any other k takes the
+  // sorted window.
+  img.plane(0)[0] = 3.0f;
+  for (const int k : {2, 5}) {
+    const std::uint64_t grid8_at = grid8.value();
+    const std::uint64_t exact_at = exact.value();
+    (void)rank_filter(img, k, RankOp::Median);
+    EXPECT_EQ(grid8.value(), grid8_at) << "k=" << k;
+    EXPECT_EQ(exact.value(), exact_at + 1) << "k=" << k;
+  }
 }
 
 }  // namespace
