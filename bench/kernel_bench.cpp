@@ -175,11 +175,12 @@ int main(int argc, char** argv) {
           [&] { (void)rank_filter(big, 9, RankOp::Max); });
     // The median's two routes. k3 runs the 8-bit quantised scene — the
     // decoded-image grid every real scan presents — through the 3x3
-    // selection network (the Grid8 route). k9/exact runs the sorted window,
-    // the route of every other k and of images off the grid: a single 0.3f
-    // nudge pushes the scene off it. The raw float scene is NOT a valid
-    // Exact input — generate_scene emits integral values, which classify as
-    // Grid8.
+    // selection network (the Grid8 route), and its /scalar twin runs the
+    // route's row check and network on the scalar table. k9/exact runs the
+    // sorted window, the route of every other k and of images off the
+    // grid: a single 0.3f nudge pushes the scene off it. The raw float
+    // scene is NOT a valid Exact input — generate_scene emits integral
+    // values, which classify as Grid8.
     const std::vector<std::uint8_t> big_bytes = big.to_u8();
     const Image big_u8 =
         Image::from_u8(big_bytes, big.width(), big.height(), big.channels());
@@ -187,6 +188,8 @@ int main(int argc, char** argv) {
     big_off.row(0, 0).data()[0] += 0.3f;
     bench("rank/median/k3", big_px,
           [&] { (void)rank_filter(big_u8, 3, RankOp::Median); });
+    bench_scalar("rank/median/k3", big_px,
+                 [&] { (void)rank_filter(big_u8, 3, RankOp::Median); });
     bench("rank/median/k9/exact", big_px,
           [&] { (void)rank_filter(big_off, 9, RankOp::Median); });
 
@@ -267,6 +270,16 @@ int main(int argc, char** argv) {
             [&] { (void)pair_stats(big, filtered); });
       bench_scalar("battery/pair_stats/filtering", big_px,
                    [&] { (void)pair_stats(big, filtered); });
+      // The same pair at 512² RGB in quick and full mode: at the quick
+      // 192² a whole row's products fit L1, so only this entry shows what
+      // the walk's products strips save.
+      {
+        const Image scene_512 = resize(big, 512, 512, ScaleAlgo::Bilinear);
+        const Image filtered_512 = rank_filter(scene_512, 2, RankOp::Min);
+        bench("battery/pair_stats/filtering512",
+              scene_512.plane_size() * scene_512.channels(),
+              [&] { (void)pair_stats(scene_512, filtered_512); });
+      }
       const core::SteganalysisDetector steg{core::SteganalysisDetectorConfig{}};
       bench("battery/steganalysis/csp", big_px,
             [&] { (void)steg.score(context); });

@@ -2,8 +2,9 @@
 //
 // The per-tap inner loops of the imaging/metrics hot paths (resize tap
 // application, separable convolution, the fused pair-stats walk, the
-// decoders' byte to plane store, and the spectrum's line transform and log
-// magnitudes with their min/max) funnel through a table of
+// decoders' byte to plane store, the k = 3 median's grid check and
+// network, and the spectrum's line transform and log magnitudes with their
+// min/max) funnel through a table of
 // function pointers resolved once at startup: AVX2 on x86-64 hosts that
 // support it, and a portable scalar fallback everywhere else (aarch64
 // included). `DECAM_SIMD=scalar|avx2` overrides the choice per process (an
@@ -41,13 +42,15 @@ inline constexpr int kPairLanes = 4;
 inline constexpr int kPairStats = 5;
 inline constexpr int kPairBlock = kPairStats * kPairLanes;
 
-/// Blocks of one ring row (nb) and the products-row plane width (pw) of
-/// the pair-stats walk for a source row of n pixels.
+/// Blocks of one ring row (nb) of the pair-stats walk for a source row of
+/// n pixels.
 constexpr int pair_blocks(int n) { return (n + kPairLanes - 1) / kPairLanes; }
-constexpr int pair_products_width(int n) {
-  return pair_blocks(n) * kPairLanes + kPairTaps - 1;
-}
 
+/// pair_stats_hpass forms its products one strip of kPairStripBlocks
+/// blocks (kPairStrip pixels) at a time: with the kPairTaps - 1 samples of
+/// halo, one strip's five product runs are 2.9 KB, which stay in L1.
+inline constexpr int kPairStripBlocks = 16;
+inline constexpr int kPairStrip = kPairStripBlocks * kPairLanes;
 
 /// The FFT as SimdOps::fft_lanes reads it (common/fft_kernels.h runs
 /// it): lines per call, and a planned transform as plain arrays, which
@@ -129,19 +132,21 @@ struct SimdOps {
   /// multiply, then an add — which is the order of the separable Gaussian.
   ///
   /// pair_stats_hpass: the horizontal window sums of one source row of
-  /// n pixels (nothing to do when n == 0). With pw = pair_products_width(n),
-  /// it writes the products row `prod` (5 * pw doubles, stat-major): for j
-  /// in [0, pw), x = clamp(j - kPairTaps / 2, 0, n - 1), da = (double)a[x]
-  /// and db = (double)b[x],
-  ///   prod[j] = da, prod[pw + j] = db, prod[2 * pw + j] = da * da,
-  ///   prod[3 * pw + j] = db * db, prod[4 * pw + j] = da * db.
+  /// n pixels (nothing to do when n == 0). The products of sample
+  /// j in [0, 4 * nb + kPairTaps - 1) are, with
+  /// x = clamp(j - kPairTaps / 2, 0, n - 1), da = (double)a[x] and
+  /// db = (double)b[x], in stat order
+  ///   p_0(j) = da, p_1(j) = db, p_2(j) = da * da, p_3(j) = db * db,
+  ///   p_4(j) = da * db.
   /// For every pixel i in [0, 4 * nb) and stat s, the window sum of
-  /// prod[s * pw + i + t] over taps t with weights win[t] goes to the ring
-  /// row; lanes i >= n of the last block are edge-replicated padding. It
-  /// returns sq_sum + d_0 * d_0 + d_1 * d_1 + ... with
+  /// p_s(i + t) over taps t with weights win[t] goes to the ring row; lanes
+  /// i >= n of the last block are edge-replicated padding. The products
+  /// are formed one strip of kPairStrip pixels plus its halo at a time, in
+  /// the table's own L1-sized buffer. It returns
+  /// sq_sum + d_0 * d_0 + d_1 * d_1 + ... with
   /// d_x = (double)a[x] - (double)b[x], added one pixel at a time in pixel
   /// order: the MSE walk, overlapped with the window arithmetic.
-  double (*pair_stats_hpass)(double* ring_row, double* prod, const float* a,
+  double (*pair_stats_hpass)(double* ring_row, const float* a,
                              const float* b, const double* win, int n,
                              double sq_sum);
   /// pair_stats_vpass: the vertical window sums and SSIM map of one output
@@ -188,6 +193,22 @@ struct SimdOps {
   /// passes its planes in another order (BMP's B, G, R) reorders dst.
   void (*deinterleave_u8)(float* const* dst, const std::uint8_t* src,
                           int channels, int n);
+
+  /// The k = 3 median's 8-bit grid (imaging/filter.h), one row of n
+  /// samples: with r = src[i] + 2^23 (a float add), dst[i] is the low byte
+  /// of the bits of r, and it returns whether every sample is on the grid,
+  /// i.e. src[i] >= 0, src[i] <= 255 and r - 2^23 == src[i] for all i. On
+  /// the grid dst[i] == src[i]; -0.0 passes as 0, and NaN or an infinity
+  /// fails a compare. This is the one definition of the grid.
+  bool (*grid8_u8)(std::uint8_t* dst, const float* src, int n);
+  /// The 3x3 median network on one output row (n >= 1): r0, r1 and r2 are
+  /// the window's three u8 rows, top to bottom. For each x, over the
+  /// columns x, x + 1 and x + 2 (each clamped to n - 1), sort every
+  /// column into lo <= mid <= hi; then
+  ///   out[x] = (float)med3(max3(lo), med3(mid), min3(hi)),
+  /// the median of the nine samples.
+  void (*median3_u8)(float* out, const std::uint8_t* r0,
+                     const std::uint8_t* r1, const std::uint8_t* r2, int n);
 };
 
 /// The active table. Resolved once (cpuid + DECAM_SIMD) on first use;

@@ -96,39 +96,44 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
 
 // Window sums stay in registers: one accumulator per stat for a block of
 // four pixels, the eleven weights broadcast once per row, each sum stored
-// once. The unaligned products loads of the last block end exactly at the
-// products row's padded end (common/simd.h sizes it for them). The block's
-// squared differences join the sequential MSE sum inside the same loop, so
-// that latency chain overlaps the window arithmetic.
-double pair_stats_hpass(double* ring_row, double* prod, const float* a,
-                        const float* b, const double* win, int n,
-                        double sq_sum) {
+// once. The products are formed one strip at a time into a buffer that
+// stays in L1 (its interior strips convert with vector loads); a block's
+// unaligned products loads end inside its strip. The block's squared
+// differences join the sequential MSE sum inside the same loop, so that
+// latency chain overlaps the window arithmetic.
+double pair_stats_hpass(double* ring_row, const float* a, const float* b,
+                        const double* win, int n, double sq_sum) {
   constexpr int kRadius = kPairTaps / 2;
-  const int pw = pair_products_width(n);
-  fill_pair_products(prod, a, b, n, pw);
+  alignas(32) double prod[kPairStats * kPairStripSamples];
   __m256d w[kPairTaps];
   for (int t = 0; t < kPairTaps; ++t) w[t] = _mm256_broadcast_sd(win + t);
   const int blocks = pair_blocks(n);
-  for (int k = 0; k < blocks; ++k) {
-    const double* p = prod + k * kPairLanes;
-    __m256d acc[kPairStats];
-    for (__m256d& v : acc) v = _mm256_setzero_pd();
-    for (int t = 0; t < kPairTaps; ++t) {
-      for (int s = 0; s < kPairStats; ++s) {
-        const __m256d x = _mm256_loadu_pd(p + s * pw + t);
-        acc[s] = _mm256_add_pd(acc[s], _mm256_mul_pd(w[t], x));
+  for (int k0 = 0; k0 < blocks; k0 += kPairStripBlocks) {
+    const int strip = std::min(kPairStripBlocks, blocks - k0);
+    fill_pair_strip(prod, a, b, n, k0 * kPairLanes,
+                    strip * kPairLanes + kPairTaps - 1);
+    for (int k = 0; k < strip; ++k) {
+      const double* p = prod + k * kPairLanes;
+      __m256d acc[kPairStats];
+      for (__m256d& v : acc) v = _mm256_setzero_pd();
+      for (int t = 0; t < kPairTaps; ++t) {
+        for (int s = 0; s < kPairStats; ++s) {
+          const __m256d x = _mm256_loadu_pd(p + s * kPairStripSamples + t);
+          acc[s] = _mm256_add_pd(acc[s], _mm256_mul_pd(w[t], x));
+        }
       }
+      double* out = ring_row + (k0 + k) * kPairBlock;
+      for (int s = 0; s < kPairStats; ++s) {
+        _mm256_storeu_pd(out + s * kPairLanes, acc[s]);
+      }
+      const __m256d d =
+          _mm256_sub_pd(_mm256_loadu_pd(p + kRadius),
+                        _mm256_loadu_pd(p + kPairStripSamples + kRadius));
+      alignas(32) double sq[kPairLanes];
+      _mm256_store_pd(sq, _mm256_mul_pd(d, d));
+      const int lanes = std::min(kPairLanes, n - (k0 + k) * kPairLanes);
+      for (int l = 0; l < lanes; ++l) sq_sum += sq[l];
     }
-    double* out = ring_row + k * kPairBlock;
-    for (int s = 0; s < kPairStats; ++s) {
-      _mm256_storeu_pd(out + s * kPairLanes, acc[s]);
-    }
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(p + kRadius),
-                                    _mm256_loadu_pd(p + pw + kRadius));
-    alignas(32) double sq[kPairLanes];
-    _mm256_store_pd(sq, _mm256_mul_pd(d, d));
-    const int lanes = std::min(kPairLanes, n - k * kPairLanes);
-    for (int l = 0; l < lanes; ++l) sq_sum += sq[l];
   }
   return sq_sum;
 }
@@ -271,6 +276,18 @@ void deinterleave_u8(float* const* dst, const std::uint8_t* src, int channels,
   deinterleave_u8_body(dst, src, channels, n);
 }
 
+// The 8-bit grid check and the 3x3 network: the scalar bodies again,
+// compiled here with -mavx2 into 32-byte compares, packs and byte
+// min/max.
+bool grid8_u8(std::uint8_t* dst, const float* src, int n) {
+  return grid8_u8_body(dst, src, n);
+}
+
+void median3_u8(float* out, const std::uint8_t* r0, const std::uint8_t* r1,
+                const std::uint8_t* r2, int n) {
+  median3_u8_body(out, r0, r1, r2, n);
+}
+
 }  // namespace
 
 const SimdOps& avx2_ops() {
@@ -278,7 +295,7 @@ const SimdOps& avx2_ops() {
       "avx2", weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass, log_magnitudes,
-      fft_lanes, deinterleave_u8,
+      fft_lanes, deinterleave_u8, grid8_u8, median3_u8,
   };
   return ops;
 }

@@ -16,31 +16,38 @@ namespace decam::simd::detail {
 
 namespace {
 
-// The products row of pair_stats_hpass (common/simd.h), pw doubles per
-// plane. Internal linkage on purpose: every per-ISA TU compiles its own
-// copy with its own instruction set, where one inline definition shared
-// across TUs could hand the AVX2 build of it to the scalar table.
-inline void fill_pair_products(double* prod, const float* a, const float* b,
-                               int n, int pw) {
-  if (n == 0) return;
+// One strip of pair_stats_hpass's products (common/simd.h): samples
+// j0 .. j0 + count - 1 of the row's product runs, stored stat-major from
+// prod[s * kPairStripSamples + j - j0], each at most kPairStripSamples
+// long. Internal linkage on purpose: every per-ISA TU compiles its own copy
+// with its own instruction set, where one inline definition shared across
+// TUs could hand the AVX2 build of it to the scalar table. A strip whose
+// samples all lie inside the row (every strip but the first and the last)
+// reads a and b straight, a loop the AVX2 TU vectorises; the ends clamp.
+constexpr int kPairStripSamples = kPairStrip + kPairTaps - 1;
+
+inline void fill_pair_strip(double* prod, const float* a, const float* b,
+                            int n, int j0, int count) {
   constexpr int kRadius = kPairTaps / 2;
-  double* pa = prod;
-  double* pb = pa + pw;
-  double* paa = pb + pw;
-  double* pbb = paa + pw;
-  double* pab = pbb + pw;
+  constexpr int kRun = kPairStripSamples;
   const auto put = [&](int j, float fa, float fb) {
     const double da = static_cast<double>(fa);
     const double db = static_cast<double>(fb);
-    pa[j] = da;
-    pb[j] = db;
-    paa[j] = da * da;
-    pbb[j] = db * db;
-    pab[j] = da * db;
+    prod[j] = da;
+    prod[kRun + j] = db;
+    prod[2 * kRun + j] = da * da;
+    prod[3 * kRun + j] = db * db;
+    prod[4 * kRun + j] = da * db;
   };
-  for (int j = 0; j < kRadius; ++j) put(j, a[0], b[0]);
-  for (int x = 0; x < n; ++x) put(kRadius + x, a[x], b[x]);
-  for (int j = kRadius + n; j < pw; ++j) put(j, a[n - 1], b[n - 1]);
+  const int x0 = j0 - kRadius;  // the source column of sample j0
+  if (x0 >= 0 && x0 + count <= n) {
+    for (int j = 0; j < count; ++j) put(j, a[x0 + j], b[x0 + j]);
+  } else {
+    for (int j = 0; j < count; ++j) {
+      const int x = std::clamp(x0 + j, 0, n - 1);
+      put(j, a[x], b[x]);
+    }
+  }
 }
 
 // The bias of the exponent split in log_ge1: the bits of sqrt(1/2).
@@ -114,6 +121,93 @@ inline void deinterleave_u8_body(float* const* dst, const std::uint8_t* src,
     for (int c = 0; c < channels; ++c) {
       float* const d = dst[c];
       for (int i = 0; i < n; ++i) d[i] = src[i * channels + c];
+    }
+  }
+}
+
+// grid8_u8 (common/simd.h): one branch-free pass of compares and byte
+// stores, so each TU's copy vectorises. The grid test
+// (x + 2^23) - 2^23 == x needs no int cast: for 0 <= x <= 2^23 the add
+// rounds x to an integer and the subtract is exact, and every compare is
+// false for NaN. The lower bound keeps -1 from landing on byte 255. `on8`
+// is an int, not a bool: GCC vectorises only the int reduction.
+inline bool grid8_u8_body(std::uint8_t* dst, const float* src, int n) {
+  constexpr float kRound = 8388608.0f;  // 2^23
+  int on8 = 1;
+  for (int i = 0; i < n; ++i) {
+    const float v = src[i];
+    const float r = v + kRound;
+    on8 &= (v >= 0.0f) & (v <= 255.0f) & (r - kRound == v);
+    dst[i] = static_cast<std::uint8_t>(std::bit_cast<std::uint32_t>(r));
+  }
+  return on8 != 0;
+}
+
+// Byte min/max by value: with std::min/std::max's references GCC
+// vectorises the network below into compare-and-blend sequences instead of
+// pminub/pmaxub.
+inline std::uint8_t min_u8(std::uint8_t a, std::uint8_t b) {
+  return b < a ? b : a;
+}
+inline std::uint8_t max_u8(std::uint8_t a, std::uint8_t b) {
+  return a < b ? b : a;
+}
+inline std::uint8_t med3_u8(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
+  return max_u8(min_u8(a, b), min_u8(max_u8(a, b), c));
+}
+
+// One column of the 3x3 window, sorted: lo <= mid <= hi.
+struct SortedColumn {
+  std::uint8_t lo, mid, hi;
+};
+
+inline SortedColumn sort_column(std::uint8_t p, std::uint8_t q,
+                                std::uint8_t r) {
+  const std::uint8_t a = min_u8(p, q);
+  const std::uint8_t b = max_u8(p, q);
+  return {min_u8(a, r), max_u8(a, min_u8(b, r)), max_u8(b, r)};
+}
+
+inline float median9(SortedColumn c0, SortedColumn c1, SortedColumn c2) {
+  const std::uint8_t max_lo = max_u8(max_u8(c0.lo, c1.lo), c2.lo);
+  const std::uint8_t min_hi = min_u8(min_u8(c0.hi, c1.hi), c2.hi);
+  return static_cast<float>(
+      med3_u8(max_lo, med3_u8(c0.mid, c1.mid, c2.mid), min_hi));
+}
+
+// median3_u8 (common/simd.h), in chunks of kMedianChunk outputs: the
+// chunk's columns and the two after it (clamped to the row) are sorted
+// once into lo/mid/hi on the stack, then each output combines three
+// neighbouring sorts. Both loops are plain byte min/max over arrays, which
+// each TU's copy vectorises (pminub/pmaxub); sorting every output's three
+// columns afresh instead costs 30 byte min/max per output rather than 18,
+// and ran 1.4x slower on the AVX2 table.
+constexpr int kMedianChunk = 256;
+
+inline void median3_u8_body(float* out, const std::uint8_t* r0,
+                            const std::uint8_t* r1, const std::uint8_t* r2,
+                            int n) {
+  std::uint8_t lo[kMedianChunk + 2];
+  std::uint8_t mid[kMedianChunk + 2];
+  std::uint8_t hi[kMedianChunk + 2];
+  for (int x0 = 0; x0 < n; x0 += kMedianChunk) {
+    const int m = std::min(kMedianChunk, n - x0);
+    const int cols = std::min(m + 2, n - x0);
+    for (int i = 0; i < cols; ++i) {
+      const SortedColumn c = sort_column(r0[x0 + i], r1[x0 + i], r2[x0 + i]);
+      lo[i] = c.lo;
+      mid[i] = c.mid;
+      hi[i] = c.hi;
+    }
+    for (int i = cols; i < m + 2; ++i) {  // columns past the right edge
+      lo[i] = lo[cols - 1];
+      mid[i] = mid[cols - 1];
+      hi[i] = hi[cols - 1];
+    }
+    for (int i = 0; i < m; ++i) {
+      out[x0 + i] = median9({lo[i], mid[i], hi[i]},
+                            {lo[i + 1], mid[i + 1], hi[i + 1]},
+                            {lo[i + 2], mid[i + 2], hi[i + 2]});
     }
   }
 }

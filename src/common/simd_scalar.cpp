@@ -49,22 +49,26 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
 // Both passes run each window sum's taps innermost, so the compiler keeps
 // the sum in a register; tap-outer sweeps over a block's twenty sums
 // compiled to memory round trips and ran at half the speed.
-double pair_stats_hpass(double* ring_row, double* prod, const float* a,
-                        const float* b, const double* win, int n,
-                        double sq_sum) {
-  const int pw = pair_products_width(n);
-  fill_pair_products(prod, a, b, n, pw);
-  for (int k = 0; k < pair_blocks(n); ++k) {
-    double* out = ring_row + k * kPairBlock;
-    for (int s = 0; s < kPairStats; ++s) {
-      for (int l = 0; l < kPairLanes; ++l) {
-        const double* p = prod + s * pw + k * kPairLanes + l;
-        double acc = 0.0;
-        for (int t = 0; t < kPairTaps; ++t) {
-          const double v = win[t] * p[t];
-          acc += v;
+double pair_stats_hpass(double* ring_row, const float* a, const float* b,
+                        const double* win, int n, double sq_sum) {
+  double prod[kPairStats * kPairStripSamples];
+  const int blocks = pair_blocks(n);
+  for (int k0 = 0; k0 < blocks; k0 += kPairStripBlocks) {
+    const int strip = std::min(kPairStripBlocks, blocks - k0);
+    fill_pair_strip(prod, a, b, n, k0 * kPairLanes,
+                    strip * kPairLanes + kPairTaps - 1);
+    for (int k = 0; k < strip; ++k) {
+      double* out = ring_row + (k0 + k) * kPairBlock;
+      for (int s = 0; s < kPairStats; ++s) {
+        for (int l = 0; l < kPairLanes; ++l) {
+          const double* p = prod + s * kPairStripSamples + k * kPairLanes + l;
+          double acc = 0.0;
+          for (int t = 0; t < kPairTaps; ++t) {
+            const double v = win[t] * p[t];
+            acc += v;
+          }
+          out[s * kPairLanes + l] = acc;
         }
-        out[s * kPairLanes + l] = acc;
       }
     }
   }
@@ -162,6 +166,15 @@ void deinterleave_u8(float* const* dst, const std::uint8_t* src, int channels,
   deinterleave_u8_body(dst, src, channels, n);
 }
 
+bool grid8_u8(std::uint8_t* dst, const float* src, int n) {
+  return grid8_u8_body(dst, src, n);
+}
+
+void median3_u8(float* out, const std::uint8_t* r0, const std::uint8_t* r1,
+                const std::uint8_t* r2, int n) {
+  median3_u8_body(out, r0, r1, r2, n);
+}
+
 }  // namespace
 
 const SimdOps& scalar_ops() {
@@ -169,7 +182,7 @@ const SimdOps& scalar_ops() {
       "scalar", weighted_assign_f32, weighted_init_f64, weighted_add_f64,
       weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
       pair_stats_hpass, pair_stats_vpass, log_magnitudes,
-      fft_lanes, deinterleave_u8,
+      fft_lanes, deinterleave_u8, grid8_u8, median3_u8,
   };
   return ops;
 }

@@ -78,8 +78,19 @@ void rank_min_max_row(const Image& img, int k, float* ring, int& next, int y,
 // an element of the input, so results match the naive filter bit-exactly —
 // including the duplicated values clamped borders contribute. It serves
 // every median the 3x3 network below does not: images off the 8-bit grid
-// (see classify_median_path) and every k but 3. A pixel costs k searches
-// and moves within a window of k^2 samples, so the cost grows with k^2.
+// and every k but 3. A pixel costs k searches and moves within a window of
+// k^2 samples, so the cost grows with k^2. It stores every output sample,
+// so it also overwrites whatever an abandoned network pass left.
+//
+// The window is kept in window_less order: numbers ascending, every NaN
+// above them all. operator< is no order once a NaN is in the window (its
+// searches could not find the NaN again, and a slide could then move
+// samples past the window's end); window_less is a total order, and
+// without NaN it is operator<, so no other output changes.
+bool window_less(float a, float b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
+
 void rank_median_exact(const Image& img, int k, Image& out) {
   const int w = img.width();
   const int h = img.height();
@@ -103,7 +114,7 @@ void rank_median_exact(const Image& img, int k, Image& out) {
           window.push_back(rows[static_cast<std::size_t>(dy)][col]);
         }
       }
-      std::sort(window.begin(), window.end());
+      std::sort(window.begin(), window.end(), window_less);
       float* out_row = out.row(y, c).data();
       out_row[0] = window[mid];
       for (int x = 1; x < w; ++x) {
@@ -115,15 +126,16 @@ void rank_median_exact(const Image& img, int k, Image& out) {
         for (int dy = 0; dy < k; ++dy) {
           const float leave = rows[static_cast<std::size_t>(dy)][col_out];
           const float enter = rows[static_cast<std::size_t>(dy)][col_in];
-          const auto pos =
-              std::lower_bound(window.begin(), window.end(), leave);
-          if (enter >= leave) {
+          const auto pos = std::lower_bound(window.begin(), window.end(),
+                                            leave, window_less);
+          if (!window_less(enter, leave)) {
             const auto dst =
-                std::lower_bound(pos + 1, window.end(), enter);
+                std::lower_bound(pos + 1, window.end(), enter, window_less);
             std::move(pos + 1, dst, pos);
             *(dst - 1) = enter;
           } else {
-            const auto dst = std::lower_bound(window.begin(), pos, enter);
+            const auto dst =
+                std::lower_bound(window.begin(), pos, enter, window_less);
             std::move_backward(dst, pos, pos + 1);
             *dst = enter;
           }
@@ -134,78 +146,78 @@ void rank_median_exact(const Image& img, int k, Image& out) {
   }
 }
 
-// Values are exactly integral in [0, 255] on the Grid8 path
-// (classify_median_path), so the u8 index plane is a lossless relabeling.
-void relabel_u8(const float* plane, std::uint8_t* idx, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<std::uint8_t>(static_cast<int>(plane[i]));
+std::atomic<std::uint64_t> g_rank_scratch_bytes{0};
+
+}  // namespace
+
+// One thread's rank scratch: the min/max ring of k input-row folds, the
+// row that row() hands out, and the k = 3 median's ring of three byte rows.
+struct RankScratch {
+  std::vector<float, DefaultInitAllocator<float>> ring;
+  std::vector<float, DefaultInitAllocator<float>> row;
+  std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>> bytes;
+  bool busy = false;
+  obs::ScratchShare share{"rank_scratch", g_rank_scratch_bytes};
+
+  void publish() {
+    share.set((ring.capacity() + row.capacity()) * sizeof(float) +
+              bytes.capacity());
   }
+};
+
+namespace {
+
+RankScratch& thread_rank_scratch() {
+  thread_local RankScratch scratch;
+  return scratch;
 }
 
 // ------------------------------------------------ 3x3 selection network --
 //
-// The k = 3 Grid8 median: sort each column of the (clamped) 3-row window
-// into lo <= mid <= hi, then the window median is
-// med3(max3(lo), med3(mid), min3(hi)) over the three columns. Each column
-// sort is shared by the three outputs whose windows hold it. Min/max only,
-// so the result is one of the window's own samples, and the loops over
-// uint8_t vectorize as written (pminub/pmaxub at the -O3 the imaging build
-// uses). Columns past the right edge replicate column w-1, matching the
-// clamped window.
-inline std::uint8_t med3(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
-  return std::max(std::min(a, b), std::min(std::max(a, b), c));
-}
-
-void rank_median3_grid8(const Image& img, Image& out) {
+// The k = 3 Grid8 median in one pass per channel. Each input row is checked
+// against the 8-bit grid and converted to bytes as it enters a ring of
+// three rows (SimdOps::grid8_u8): rows 0 and 1 before output row 0, row
+// y + 2 before output row y. The network (SimdOps::median3_u8: column
+// sort, then med3(max3(lo), med3(mid), min3(hi))) writes each output row
+// straight from the ring, the bottom rows clamped to h - 1. Min/max only,
+// so every output is one of the window's own samples, and the byte is the
+// sample on the grid. A row off the grid abandons the pass and returns
+// false; the output rows written so far are then rewritten by the exact
+// route.
+bool rank_median3_grid8(const Image& img, Image& out) {
   const int w = img.width();
   const int h = img.height();
-  const std::size_t padded = static_cast<std::size_t>(w) + 2;
-  std::vector<std::uint8_t> idx(img.plane_size());
-  std::vector<std::uint8_t> lo(padded);
-  std::vector<std::uint8_t> mid(padded);
-  std::vector<std::uint8_t> hi(padded);
-
+  const simd::SimdOps& ops = simd::ops();
+  RankScratch& scratch = thread_rank_scratch();
+  size_exactly(scratch.bytes, 3 * static_cast<std::size_t>(w));
+  scratch.publish();
+  const auto slot = [&](int r) {
+    return scratch.bytes.data() + static_cast<std::size_t>(r % 3) * w;
+  };
+  const auto enter = [&](int r, int c) {
+    return ops.grid8_u8(slot(r), img.row(r, c).data(), w);
+  };
   for (int c = 0; c < img.channels(); ++c) {
-    relabel_u8(img.plane(c).data(), idx.data(), idx.size());
+    if (!enter(0, c) || (h > 1 && !enter(1, c))) return false;
     for (int y = 0; y < h; ++y) {
-      const std::uint8_t* r0 = idx.data() + static_cast<std::size_t>(y) * w;
-      const std::uint8_t* r1 =
-          idx.data() + static_cast<std::size_t>(std::min(y + 1, h - 1)) * w;
-      const std::uint8_t* r2 =
-          idx.data() + static_cast<std::size_t>(std::min(y + 2, h - 1)) * w;
-      for (int x = 0; x < w; ++x) {
-        const std::uint8_t a = std::min(r0[x], r1[x]);
-        const std::uint8_t b = std::max(r0[x], r1[x]);
-        lo[x] = std::min(a, r2[x]);
-        mid[x] = std::max(a, std::min(b, r2[x]));
-        hi[x] = std::max(b, r2[x]);
-      }
-      lo[w] = lo[w + 1] = lo[w - 1];
-      mid[w] = mid[w + 1] = mid[w - 1];
-      hi[w] = hi[w + 1] = hi[w - 1];
-      float* out_row = out.row(y, c).data();
-      for (int x = 0; x < w; ++x) {
-        const std::uint8_t max_lo =
-            std::max(std::max(lo[x], lo[x + 1]), lo[x + 2]);
-        const std::uint8_t med_mid = med3(mid[x], mid[x + 1], mid[x + 2]);
-        const std::uint8_t min_hi =
-            std::min(std::min(hi[x], hi[x + 1]), hi[x + 2]);
-        out_row[x] = static_cast<float>(med3(max_lo, med_mid, min_hi));
-      }
+      if (y + 2 < h && !enter(y + 2, c)) return false;
+      ops.median3_u8(out.row(y, c).data(), slot(y),
+                     slot(std::min(y + 1, h - 1)),
+                     slot(std::min(y + 2, h - 1)), w);
     }
   }
+  return true;
 }
 
 // Two routes: the selection network for a Grid8 image at k = 3, the sorted
-// window for everything else. Only k = 3 classifies the image.
+// window for everything else, an image the network abandoned included.
 void rank_median(const Image& img, int k, Image& out) {
   static obs::Counter& grid8 =
       obs::MetricsRegistry::instance().counter("rank_median/grid8");
   static obs::Counter& exact =
       obs::MetricsRegistry::instance().counter("rank_median/exact");
-  if (k == 3 && classify_median_path(img) == MedianPath::Grid8) {
+  if (k == 3 && rank_median3_grid8(img, out)) {
     grid8.add();
-    rank_median3_grid8(img, out);
     return;
   }
   exact.add();
@@ -215,40 +227,18 @@ void rank_median(const Image& img, int k, Image& out) {
 }  // namespace
 
 MedianPath classify_median_path(const Image& img) {
-  // Each block is one branch-free pass of compares, so it vectorizes; the
-  // scan stops between blocks once a block leaves the grid. Integrality is
-  // (x + 2^23) - 2^23 == x: for 0 <= x <= 2^23 the add rounds x to an
-  // integer and the subtract is exact. The lower bound keeps relabel_u8
-  // from wrapping -1 to 255. Every compare is false for NaN, and a NaN or
-  // infinity also fails a range compare, so no value needs an int cast.
-  // -0.0 passes as 0.
-  constexpr float kRound = 8388608.0f;  // 2^23
-  const float* data = img.data();
-  const std::size_t n = img.size();
-  for (std::size_t start = 0; start < n; start += kMedianClassifyBlock) {
-    const std::size_t end = std::min(n, start + kMedianClassifyBlock);
-    int on8 = 1;  // int, not bool: GCC vectorizes only the int reduction
-    for (std::size_t i = start; i < end; ++i) {
-      const float v = data[i];
-      on8 &= (v >= 0.0f) & (v <= 255.0f) & ((v + kRound) - kRound == v);
+  // The network's own row check, without the network.
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(img.width()));
+  const simd::SimdOps& ops = simd::ops();
+  for (int c = 0; c < img.channels(); ++c) {
+    for (int y = 0; y < img.height(); ++y) {
+      if (!ops.grid8_u8(bytes.data(), img.row(y, c).data(), img.width())) {
+        return MedianPath::Exact;
+      }
     }
-    if (on8 == 0) return MedianPath::Exact;
   }
   return MedianPath::Grid8;
 }
-
-namespace {
-std::atomic<std::uint64_t> g_rank_scratch_bytes{0};
-}  // namespace
-
-// One thread's rank scratch: the ring of k input-row folds and the row
-// that row() hands out.
-struct RankScratch {
-  std::vector<float, DefaultInitAllocator<float>> ring;
-  std::vector<float, DefaultInitAllocator<float>> row;
-  bool busy = false;
-  obs::ScratchShare share{"rank_scratch", g_rank_scratch_bytes};
-};
 
 RankRows::RankRows(const Image& img, int k, RankOp op)
     : RowSource(img.width(), img.height(), img.channels()),
@@ -258,14 +248,13 @@ RankRows::RankRows(const Image& img, int k, RankOp op)
   DECAM_REQUIRE(!img.empty(), "rank filter of empty image");
   DECAM_REQUIRE(k >= 1, "window size must be >= 1");
   DECAM_REQUIRE(op != RankOp::Median, "rank rows stream min and max only");
-  thread_local RankScratch scratch;
+  RankScratch& scratch = thread_rank_scratch();
   DECAM_ASSERT(!scratch.busy);
   scratch_ = &scratch;
   const std::size_t w = static_cast<std::size_t>(img.width());
   size_exactly(scratch.ring, static_cast<std::size_t>(k) * w);
   size_exactly(scratch.row, w);
-  scratch.share.set(
-      (scratch.ring.capacity() + scratch.row.capacity()) * sizeof(float));
+  scratch.publish();
   scratch.busy = true;
 }
 

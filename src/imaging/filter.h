@@ -36,22 +36,25 @@
 // an actual input sample and are bit-exact by construction.
 //
 // Median routes: Image stores floats, but the 3x3 network works on the
-// 8-bit value grid, so a k = 3 median classifies the image once per call
-// (classify_median_path). An image whose values are all exactly integral
-// in [0, 255] is Grid8 and runs the selection network (column sort, then
-// med3(max3(lo), med3(mid), min3(hi))) on its u8 relabeling. Anything else
-// — fractional, negative, out-of-range, infinite or NaN values — and every
-// other k take the exact sorted-window median, whose cost grows with k^2.
-// The classifier runs in blocks of kMedianClassifyBlock samples: each
-// block is a branch-free pass of compares (integrality tested as
-// (x + 2^23) - 2^23 == x, no int casts), and the scan stops only between
-// blocks, once a block leaves the grid. Both routes return an actual sample
-// of the window, and u8 -> float reconstruction is exact on the grid, so
-// the result is bit-identical to the naive filter whichever route ran. The
-// rank_median/{grid8, exact} counters record the routing.
+// 8-bit value grid. A k = 3 median runs one pass per channel: each input
+// row is checked against the grid (every sample exactly integral in
+// [0, 255], tested as (x + 2^23) - 2^23 == x plus the range compares, no
+// int casts) and converted to bytes as it enters a ring of three rows, and
+// the selection network (column sort, then med3(max3(lo), med3(mid),
+// min3(hi))) writes each output row from that ring. Both steps are SimdOps
+// entries (grid8_u8 and median3_u8, common/simd.h). A row off the grid —
+// fractional, negative, out-of-range, infinite or NaN values — abandons
+// the pass, and the whole image takes the exact sorted-window median,
+// which rewrites every output sample; so does every other k, at a cost
+// that grows with k^2. Both routes return an actual sample of the window,
+// and u8 -> float reconstruction is exact on the grid, so the result is
+// bit-identical to the naive filter whichever route ran. The
+// rank_median/{grid8, exact} counters record the route that produced the
+// output (an abandoned pass counts as exact). NaN: the sorted window orders
+// NaN above every number, so a median is NaN exactly when at least
+// k^2 - floor(k^2 / 2) of its window's samples are NaN; otherwise it is
+// the median with each NaN counted as larger than every number.
 #pragma once
-
-#include <cstddef>
 
 #include "imaging/image.h"
 
@@ -59,14 +62,12 @@ namespace decam {
 
 enum class RankOp { Min, Median, Max };
 
-/// Which k = 3 median route an image is eligible for (see the median
-/// routes above).
+/// Which k = 3 median route an image takes (see the median routes above).
 enum class MedianPath { Grid8, Exact };
 
-/// Samples per classify_median_path block (the early-exit granularity).
-inline constexpr std::size_t kMedianClassifyBlock = 1024;
-
-/// One-pass classifier over every plane; exposed for tests and benches.
+/// The route rank_filter(img, 3, RankOp::Median) takes: the network's row
+/// check over every row, without the network. For tests and benches; the
+/// filter itself checks rows as they enter its ring.
 MedianPath classify_median_path(const Image& img);
 
 struct RankScratch;

@@ -19,12 +19,11 @@ std::atomic<std::uint64_t> g_workspace_bytes{0};
 // The calling thread's scratch for the walk, sized on first use and reused
 // across images. `ring` holds the horizontal window sums of the 11 most
 // recent source rows, pixel-blocked [block][stat][4 lanes]
-// (common/simd.h), with a row stride kept off multiples of 4 KiB; `prod`
-// is the edge-padded products row (a, b, a², b², ab as doubles) the
-// horizontal taps read.
+// (common/simd.h), with a row stride kept off multiples of 4 KiB. The
+// products the horizontal taps read (a, b, a², b², ab as doubles) live in
+// pair_stats_hpass's own strip buffer, one L1-sized strip at a time.
 struct PairStatsWorkspace {
   std::vector<double> ring;
-  std::vector<double> prod;
   obs::ScratchShare share{"pair_stats_workspace", g_workspace_bytes};
 };
 
@@ -77,8 +76,6 @@ double fused_plane(const Image& a, RowSource& b, int c,
   std::size_t ring_bytes = ws.ring.size() * sizeof(double);
   double* const ring = static_cast<double*>(std::align(
       64, stride * kTaps * sizeof(double), ring_start, ring_bytes));
-  ws.prod.resize(static_cast<std::size_t>(simd::kPairStats) *
-                 simd::pair_products_width(width));
 
   // Horizontal pass for source row y into ring slot y % 11. The MSE sum
   // rides along in the same walk, so each source pixel is read once, and
@@ -86,8 +83,7 @@ double fused_plane(const Image& a, RowSource& b, int c,
   const auto compute_mid_row = [&](int y) {
     mse_sum = ops.pair_stats_hpass(
         ring + static_cast<std::size_t>(y % kTaps) * stride,
-        ws.prod.data(), a.row(y, c).data(), b.row(y, c), win.data(), width,
-        mse_sum);
+        a.row(y, c).data(), b.row(y, c), win.data(), width, mse_sum);
   };
 
   double total = 0.0;
@@ -122,9 +118,7 @@ PairStats pair_stats(const Image& a, RowSource& b) {
     ssim_total += fused_plane(a, b, c, workspace, mse_sum) /
                   static_cast<double>(n);
   }
-  workspace.share.set(
-      (workspace.ring.capacity() + workspace.prod.capacity()) *
-      sizeof(double));
+  workspace.share.set(workspace.ring.capacity() * sizeof(double));
   PairStats stats;
   stats.mse = mse_sum / static_cast<double>(a.size());
   stats.ssim = ssim_total / a.channels();

@@ -4,7 +4,8 @@
 // The battery's scaling and filtering stages each reduce the same pair with
 // three metrics; computed separately that is seven full-image sweeps (MSE,
 // five Gaussian filter passes inside SSIM, and PSNR re-running MSE). The
-// fused pass widens each source pixel and forms its products once. The
+// fused pass widens each source pixel and forms its products one L1-sized
+// strip of 64 pixels at a time (the 10-sample halo twice). The
 // horizontal pass then sums the 11 taps of the five windowed sums SSIM
 // needs (μ_a, μ_b, a², b², ab) for a block of four pixels in registers and
 // stores each sum once into a ring of 11 rows; the vertical pass sums a

@@ -147,6 +147,29 @@ TEST(RankFilter, MinMaxNaNRule) {
   expect(RankOp::Max, 3, {7, 9, 9, nan, 9, 9, 4, nan, 2});
 }
 
+TEST(RankFilter, MedianNaNRule) {
+  // A NaN counts as larger than every number, so a median is NaN exactly
+  // when at least k^2 - floor(k^2 / 2) window samples are NaN. One row, so
+  // each window holds each of its columns k times.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Image img(5, 1, 1);
+  const float in[5] = {nan, 1, 2, nan, nan};
+  std::copy(in, in + 5, img.data());
+  const auto expect = [&](int k, const float (&want)[5]) {
+    const Image out = rank_filter(img, k, RankOp::Median);
+    for (int i = 0; i < 5; ++i) {
+      if (std::isnan(want[i])) {
+        EXPECT_TRUE(std::isnan(out.data()[i]))
+            << "k=" << k << " sample " << i << " got " << out.data()[i];
+      } else {
+        EXPECT_EQ(out.data()[i], want[i]) << "k=" << k << " sample " << i;
+      }
+    }
+  };
+  expect(2, {nan, 2, nan, nan, nan});
+  expect(3, {2, 2, nan, nan, nan});
+}
+
 TEST(RankFilter, RejectsBadWindow) {
   const Image img(4, 4, 1);
   EXPECT_THROW(rank_filter(img, 0, RankOp::Min), std::invalid_argument);

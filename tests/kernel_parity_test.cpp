@@ -23,12 +23,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/simd.h"
 #include "core/steganalysis_detector.h"
 #include "data/rng.h"
 #include "imaging/filter.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
 #include "metrics/fused.h"
+#include "obs/metrics.h"
 #include "reference_kernels.h"
 #include "signal/spectrum.h"
 
@@ -289,26 +291,97 @@ TEST(MedianClassifier, RoutesByRepresentability) {
 }
 
 TEST(MedianClassifier, OneSampleDecidesAtEveryBlockEdge) {
-  // The classifier exits early only between kMedianClassifyBlock-sample
-  // blocks, so a single disqualifying sample must count wherever it sits:
-  // first and last sample of the image, and both sides of a block edge.
-  Image img(40, 40, 2);  // 3200 samples: three full blocks and a partial one
+  // The classifier is the k = 3 route's row check (SimdOps::grid8_u8), whose
+  // AVX2 body takes 32 samples a step and whose tail takes the rest, so a
+  // single disqualifying sample must count wherever it sits: both sides of
+  // each vector edge, the tail, and both ends of the first, a middle and
+  // the last row of each plane.
+  Image img(100, 5, 2);  // three 32-sample steps and a 4-sample tail a row
   for (float& v : img.plane(0)) v = 9.0f;
   for (float& v : img.plane(1)) v = 200.0f;
-  const std::size_t n = img.size();
-  ASSERT_GT(n, 3 * kMedianClassifyBlock);
   ASSERT_EQ(classify_median_path(img), MedianPath::Grid8);
-  const std::size_t b = kMedianClassifyBlock;
-  for (const std::size_t i : {std::size_t{0}, b - 1, b, 2 * b - 1, 2 * b,
-                              3 * b - 1, 3 * b, n - 1}) {
-    for (const auto& [value, want] :
-         {std::pair{0.3f, MedianPath::Exact},
-          std::pair{0.5f, MedianPath::Exact},
-          std::pair{-1.0f, MedianPath::Exact}}) {
-      Image probe = img;
-      probe.data()[i] = value;
-      EXPECT_EQ(classify_median_path(probe), want)
-          << "sample " << value << " at index " << i;
+  for (int c = 0; c < img.channels(); ++c) {
+    for (const int y : {0, 2, img.height() - 1}) {
+      for (const int x : {0, 1, 15, 16, 31, 32, 33, 63, 64, 95, 96, 98, 99}) {
+        for (const float value : {0.3f, 0.5f, -1.0f}) {
+          Image probe = img;
+          probe.row(y, c).data()[x] = value;
+          EXPECT_EQ(classify_median_path(probe), MedianPath::Exact)
+              << "sample " << value << " at (" << x << ", " << y << ", " << c
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+// The one-pass k = 3 median against the two-pass route it replaced
+// (testref::median3_two_pass), bit for bit: widths across the row check's
+// and the network's vector bodies and tails, heights around the 3-row ring,
+// and -0.0 samples, which both routes return as +0.0. Then one off-grid
+// sample in the first row of channel 0, where the pass stops before it
+// writes a row, or in the last row of the last channel, where it stops
+// after writing nearly all of them: every output sample must then be the
+// exact route's, and the run must count as exact, not grid8. A NaN counts
+// as larger than every number there (imaging/filter.h), as in the naive
+// reference.
+TEST(RankFilterParity, OnePassMedianMatchesTwoPassRoute) {
+  obs::Counter& grid8 =
+      obs::MetricsRegistry::instance().counter("rank_median/grid8");
+  obs::Counter& exact =
+      obs::MetricsRegistry::instance().counter("rank_median/exact");
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float off_grid[] = {0.5f, -1.0f, 256.0f,
+                            std::numeric_limits<float>::quiet_NaN(), kInf};
+  for (const int w : {1, 2, 31, 32, 33, 64, 65, 333}) {
+    for (const int h : {1, 2, 3, 5}) {
+      for (const int c : {1, 3}) {
+        const std::string shape = std::to_string(w) + "x" +
+                                  std::to_string(h) + "x" + std::to_string(c);
+        Image img = random_grid8_image(w, h, c, 7000u + w * 7u + h);
+        for (std::size_t i = 0; i < img.size(); i += 5) img.data()[i] = -0.0f;
+        const std::optional<Image> want = testref::median3_two_pass(img);
+        ASSERT_TRUE(want.has_value()) << shape;
+        std::uint64_t grid8_at = grid8.value();
+        std::uint64_t exact_at = exact.value();
+        const Image got = rank_filter(img, 3, RankOp::Median);
+        EXPECT_EQ(grid8.value(), grid8_at + 1) << shape;
+        EXPECT_EQ(exact.value(), exact_at) << shape;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got.data()[i]),
+                    std::bit_cast<std::uint32_t>(want->data()[i]))
+              << shape << " sample " << i;
+        }
+        for (const bool late : {false, true}) {
+          for (const float value : off_grid) {
+            const int at_c = late ? c - 1 : 0;
+            const int at_y = late ? h - 1 : 0;
+            const int at_x = w / 2;
+            Image probe = img;
+            probe.row(at_y, at_c).data()[at_x] = value;
+            const std::string what = shape + " value " +
+                                     std::to_string(value) +
+                                     (late ? " in the last row" :
+                                             " in the first row");
+            ASSERT_FALSE(testref::median3_two_pass(probe).has_value())
+                << what;
+            grid8_at = grid8.value();
+            exact_at = exact.value();
+            const Image out = rank_filter(probe, 3, RankOp::Median);
+            EXPECT_EQ(grid8.value(), grid8_at) << what;
+            EXPECT_EQ(exact.value(), exact_at + 1) << what;
+            const Image ref = testref::rank_filter(probe, 3, RankOp::Median);
+            for (std::size_t i = 0; i < out.size(); ++i) {
+              const float got_i = out.data()[i];
+              const float want_i = ref.data()[i];
+              ASSERT_TRUE(std::isnan(want_i) ? std::isnan(got_i)
+                                             : got_i == want_i)
+                  << what << " sample " << i << ": " << got_i << " vs "
+                  << want_i;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -405,12 +478,18 @@ TEST(ResizeParity, LargeDownscaleSkipsOnlyUntappedRows) {
 
 // The fused walk against the definition, bit for bit, on shapes the
 // battery goldens never reach: a partial last 4-pixel block (every width
-// mod 4), images narrower or shorter than the 11-tap window, and 1-pixel
-// strips where every tap is edge-clamped.
+// mod 4), images narrower or shorter than the 11-tap window, 1-pixel
+// strips where every tap is edge-clamped, widths around one and two
+// products strips (S = kPairStrip pixels), where the clamped first and last
+// strips meet or are one, batch_mixed's 333x301 and a 1021-wide strip of
+// many products strips.
 TEST(PairStatsParity, OddShapesMatchDefinitionExactly) {
-  const std::pair<int, int> shapes[] = {{1, 1},  {1, 17},  {17, 1},
-                                        {3, 5},  {4, 4},   {5, 13},
-                                        {11, 11}, {13, 12}, {37, 29}};
+  constexpr int S = simd::kPairStrip;
+  const std::pair<int, int> shapes[] = {
+      {1, 1},     {1, 17},    {17, 1},     {3, 5},     {4, 4},
+      {5, 13},    {11, 11},   {13, 12},    {37, 29},   {S - 1, 7},
+      {S, 7},     {S + 1, 7}, {2 * S - 1, 7}, {2 * S, 7}, {2 * S + 1, 7},
+      {333, 301}, {1021, 3}};
   for (const auto& [w, h] : shapes) {
     for (const int c : {1, 3}) {
       const Image a = random_image(w, h, c, 4000u + w * 37u + h);

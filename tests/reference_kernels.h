@@ -4,7 +4,8 @@
 // production code in src/imaging/ replaced these with O(1)-per-pixel
 // algorithms; kernel_parity_test.cpp holds the fast paths to these
 // definitions — exact for rank filters, within a documented last-ulp
-// tolerance for the blurs and resize. The spectrum's polynomial log sits at
+// tolerance for the blurs and resize. The k = 3 median's two-pass Grid8
+// route follows the rank filter. The spectrum's polynomial log sits at
 // the end, for the bit-exact half-plane spectrum test, then the explicit
 // BT.601 luma image that the colour FFT parity test transforms, the
 // interleaved 2-D transform and fftshift the spectrum stage ran before its
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "imaging/filter.h"
@@ -36,7 +38,8 @@ namespace decam::testref {
 // k x k rank filter, window anchored top-left covering
 // {x..x+k-1} x {y..y+k-1}, clamped-border reads, per-pixel window rebuild.
 // Matches the original rank_filter including the Median convention
-// (nth_element at window.size() / 2, i.e. the upper median for even k*k).
+// (nth_element at window.size() / 2, i.e. the upper median for even k*k),
+// with a NaN counted as larger than every number (imaging/filter.h).
 inline Image rank_filter(const Image& img, int k, RankOp op) {
   Image out(img.width(), img.height(), img.channels());
   std::vector<float> window;
@@ -60,12 +63,80 @@ inline Image rank_filter(const Image& img, int k, RankOp op) {
             break;
           case RankOp::Median: {
             auto mid = window.begin() + window.size() / 2;
-            std::nth_element(window.begin(), mid, window.end());
+            std::nth_element(window.begin(), mid, window.end(),
+                             [](float a, float b) {
+                               return a < b || (std::isnan(b) && !std::isnan(a));
+                             });
             value = *mid;
             break;
           }
         }
         out.at(x, y, c) = value;
+      }
+    }
+  }
+  return out;
+}
+
+// The k = 3 median's Grid8 route as it ran in two passes before the
+// one-pass ring: classify the whole image in blocks of 1024 samples (each
+// block a branch-free pass of compares, (x + 2^23) - 2^23 == x plus the
+// range compares), relabel each plane to a u8 index plane, then per row
+// sort each column of the clamped 3-row window into lo/mid/hi, pad the
+// three rows by repeating column w - 1 twice, and take
+// med3(max3(lo), med3(mid), min3(hi)). The bit-for-bit reference of
+// rank_filter(img, 3, Median) on the grid; an image the classifier sends
+// to the exact route gets nothing.
+inline std::optional<Image> median3_two_pass(const Image& img) {
+  constexpr std::size_t kBlock = 1024;
+  constexpr float kRound = 8388608.0f;  // 2^23
+  const float* data = img.data();
+  for (std::size_t start = 0; start < img.size(); start += kBlock) {
+    const std::size_t end = std::min(img.size(), start + kBlock);
+    int on8 = 1;
+    for (std::size_t i = start; i < end; ++i) {
+      const float v = data[i];
+      on8 &= (v >= 0.0f) & (v <= 255.0f) & ((v + kRound) - kRound == v);
+    }
+    if (on8 == 0) return std::nullopt;
+  }
+  const auto med3 = [](std::uint8_t a, std::uint8_t b, std::uint8_t c) {
+    return std::max(std::min(a, b), std::min(std::max(a, b), c));
+  };
+  const int w = img.width();
+  const int h = img.height();
+  const std::size_t padded = static_cast<std::size_t>(w) + 2;
+  Image out(w, h, img.channels());
+  std::vector<std::uint8_t> idx(img.plane_size());
+  std::vector<std::uint8_t> lo(padded), mid(padded), hi(padded);
+  for (int c = 0; c < img.channels(); ++c) {
+    const float* plane = img.plane(c).data();
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      idx[i] = static_cast<std::uint8_t>(static_cast<int>(plane[i]));
+    }
+    for (int y = 0; y < h; ++y) {
+      const std::uint8_t* r0 = idx.data() + static_cast<std::size_t>(y) * w;
+      const std::uint8_t* r1 =
+          idx.data() + static_cast<std::size_t>(std::min(y + 1, h - 1)) * w;
+      const std::uint8_t* r2 =
+          idx.data() + static_cast<std::size_t>(std::min(y + 2, h - 1)) * w;
+      for (int x = 0; x < w; ++x) {
+        const std::uint8_t a = std::min(r0[x], r1[x]);
+        const std::uint8_t b = std::max(r0[x], r1[x]);
+        lo[x] = std::min(a, r2[x]);
+        mid[x] = std::max(a, std::min(b, r2[x]));
+        hi[x] = std::max(b, r2[x]);
+      }
+      lo[w] = lo[w + 1] = lo[w - 1];
+      mid[w] = mid[w + 1] = mid[w - 1];
+      hi[w] = hi[w + 1] = hi[w - 1];
+      for (int x = 0; x < w; ++x) {
+        const std::uint8_t max_lo =
+            std::max(std::max(lo[x], lo[x + 1]), lo[x + 2]);
+        const std::uint8_t med_mid = med3(mid[x], mid[x + 1], mid[x + 2]);
+        const std::uint8_t min_hi =
+            std::min(std::min(hi[x], hi[x + 1]), hi[x + 2]);
+        out.at(x, y, c) = static_cast<float>(med3(max_lo, med_mid, min_hi));
       }
     }
   }

@@ -4,6 +4,7 @@
 // the normative scalar loops, including the vector-width tails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -162,10 +163,14 @@ TEST_F(SimdParity, ConvolveAndReduceOps) {
 }
 
 // The pair-stats walk: kSizes plus every width below the 11-tap window
-// that kSizes skips, so every n mod 4 meets every edge-clamped tap count.
+// that kSizes skips, so every n mod 4 meets every edge-clamped tap count,
+// and widths around one and two products strips (S = kPairStrip), where a
+// strip that clamps meets one that does not, plus a row of many strips.
 std::vector<int> pair_sizes() {
+  constexpr int S = simd::kPairStrip;
   std::vector<int> sizes(std::begin(kSizes), std::end(kSizes));
-  sizes.insert(sizes.end(), {2, 5, 6, 10, 11, 13});
+  sizes.insert(sizes.end(), {2, 5, 6, 10, 11, 13, S - 1, S, S + 1, 2 * S - 1,
+                             2 * S, 2 * S + 1, 1021});
   return sizes;
 }
 
@@ -176,23 +181,16 @@ std::size_t pair_ring_doubles(int n) {
   return static_cast<std::size_t>(simd::pair_blocks(n) * simd::kPairBlock);
 }
 
-std::size_t pair_prod_doubles(int n) {
-  return static_cast<std::size_t>(simd::kPairStats *
-                                  simd::pair_products_width(n));
-}
-
 TEST_F(SimdParity, PairStatsHpass) {
   for (const int n : pair_sizes()) {
     const auto a = random_floats(n, 90u + n, 0.0, 255.0);
     const auto b = random_floats(n, 91u + n, 0.0, 255.0);
-    // Exactly sized, so a sanitizer build sees any load past the padding.
+    // Exactly sized, so a sanitizer build sees any access past the end.
     std::vector<double> ring_s(pair_ring_doubles(n)), ring_n(ring_s.size());
-    std::vector<double> prod_s(pair_prod_doubles(n)), prod_n(prod_s.size());
     const double sq_s = scalar_->pair_stats_hpass(
-        ring_s.data(), prod_s.data(), a.data(), b.data(), kPairWin, n, 0.375);
+        ring_s.data(), a.data(), b.data(), kPairWin, n, 0.375);
     const double sq_n = native_->pair_stats_hpass(
-        ring_n.data(), prod_n.data(), a.data(), b.data(), kPairWin, n, 0.375);
-    expect_bits_equal(prod_s, prod_n, "hpass products n=" + std::to_string(n));
+        ring_n.data(), a.data(), b.data(), kPairWin, n, 0.375);
     expect_bits_equal(ring_s, ring_n, "hpass ring n=" + std::to_string(n));
     EXPECT_EQ(0, std::memcmp(&sq_s, &sq_n, sizeof(double)))
         << "hpass sq_sum n=" << n << ": " << sq_s << " vs " << sq_n;
@@ -205,13 +203,12 @@ TEST_F(SimdParity, PairStatsVpass) {
     // random source rows.
     std::vector<std::vector<double>> ring(simd::kPairTaps);
     std::vector<const double*> rows;
-    std::vector<double> prod(pair_prod_doubles(n));
     for (int t = 0; t < simd::kPairTaps; ++t) {
       const auto a = random_floats(n, 100u + 16u * n + t, 0.0, 255.0);
       const auto b = random_floats(n, 400u + 16u * n + t, 0.0, 255.0);
       ring[t].resize(pair_ring_doubles(n));
-      scalar_->pair_stats_hpass(ring[t].data(), prod.data(), a.data(),
-                                b.data(), kPairWin, n, 0.0);
+      scalar_->pair_stats_hpass(ring[t].data(), a.data(), b.data(), kPairWin,
+                                n, 0.0);
       rows.push_back(ring[t].data());
     }
     const double c1 = 6.5025;
@@ -345,26 +342,130 @@ TEST_F(SimdParity, DeinterleaveU8) {
   }
 }
 
+// The k = 3 median's row check on both tables: every length across the
+// 32-sample vector body and its tail, on the grid (-0.0 included) and with
+// one off-grid sample of each kind at the vector edges and the row ends.
+// dst is defined for every input, so it is compared off the grid too.
+TEST_F(SimdParity, Grid8U8) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float off_grid[] = {0.5f,  -1.0f, 256.0f, 255.5f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            kInf,  -kInf, 1e30f};
+  std::vector<int> sizes;
+  for (int n = 0; n <= 70; ++n) sizes.push_back(n);
+  sizes.push_back(1031);
+  for (const int n : sizes) {
+    data::Rng rng(900u + n);
+    std::vector<float> row(static_cast<std::size_t>(n));
+    for (float& v : row) {
+      v = static_cast<float>(static_cast<int>(rng.next_range(0.0, 256.0)));
+    }
+    if (n > 2) row[2] = -0.0f;
+    std::vector<std::uint8_t> dst_s(row.size()), dst_n(row.size());
+    const bool on_s = scalar_->grid8_u8(dst_s.data(), row.data(), n);
+    const bool on_n = native_->grid8_u8(dst_n.data(), row.data(), n);
+    EXPECT_TRUE(on_s) << "n=" << n;
+    EXPECT_TRUE(on_n) << "n=" << n;
+    expect_bits_equal(dst_s, dst_n, "grid8_u8 n=" + std::to_string(n));
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(dst_s[static_cast<std::size_t>(i)],
+                static_cast<std::uint8_t>(row[static_cast<std::size_t>(i)]))
+          << "n=" << n << " at " << i;
+    }
+    for (const int at : {0, 1, 7, 8, 15, 16, 31, 32, 33, 63, 64, n - 2,
+                         n - 1}) {
+      if (at < 0 || at >= n) continue;
+      for (const float v : off_grid) {
+        std::vector<float> probe = row;
+        probe[static_cast<std::size_t>(at)] = v;
+        const std::string what = "grid8_u8 n=" + std::to_string(n) +
+                                 " value " + std::to_string(v) + " at " +
+                                 std::to_string(at);
+        EXPECT_FALSE(scalar_->grid8_u8(dst_s.data(), probe.data(), n))
+            << what;
+        EXPECT_FALSE(native_->grid8_u8(dst_n.data(), probe.data(), n))
+            << what;
+        expect_bits_equal(dst_s, dst_n, what);
+      }
+    }
+  }
+}
+
+// The 3x3 network on both tables and against the sorted nine samples of
+// every clamped window: every length across the vector body and the two
+// clamped columns at the right edge, rows of random bytes and rows drawn
+// from {0, 255} only.
+TEST_F(SimdParity, Median3U8) {
+  std::vector<int> sizes;
+  for (int n = 1; n <= 70; ++n) sizes.push_back(n);
+  sizes.push_back(1031);
+  for (const int n : sizes) {
+    for (const bool binary : {false, true}) {
+      data::Rng rng(950u + 2u * n + binary);
+      std::vector<std::vector<std::uint8_t>> rows(
+          3, std::vector<std::uint8_t>(static_cast<std::size_t>(n)));
+      for (auto& r : rows) {
+        for (std::uint8_t& b : r) {
+          const double u = rng.next_range(0.0, 256.0);
+          b = binary ? (u < 128.0 ? 0 : 255) : static_cast<std::uint8_t>(u);
+        }
+      }
+      std::vector<float> out_s(static_cast<std::size_t>(n));
+      std::vector<float> out_n(out_s.size());
+      scalar_->median3_u8(out_s.data(), rows[0].data(), rows[1].data(),
+                          rows[2].data(), n);
+      native_->median3_u8(out_n.data(), rows[0].data(), rows[1].data(),
+                          rows[2].data(), n);
+      const std::string what = "median3_u8 n=" + std::to_string(n) +
+                               (binary ? " binary" : "");
+      expect_bits_equal(out_s, out_n, what);
+      for (int x = 0; x < n; ++x) {
+        std::vector<std::uint8_t> window;
+        for (const auto& r : rows) {
+          for (int d = 0; d < 3; ++d) {
+            window.push_back(r[static_cast<std::size_t>(std::min(x + d, n - 1))]);
+          }
+        }
+        std::sort(window.begin(), window.end());
+        ASSERT_EQ(out_s[static_cast<std::size_t>(x)],
+                  static_cast<float>(window[4]))
+            << what << " at " << x;
+      }
+    }
+  }
+}
+
+// rank_filter's medians with each table forced: the k = 3 network and its
+// row check are table entries, so the two runs execute different code. 97
+// columns run the 32-byte vector body and its tail; the second image
+// leaves the grid only in its last row, so both tables abandon a pass
+// that has already written rows.
 TEST_F(SimdParity, MedianIdenticalUnderForcedIsa) {
   data::Rng rng(314);
-  Image img(33, 21, 2);
+  Image img(97, 21, 2);
   for (int c = 0; c < 2; ++c) {
     for (float& v : img.plane(c)) {
       v = static_cast<float>(static_cast<int>(rng.next_range(0.0, 256.0)));
     }
   }
   ASSERT_EQ(classify_median_path(img), MedianPath::Grid8);
+  Image late = img;
+  late.row(late.height() - 1, 1).data()[60] = 17.5f;
+  ASSERT_EQ(classify_median_path(late), MedianPath::Exact);
   IsaGuard guard;
-  for (const int k : {2, 3, 9}) {
-    simd::set_active_isa(Isa::Avx2);
-    const Image native = rank_filter(img, k, RankOp::Median);
-    simd::set_active_isa(Isa::Scalar);
-    const Image scalar = rank_filter(img, k, RankOp::Median);
-    for (int c = 0; c < 2; ++c) {
-      for (int y = 0; y < img.height(); ++y) {
-        for (int x = 0; x < img.width(); ++x) {
-          ASSERT_EQ(native.at(x, y, c), scalar.at(x, y, c))
-              << "k=" << k << " (" << x << ", " << y << ", " << c << ")";
+  for (const Image* image : {&img, &late}) {
+    for (const int k : {2, 3, 9}) {
+      simd::set_active_isa(Isa::Avx2);
+      const Image native = rank_filter(*image, k, RankOp::Median);
+      simd::set_active_isa(Isa::Scalar);
+      const Image scalar = rank_filter(*image, k, RankOp::Median);
+      for (int c = 0; c < 2; ++c) {
+        for (int y = 0; y < image->height(); ++y) {
+          for (int x = 0; x < image->width(); ++x) {
+            ASSERT_EQ(native.at(x, y, c), scalar.at(x, y, c))
+                << (image == &late ? "late " : "") << "k=" << k << " (" << x
+                << ", " << y << ", " << c << ")";
+          }
         }
       }
     }
