@@ -30,7 +30,8 @@
 // not a noise gate. Spectrum benchmarks use the same fixed geometries in
 // quick and full modes: their regime (Stockham on 7-smooth sides vs
 // Bluestein on sides with a prime factor above 7) depends on the exact size.
-// So does resize/bilinear/down512, the 512² -> 224² downscale a scan runs.
+// So do resize/bilinear/down512 and up512, the 512² <-> 224² resizes a
+// scan runs.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -128,14 +129,19 @@ int main(int argc, char** argv) {
     results.push_back(run_bench(name, pixels, budget_ms, fn));
     bench::micro::print_result(results.back());
   };
-  // Same benchmark with the scalar SimdOps table forced, so the dispatch
-  // win of each vectorized kernel is measurable next to its default entry
-  // (which runs whatever the host resolved — see the simd/dispatch gauge).
+  // Same benchmark with one SimdOps table forced (NAME/<isa>), so the
+  // dispatch win of each vectorized kernel is measurable next to its
+  // default entry (which runs whatever the host resolved — see the
+  // simd/dispatch gauge). A table the host cannot run falls back to scalar.
+  auto bench_on = [&](simd::Isa isa, const std::string& name,
+                      std::size_t pixels, const std::function<void()>& fn) {
+    const simd::Isa prev = simd::set_active_isa(isa);
+    bench(name + "/" + simd::to_string(isa), pixels, fn);
+    simd::set_active_isa(prev);
+  };
   auto bench_scalar = [&](const std::string& name, std::size_t pixels,
                           const std::function<void()>& fn) {
-    const simd::Isa prev = simd::set_active_isa(simd::Isa::Scalar);
-    bench(name + "/scalar", pixels, fn);
-    simd::set_active_isa(prev);
+    bench_on(simd::Isa::Scalar, name, pixels, fn);
   };
 
   const auto sweep = [&] {
@@ -156,14 +162,24 @@ int main(int argc, char** argv) {
     bench_scalar("resize/bicubic/up", big_px,
                  [&] { (void)resize(small, side, side, ScaleAlgo::Bicubic); });
     // The downscale a scan runs on half of batch_mixed's corpus: 512² RGB
-    // to the 224² model input, the same in quick and full mode, so the gate
-    // also times a size scans resize.
+    // to the 224² model input, and the upscale its round trip runs back,
+    // the same in quick and full mode, so the gate also times sizes scans
+    // resize (at the quick 192² the resize entries misread what a scan
+    // pays). up512/scalar runs the four-row horizontal pass on the scalar
+    // table.
     {
       const Image scene_512 = resize(big, 512, 512, ScaleAlgo::Bilinear);
-      bench("resize/bilinear/down512",
-            scene_512.plane_size() * scene_512.channels(), [&] {
-              (void)resize(scene_512, 224, 224, ScaleAlgo::Bilinear);
-            });
+      const Image scene_224 = resize(big, 224, 224, ScaleAlgo::Bilinear);
+      const std::size_t px_512 = scene_512.plane_size() * scene_512.channels();
+      bench("resize/bilinear/down512", px_512, [&] {
+        (void)resize(scene_512, 224, 224, ScaleAlgo::Bilinear);
+      });
+      bench("resize/bilinear/up512", px_512, [&] {
+        (void)resize(scene_224, 512, 512, ScaleAlgo::Bilinear);
+      });
+      bench_scalar("resize/bilinear/up512", px_512, [&] {
+        (void)resize(scene_224, 512, 512, ScaleAlgo::Bilinear);
+      });
     }
 
     // --- rank filters (the filtering detector's hot loop) -------------------
@@ -276,9 +292,14 @@ int main(int argc, char** argv) {
       {
         const Image scene_512 = resize(big, 512, 512, ScaleAlgo::Bilinear);
         const Image filtered_512 = rank_filter(scene_512, 2, RankOp::Min);
-        bench("battery/pair_stats/filtering512",
-              scene_512.plane_size() * scene_512.channels(),
+        const std::size_t px_512 =
+            scene_512.plane_size() * scene_512.channels();
+        bench("battery/pair_stats/filtering512", px_512,
               [&] { (void)pair_stats(scene_512, filtered_512); });
+        // The AVX2 walk (blocks of four) beside the dispatched one, which
+        // is the AVX-512 walk (blocks of eight) where the host has it.
+        bench_on(simd::Isa::Avx2, "battery/pair_stats/filtering512", px_512,
+                 [&] { (void)pair_stats(scene_512, filtered_512); });
       }
       const core::SteganalysisDetector steg{core::SteganalysisDetectorConfig{}};
       bench("battery/steganalysis/csp", big_px,

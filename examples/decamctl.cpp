@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "attack/scale_attack.h"
+#include "common/simd.h"
 #include "core/calibration_io.h"
 #include "core/preprocess_defense.h"
 #include "core/scanner.h"
@@ -484,6 +485,11 @@ int cmd_scan(const Options& options) {
                  battery_table.render().c_str());
     std::fprintf(sink, "\nresident memory:\n%s",
                  obs::render_memory_table().render().c_str());
+    // The kernel table the scores came from: the simd/dispatch gauge
+    // (0 = scalar, 1 = avx2, 2 = avx512).
+    const simd::Isa isa = simd::active_isa();
+    std::fprintf(sink, "\nsimd/dispatch: %d (%s)\n", static_cast<int>(isa),
+                 simd::to_string(isa));
   }
   if (options.profile_tree) {
     std::fprintf(options.json ? stderr : stdout,

@@ -5,26 +5,26 @@
 // decoders' byte to plane store, the k = 3 median's grid check and
 // network, and the spectrum's line transform and log magnitudes with their
 // min/max) funnel through a table of
-// function pointers resolved once at startup: AVX2 on x86-64 hosts that
-// support it, and a portable scalar fallback everywhere else (aarch64
-// included). `DECAM_SIMD=scalar|avx2` overrides the choice per process (an
-// unavailable request falls back to scalar with a warning), and benches and
-// tests can swap the active table with set_active_isa() to measure or
-// verify a specific variant.
+// function pointers resolved once at startup: AVX-512 on x86-64 hosts that
+// support it, else AVX2, and a portable scalar fallback everywhere else
+// (aarch64 included). `DECAM_SIMD=scalar|avx2|avx512` overrides the choice
+// per process (an unavailable request falls back to scalar with a
+// warning), and benches and tests can swap the active table with
+// set_active_isa() to measure or verify a specific variant.
 //
 // Bit-exactness contract: every operation in the table is specified as an
 // exact elementwise IEEE sequence (the comments below are the contract) and
 // every variant — scalar included — must produce bit-identical results for
-// the same inputs. Both translation units are compiled with
-// -ffp-contract=off and the AVX2 one uses explicit multiply/add intrinsics
-// (never FMA), so a vector lane performs exactly the operations the scalar
-// loop does.
-// The simd_dispatch ctest re-runs the kernel parity suite with the scalar
-// table forced to hold each variant to that promise.
+// the same inputs. Every translation unit is compiled with
+// -ffp-contract=off and the vector ones use explicit multiply/add
+// intrinsics (never FMA), so a vector lane performs exactly the operations
+// the scalar loop does.
+// The simd_dispatch ctests re-run the parity suites with the scalar and the
+// AVX2 table forced to hold each variant to that promise.
 //
 // Observability: the resolved ISA is exported as the `simd/dispatch` gauge
-// (0 = scalar, 1 = avx2) so a `decamctl scan --stats` shows which
-// kernel core a run actually used.
+// (0 = scalar, 1 = avx2, 2 = avx512) so a `decamctl scan --stats` shows
+// which kernel core a run actually used.
 #pragma once
 
 #include <cstddef>
@@ -32,25 +32,29 @@
 
 namespace decam::simd {
 
-enum class Isa { Scalar = 0, Avx2 = 1 };
+enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 
 /// Geometry of the pair-stats walk (pair_stats_hpass / pair_stats_vpass):
-/// the 11-tap SSIM window, blocks of four output pixels, and five window
-/// sums per pixel, so one ring block holds 20 doubles.
+/// the 11-tap SSIM window and five window sums per pixel. The walk works
+/// on blocks of SimdOps::pair_lanes output pixels (4 or 8, the table's
+/// vector width in doubles), so one ring block holds
+/// kPairStats * pair_lanes doubles.
 inline constexpr int kPairTaps = 11;
-inline constexpr int kPairLanes = 4;
 inline constexpr int kPairStats = 5;
-inline constexpr int kPairBlock = kPairStats * kPairLanes;
 
-/// Blocks of one ring row (nb) of the pair-stats walk for a source row of
-/// n pixels.
-constexpr int pair_blocks(int n) { return (n + kPairLanes - 1) / kPairLanes; }
+/// Blocks of one ring row of the pair-stats walk for a source row of n
+/// pixels, and the doubles of that row, at `lanes` pixels per block.
+constexpr int pair_blocks(int n, int lanes) { return (n + lanes - 1) / lanes; }
+constexpr std::size_t pair_row_doubles(int n, int lanes) {
+  return static_cast<std::size_t>(pair_blocks(n, lanes)) * kPairStats *
+         static_cast<std::size_t>(lanes);
+}
 
-/// pair_stats_hpass forms its products one strip of kPairStripBlocks
-/// blocks (kPairStrip pixels) at a time: with the kPairTaps - 1 samples of
-/// halo, one strip's five product runs are 2.9 KB, which stay in L1.
-inline constexpr int kPairStripBlocks = 16;
-inline constexpr int kPairStrip = kPairStripBlocks * kPairLanes;
+/// pair_stats_hpass forms its products one strip of kPairStrip pixels (16
+/// blocks of 4, or 8 blocks of 8) at a time: with the kPairTaps - 1
+/// samples of halo, one strip's five product runs are 2.9 KB, which stay
+/// in L1.
+inline constexpr int kPairStrip = 64;
 
 /// The FFT as SimdOps::fft_lanes reads it (common/fft_kernels.h runs
 /// it): lines per call, and a planned transform as plain arrays, which
@@ -99,12 +103,22 @@ inline std::size_t fft_work_doubles(const FftLanePlan& plan) {
   return (plan.chirp ? 4 : 2) * plan.smooth.n;
 }
 
+/// One weighted source sample of a 1-D resample: imaging/kernels.h's
+/// KernelTable holds them (as `Tap`), and resize_rows4 reads them.
+struct KernelTap {
+  int index;     // clamped source index in [0, in_size)
+  float weight;  // kernel weight; weights of one output sample sum to 1
+};
+
 const char* to_string(Isa isa);
 
 /// One set of vectorized kernel primitives. All pointers are non-null in
 /// every table; `n` is the element count and buffers may be unaligned.
 struct SimdOps {
   const char* name;  // matches to_string() of the owning Isa
+  /// Pixels per block of the pair-stats walk: 4 on the scalar and AVX2
+  /// tables, 8 on AVX-512.
+  int pair_lanes;
 
   /// out[i] = (float)(w * (double)in[i])
   void (*weighted_assign_f32)(float* out, const float* in, double w, int n);
@@ -122,23 +136,37 @@ struct SimdOps {
   /// out[i] = (float)acc[i]
   void (*narrow_f64_f32)(float* out, const double* acc, int n);
 
+  /// The resize's horizontal pass (imaging/scale.h) on four source rows
+  /// in[0..3] of in_size samples each. The taps of output o are
+  /// taps[offsets[o]] .. taps[offsets[o + 1] - 1]; for each row r and
+  /// output o in [0, out_size),
+  ///   out[r][o] = (float)(((0.0 + w_0 * x_0) + w_1 * x_1) + ...)
+  /// over those taps in ascending order, with w = (double)tap.weight and
+  /// x = (double)in[r][tap.index] — a multiply, then an add — which is
+  /// apply_kernel (imaging/kernels.h) on each row. `work` holds
+  /// 4 * in_size doubles of scratch.
+  void (*resize_rows4)(const KernelTap* taps, const int* offsets,
+                       int out_size, const float* const* in, int in_size,
+                       double* work, float* const* out);
+
   /// The fused pair-stats walk (metrics/fused.cpp), whose two passes keep
-  /// every accumulator in registers. Both work on blocks of kPairLanes
-  /// output pixels: with nb = pair_blocks(n), a ring row holds
-  /// nb * kPairBlock doubles laid out [block][stat][lane], so the five
-  /// window sums of pixel i sit at (i / 4) * kPairBlock + stat * 4 + i % 4
+  /// every accumulator in registers. Both work on blocks of L = pair_lanes
+  /// output pixels: with nb = pair_blocks(n, L), a ring row holds
+  /// pair_row_doubles(n, L) doubles laid out [block][stat][lane], so the
+  /// five window sums of pixel i sit at
+  ///   (i / L) * kPairStats * L + stat * L + i % L
   /// in stat order mu_a, mu_b, m_aa, m_bb, m_ab. Every window sum starts at
   /// 0.0 and adds its kPairTaps products w * x in ascending tap order — a
   /// multiply, then an add — which is the order of the separable Gaussian.
   ///
   /// pair_stats_hpass: the horizontal window sums of one source row of
   /// n pixels (nothing to do when n == 0). The products of sample
-  /// j in [0, 4 * nb + kPairTaps - 1) are, with
+  /// j in [0, L * nb + kPairTaps - 1) are, with
   /// x = clamp(j - kPairTaps / 2, 0, n - 1), da = (double)a[x] and
   /// db = (double)b[x], in stat order
   ///   p_0(j) = da, p_1(j) = db, p_2(j) = da * da, p_3(j) = db * db,
   ///   p_4(j) = da * db.
-  /// For every pixel i in [0, 4 * nb) and stat s, the window sum of
+  /// For every pixel i in [0, L * nb) and stat s, the window sum of
   /// p_s(i + t) over taps t with weights win[t] goes to the ring row; lanes
   /// i >= n of the last block are edge-replicated padding. The products
   /// are formed one strip of kPairStrip pixels plus its halo at a time, in
@@ -153,7 +181,7 @@ struct SimdOps {
   /// row. rows[t] (t ascending) are the kPairTaps ring rows of the window,
   /// each written by pair_stats_hpass for the same n. For each pixel i in
   /// [0, n), with (mu_a, mu_b, m_aa, m_bb, m_ab) the window sums over t of
-  /// win[t] * rows[t][(i / 4) * kPairBlock + stat * 4 + i % 4]:
+  /// win[t] times the ring value of pixel i and that stat in rows[t]:
   ///   va = m_aa - mu_a * mu_a;  vb = m_bb - mu_b * mu_b;
   ///   cov = m_ab - mu_a * mu_b;
   ///   num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2);
@@ -223,6 +251,10 @@ Isa active_isa();
 /// falls back to Scalar. Not intended for concurrent use with hot loops in
 /// flight on other threads.
 Isa set_active_isa(Isa isa);
+
+/// True when the build carries `isa`'s table and this CPU (and its OS) can
+/// run it, regardless of the active selection. Scalar always can.
+bool runnable(Isa isa);
 
 /// True when the build carries a native (non-scalar) variant for this host
 /// and the CPU supports it, regardless of the active selection.

@@ -9,7 +9,7 @@
 // keep separate.
 #include "common/simd_kernels.h"
 
-#ifdef DECAM_SIMD_HAVE_AVX2
+#ifdef DECAM_SIMD_HAVE_X86
 
 #include <immintrin.h>
 
@@ -94,92 +94,58 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
   for (; i < n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 
-// Window sums stay in registers: one accumulator per stat for a block of
-// four pixels, the eleven weights broadcast once per row, each sum stored
-// once. The products are formed one strip at a time into a buffer that
-// stays in L1 (its interior strips convert with vector loads); a block's
-// unaligned products loads end inside its strip. The block's squared
-// differences join the sequential MSE sum inside the same loop, so that
-// latency chain overlaps the window arithmetic.
-double pair_stats_hpass(double* ring_row, const float* a, const float* b,
-                        const double* win, int n, double sq_sum) {
-  constexpr int kRadius = kPairTaps / 2;
-  alignas(32) double prod[kPairStats * kPairStripSamples];
-  __m256d w[kPairTaps];
-  for (int t = 0; t < kPairTaps; ++t) w[t] = _mm256_broadcast_sd(win + t);
-  const int blocks = pair_blocks(n);
-  for (int k0 = 0; k0 < blocks; k0 += kPairStripBlocks) {
-    const int strip = std::min(kPairStripBlocks, blocks - k0);
-    fill_pair_strip(prod, a, b, n, k0 * kPairLanes,
-                    strip * kPairLanes + kPairTaps - 1);
-    for (int k = 0; k < strip; ++k) {
-      const double* p = prod + k * kPairLanes;
-      __m256d acc[kPairStats];
-      for (__m256d& v : acc) v = _mm256_setzero_pd();
-      for (int t = 0; t < kPairTaps; ++t) {
-        for (int s = 0; s < kPairStats; ++s) {
-          const __m256d x = _mm256_loadu_pd(p + s * kPairStripSamples + t);
-          acc[s] = _mm256_add_pd(acc[s], _mm256_mul_pd(w[t], x));
-        }
-      }
-      double* out = ring_row + (k0 + k) * kPairBlock;
-      for (int s = 0; s < kPairStats; ++s) {
-        _mm256_storeu_pd(out + s * kPairLanes, acc[s]);
-      }
-      const __m256d d =
-          _mm256_sub_pd(_mm256_loadu_pd(p + kRadius),
-                        _mm256_loadu_pd(p + kPairStripSamples + kRadius));
-      alignas(32) double sq[kPairLanes];
-      _mm256_store_pd(sq, _mm256_mul_pd(d, d));
-      const int lanes = std::min(kPairLanes, n - (k0 + k) * kPairLanes);
-      for (int l = 0; l < lanes; ++l) sq_sum += sq[l];
-    }
+// The resize's horizontal pass on four rows, one row per lane. The rows
+// go into `work` transposed and widened, work[4 * x + r] = in[r][x], so a
+// tap is one 4-lane load, a multiply by its broadcast weight and an add.
+// Each output narrows to four floats, one per row, and every four outputs
+// transpose back into the rows.
+void resize_rows4(const KernelTap* taps, const int* offsets, int out_size,
+                  const float* const* in, int in_size, double* work,
+                  float* const* out) {
+  int x = 0;
+  for (; x + 4 <= in_size; x += 4) {
+    __m128 c0 = _mm_loadu_ps(in[0] + x);
+    __m128 c1 = _mm_loadu_ps(in[1] + x);
+    __m128 c2 = _mm_loadu_ps(in[2] + x);
+    __m128 c3 = _mm_loadu_ps(in[3] + x);
+    _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+    double* w = work + 4 * x;
+    _mm256_storeu_pd(w, _mm256_cvtps_pd(c0));
+    _mm256_storeu_pd(w + 4, _mm256_cvtps_pd(c1));
+    _mm256_storeu_pd(w + 8, _mm256_cvtps_pd(c2));
+    _mm256_storeu_pd(w + 12, _mm256_cvtps_pd(c3));
   }
-  return sq_sum;
-}
-
-// Vertical sums of one block in registers, then the SSIM map of its four
-// pixels in the same registers; only the map values leave, one scalar add
-// each so the row-major sum keeps its order.
-double pair_stats_vpass(const double* const* rows, const double* win,
-                        double c1, double c2, int n, double total) {
-  __m256d w[kPairTaps];
-  for (int t = 0; t < kPairTaps; ++t) w[t] = _mm256_broadcast_sd(win + t);
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d c1v = _mm256_set1_pd(c1);
-  const __m256d c2v = _mm256_set1_pd(c2);
-  const int blocks = pair_blocks(n);
-  for (int k = 0; k < blocks; ++k) {
-    const int off = k * kPairBlock;
-    __m256d acc[kPairStats];
-    for (__m256d& v : acc) v = _mm256_setzero_pd();
-    for (int t = 0; t < kPairTaps; ++t) {
-      const double* r = rows[t] + off;
-      for (int s = 0; s < kPairStats; ++s) {
-        const __m256d x = _mm256_loadu_pd(r + s * kPairLanes);
-        acc[s] = _mm256_add_pd(acc[s], _mm256_mul_pd(w[t], x));
-      }
-    }
-    const __m256d mu_a = acc[0];
-    const __m256d mu_b = acc[1];
-    const __m256d mu_aa = _mm256_mul_pd(mu_a, mu_a);
-    const __m256d mu_bb = _mm256_mul_pd(mu_b, mu_b);
-    const __m256d mu_ab = _mm256_mul_pd(mu_a, mu_b);
-    const __m256d va = _mm256_sub_pd(acc[2], mu_aa);
-    const __m256d vb = _mm256_sub_pd(acc[3], mu_bb);
-    const __m256d cov = _mm256_sub_pd(acc[4], mu_ab);
-    const __m256d num = _mm256_mul_pd(
-        _mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(two, mu_a), mu_b), c1v),
-        _mm256_add_pd(_mm256_mul_pd(two, cov), c2v));
-    const __m256d den = _mm256_mul_pd(
-        _mm256_add_pd(_mm256_add_pd(mu_aa, mu_bb), c1v),
-        _mm256_add_pd(_mm256_add_pd(va, vb), c2v));
-    alignas(32) double map[kPairLanes];
-    _mm256_store_pd(map, _mm256_div_pd(num, den));
-    const int lanes = std::min(kPairLanes, n - k * kPairLanes);
-    for (int l = 0; l < lanes; ++l) total += map[l];
+  for (; x < in_size; ++x) {
+    for (int r = 0; r < 4; ++r) work[4 * x + r] = in[r][x];
   }
-  return total;
+  const KernelTap* tap = taps + offsets[0];
+  const auto output = [&](int o) {
+    const KernelTap* end = taps + offsets[o + 1];
+    __m256d acc = _mm256_setzero_pd();
+    for (; tap != end; ++tap) {
+      const __m256d w = _mm256_set1_pd(static_cast<double>(tap->weight));
+      const __m256d v = _mm256_loadu_pd(work + 4 * tap->index);
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(w, v));
+    }
+    return _mm256_cvtpd_ps(acc);
+  };
+  int o = 0;
+  for (; o + 4 <= out_size; o += 4) {
+    __m128 c0 = output(o);
+    __m128 c1 = output(o + 1);
+    __m128 c2 = output(o + 2);
+    __m128 c3 = output(o + 3);
+    _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+    _mm_storeu_ps(out[0] + o, c0);
+    _mm_storeu_ps(out[1] + o, c1);
+    _mm_storeu_ps(out[2] + o, c2);
+    _mm_storeu_ps(out[3] + o, c3);
+  }
+  for (; o < out_size; ++o) {
+    alignas(16) float rows[4];
+    _mm_store_ps(rows, output(o));
+    for (int r = 0; r < 4; ++r) out[r][o] = rows[r];
+  }
 }
 
 // log_ge1 (common/simd_kernels.h) on four lanes, operation for operation.
@@ -246,12 +212,12 @@ void log_magnitudes(double* out, const double* re, const double* im, int n,
   *hi = h;
 }
 
-// The lane type of the AVX2 fft_lanes: __m256d's four doubles, spelled
-// without its may_alias attribute, which a template argument drops
-// (-Wignored-attributes). GCC and Clang give it elementwise +, - and * (a
-// double operand is broadcast), which compile to vaddpd, vsubpd and vmulpd
-// here — never a fused multiply-add, since the TU is compiled with
-// -ffp-contract=off.
+// The lane type of the AVX2 fft_lanes and pair-stats walk: __m256d's four
+// doubles, spelled without its may_alias attribute, which a template
+// argument drops (-Wignored-attributes). GCC and Clang give it elementwise
+// +, -, * and / (a double operand is broadcast), which compile to vaddpd,
+// vsubpd, vmulpd and vdivpd here — never a fused multiply-add, since the
+// TU is compiled with -ffp-contract=off.
 typedef double Pd4 __attribute__((vector_size(32)));
 
 template <>
@@ -263,6 +229,17 @@ struct LaneTraits<Pd4> {
 };
 
 static_assert(LaneTraits<Pd4>::width == kFftLanes);
+
+// The pair-stats walk on blocks of four pixels, one Pd4 per stat.
+double pair_stats_hpass(double* ring_row, const float* a, const float* b,
+                        const double* win, int n, double sq_sum) {
+  return pair_stats_hpass_lanes<Pd4>(ring_row, a, b, win, n, sq_sum);
+}
+
+double pair_stats_vpass(const double* const* rows, const double* win,
+                        double c1, double c2, int n, double total) {
+  return pair_stats_vpass_lanes<Pd4>(rows, win, c1, c2, n, total);
+}
 
 void fft_lanes(const FftLanePlan& plan, double* re, double* im,
                double* work) {
@@ -292,9 +269,10 @@ void median3_u8(float* out, const std::uint8_t* r0, const std::uint8_t* r1,
 
 const SimdOps& avx2_ops() {
   static const SimdOps ops = {
-      "avx2", weighted_assign_f32, weighted_init_f64, weighted_add_f64,
-      weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      pair_stats_hpass, pair_stats_vpass, log_magnitudes,
+      "avx2", 4, weighted_assign_f32, weighted_init_f64,
+      weighted_add_f64, weighted_finish_f32, tap_accumulate_f32,
+      narrow_f64_f32, resize_rows4, pair_stats_hpass, pair_stats_vpass,
+      log_magnitudes,
       fft_lanes, deinterleave_u8, grid8_u8, median3_u8,
   };
   return ops;
@@ -302,4 +280,4 @@ const SimdOps& avx2_ops() {
 
 }  // namespace decam::simd::detail
 
-#endif  // DECAM_SIMD_HAVE_AVX2
+#endif  // DECAM_SIMD_HAVE_X86

@@ -1,14 +1,16 @@
 // Internal: the per-ISA kernel tables linked into decam_simd. Whether the
-// AVX2 table exists is decided at configure time (src/CMakeLists.txt adds
-// its translation unit on x86-64 only) and communicated with the
-// DECAM_SIMD_HAVE_AVX2 definition; the dispatcher (simd.cpp) only
-// references tables that were actually compiled.
+// AVX2 and AVX-512 tables exist is decided at configure time
+// (src/CMakeLists.txt adds their translation units on x86-64 only) and
+// communicated with the DECAM_SIMD_HAVE_X86 definition; the dispatcher
+// (simd.cpp) only references tables that were actually compiled.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/simd.h"
 
@@ -48,6 +50,117 @@ inline void fill_pair_strip(double* prod, const float* a, const float* b,
       put(j, a[x], b[x]);
     }
   }
+}
+
+// The pair-stats walk's two passes (common/simd.h) on one vector type V of
+// L doubles, written once for the AVX2 (L = 4) and AVX-512 (L = 8) tables:
+// V is a GCC vector, whose elementwise +, -, * and / compile to the
+// table's vaddpd, vsubpd, vmulpd and vdivpd — never a fused multiply-add,
+// since every table's TU is compiled with -ffp-contract=off. The scalar
+// table keeps its own loops (each window sum's taps innermost).
+template <class V>
+V load_lanes(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <class V>
+void store_lanes(double* p, V v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+template <class V>
+V broadcast_lanes(double x) {
+  V v;
+  for (std::size_t l = 0; l < sizeof v / sizeof x; ++l) v[l] = x;
+  return v;
+}
+
+// Window sums stay in registers: one accumulator per stat for a block of L
+// pixels, the eleven weights broadcast once per row, each sum stored once.
+// The products are formed one strip of kPairStrip pixels at a time into a
+// buffer that stays in L1 (its interior strips convert with vector
+// loads); a block's unaligned products loads end inside its strip. The
+// block's squared differences join the sequential MSE sum inside the same
+// loop, so that latency chain overlaps the window arithmetic.
+template <class V>
+double pair_stats_hpass_lanes(double* ring_row, const float* a,
+                              const float* b, const double* win, int n,
+                              double sq_sum) {
+  constexpr int kLanes = sizeof(V) / sizeof(double);
+  constexpr int kStripBlocks = kPairStrip / kLanes;
+  constexpr int kRadius = kPairTaps / 2;
+  alignas(64) double prod[kPairStats * kPairStripSamples];
+  V w[kPairTaps];
+  for (int t = 0; t < kPairTaps; ++t) w[t] = broadcast_lanes<V>(win[t]);
+  const int blocks = pair_blocks(n, kLanes);
+  for (int k0 = 0; k0 < blocks; k0 += kStripBlocks) {
+    const int strip = std::min(kStripBlocks, blocks - k0);
+    fill_pair_strip(prod, a, b, n, k0 * kLanes,
+                    strip * kLanes + kPairTaps - 1);
+    for (int k = 0; k < strip; ++k) {
+      const double* p = prod + k * kLanes;
+      V acc[kPairStats] = {};
+      for (int t = 0; t < kPairTaps; ++t) {
+        for (int s = 0; s < kPairStats; ++s) {
+          const V x = load_lanes<V>(p + s * kPairStripSamples + t);
+          acc[s] = acc[s] + w[t] * x;
+        }
+      }
+      double* out = ring_row + (k0 + k) * kPairStats * kLanes;
+      for (int s = 0; s < kPairStats; ++s) {
+        store_lanes(out + s * kLanes, acc[s]);
+      }
+      const V d = load_lanes<V>(p + kRadius) -
+                  load_lanes<V>(p + kPairStripSamples + kRadius);
+      alignas(64) double sq[kLanes];
+      store_lanes(sq, d * d);
+      const int lanes = std::min(kLanes, n - (k0 + k) * kLanes);
+      for (int l = 0; l < lanes; ++l) sq_sum += sq[l];
+    }
+  }
+  return sq_sum;
+}
+
+// Vertical sums of one block in registers, then the SSIM map of its L
+// pixels in the same registers; only the map values leave, one scalar add
+// each so the row-major sum keeps its order.
+template <class V>
+double pair_stats_vpass_lanes(const double* const* rows, const double* win,
+                              double c1, double c2, int n, double total) {
+  constexpr int kLanes = sizeof(V) / sizeof(double);
+  V w[kPairTaps];
+  for (int t = 0; t < kPairTaps; ++t) w[t] = broadcast_lanes<V>(win[t]);
+  const V two = broadcast_lanes<V>(2.0);
+  const V c1v = broadcast_lanes<V>(c1);
+  const V c2v = broadcast_lanes<V>(c2);
+  const int blocks = pair_blocks(n, kLanes);
+  for (int k = 0; k < blocks; ++k) {
+    const int off = k * kPairStats * kLanes;
+    V acc[kPairStats] = {};
+    for (int t = 0; t < kPairTaps; ++t) {
+      const double* r = rows[t] + off;
+      for (int s = 0; s < kPairStats; ++s) {
+        acc[s] = acc[s] + w[t] * load_lanes<V>(r + s * kLanes);
+      }
+    }
+    const V mu_a = acc[0];
+    const V mu_b = acc[1];
+    const V mu_aa = mu_a * mu_a;
+    const V mu_bb = mu_b * mu_b;
+    const V mu_ab = mu_a * mu_b;
+    const V va = acc[2] - mu_aa;
+    const V vb = acc[3] - mu_bb;
+    const V cov = acc[4] - mu_ab;
+    const V num = (two * mu_a * mu_b + c1v) * (two * cov + c2v);
+    const V den = (mu_aa + mu_bb + c1v) * (va + vb + c2v);
+    alignas(64) double map[kLanes];
+    store_lanes(map, num / den);
+    const int lanes = std::min(kLanes, n - k * kLanes);
+    for (int l = 0; l < lanes; ++l) total += map[l];
+  }
+  return total;
 }
 
 // The bias of the exponent split in log_ge1: the bits of sqrt(1/2).
@@ -218,9 +331,13 @@ inline void median3_u8_body(float* out, const std::uint8_t* r0,
 /// the exact elementwise sequence of the SimdOps contract on every host.
 const SimdOps& scalar_ops();
 
-#ifdef DECAM_SIMD_HAVE_AVX2
+#ifdef DECAM_SIMD_HAVE_X86
 /// AVX2 table (x86-64 only; callers must verify cpu support first).
 const SimdOps& avx2_ops();
+/// AVX-512 table: the AVX2 table's entries but for the pair-stats walk,
+/// which runs on blocks of eight pixels (x86-64 only; callers must verify
+/// cpu support for both first).
+const SimdOps& avx512_ops();
 #endif
 
 }  // namespace decam::simd::detail

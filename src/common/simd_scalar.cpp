@@ -46,28 +46,50 @@ void narrow_f64_f32(float* out, const double* acc, int n) {
   for (int i = 0; i < n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 
-// Both passes run each window sum's taps innermost, so the compiler keeps
-// the sum in a register; tap-outer sweeps over a block's twenty sums
-// compiled to memory round trips and ran at half the speed.
+// apply_kernel's contiguous loop, once per row.
+void resize_rows4(const KernelTap* taps, const int* offsets, int out_size,
+                  const float* const* in, int /*in_size*/, double* /*work*/,
+                  float* const* out) {
+  for (int r = 0; r < 4; ++r) {
+    const KernelTap* tap = taps + offsets[0];
+    for (int o = 0; o < out_size; ++o) {
+      const KernelTap* end = taps + offsets[o + 1];
+      double acc = 0.0;
+      for (; tap != end; ++tap) {
+        acc += static_cast<double>(tap->weight) * in[r][tap->index];
+      }
+      out[r][o] = static_cast<float>(acc);
+    }
+  }
+}
+
+// The walk on blocks of four pixels. Both passes run each window sum's
+// taps innermost, so the compiler keeps the sum in a register; tap-outer
+// sweeps over a block's twenty sums compiled to memory round trips and ran
+// at half the speed.
+constexpr int kLanes = 4;
+constexpr int kBlock = kPairStats * kLanes;
+constexpr int kStripBlocks = kPairStrip / kLanes;
+
 double pair_stats_hpass(double* ring_row, const float* a, const float* b,
                         const double* win, int n, double sq_sum) {
   double prod[kPairStats * kPairStripSamples];
-  const int blocks = pair_blocks(n);
-  for (int k0 = 0; k0 < blocks; k0 += kPairStripBlocks) {
-    const int strip = std::min(kPairStripBlocks, blocks - k0);
-    fill_pair_strip(prod, a, b, n, k0 * kPairLanes,
-                    strip * kPairLanes + kPairTaps - 1);
+  const int blocks = pair_blocks(n, kLanes);
+  for (int k0 = 0; k0 < blocks; k0 += kStripBlocks) {
+    const int strip = std::min(kStripBlocks, blocks - k0);
+    fill_pair_strip(prod, a, b, n, k0 * kLanes,
+                    strip * kLanes + kPairTaps - 1);
     for (int k = 0; k < strip; ++k) {
-      double* out = ring_row + (k0 + k) * kPairBlock;
+      double* out = ring_row + (k0 + k) * kBlock;
       for (int s = 0; s < kPairStats; ++s) {
-        for (int l = 0; l < kPairLanes; ++l) {
-          const double* p = prod + s * kPairStripSamples + k * kPairLanes + l;
+        for (int l = 0; l < kLanes; ++l) {
+          const double* p = prod + s * kPairStripSamples + k * kLanes + l;
           double acc = 0.0;
           for (int t = 0; t < kPairTaps; ++t) {
             const double v = win[t] * p[t];
             acc += v;
           }
-          out[s * kPairLanes + l] = acc;
+          out[s * kLanes + l] = acc;
         }
       }
     }
@@ -81,23 +103,23 @@ double pair_stats_hpass(double* ring_row, const float* a, const float* b,
 
 double pair_stats_vpass(const double* const* rows, const double* win,
                         double c1, double c2, int n, double total) {
-  for (int k = 0; k < pair_blocks(n); ++k) {
-    double sums[kPairBlock];
-    for (int j = 0; j < kPairBlock; ++j) {
+  for (int k = 0; k < pair_blocks(n, kLanes); ++k) {
+    double sums[kBlock];
+    for (int j = 0; j < kBlock; ++j) {
       double acc = 0.0;
       for (int t = 0; t < kPairTaps; ++t) {
-        const double v = win[t] * rows[t][k * kPairBlock + j];
+        const double v = win[t] * rows[t][k * kBlock + j];
         acc += v;
       }
       sums[j] = acc;
     }
-    const int lanes = std::min(kPairLanes, n - k * kPairLanes);
+    const int lanes = std::min(kLanes, n - k * kLanes);
     for (int l = 0; l < lanes; ++l) {
       const double mu_a = sums[l];
-      const double mu_b = sums[kPairLanes + l];
-      const double va = sums[2 * kPairLanes + l] - mu_a * mu_a;
-      const double vb = sums[3 * kPairLanes + l] - mu_b * mu_b;
-      const double cov = sums[4 * kPairLanes + l] - mu_a * mu_b;
+      const double mu_b = sums[kLanes + l];
+      const double va = sums[2 * kLanes + l] - mu_a * mu_a;
+      const double vb = sums[3 * kLanes + l] - mu_b * mu_b;
+      const double cov = sums[4 * kLanes + l] - mu_a * mu_b;
       const double num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2);
       const double den = (mu_a * mu_a + mu_b * mu_b + c1) * (va + vb + c2);
       total += num / den;
@@ -179,9 +201,10 @@ void median3_u8(float* out, const std::uint8_t* r0, const std::uint8_t* r1,
 
 const SimdOps& scalar_ops() {
   static const SimdOps ops = {
-      "scalar", weighted_assign_f32, weighted_init_f64, weighted_add_f64,
-      weighted_finish_f32, tap_accumulate_f32, narrow_f64_f32,
-      pair_stats_hpass, pair_stats_vpass, log_magnitudes,
+      "scalar", kLanes, weighted_assign_f32, weighted_init_f64,
+      weighted_add_f64, weighted_finish_f32, tap_accumulate_f32,
+      narrow_f64_f32, resize_rows4, pair_stats_hpass, pair_stats_vpass,
+      log_magnitudes,
       fft_lanes, deinterleave_u8, grid8_u8, median3_u8,
   };
   return ops;

@@ -28,6 +28,7 @@
 
 #include "common/cache_stats.h"
 #include "common/error.h"
+#include "common/simd.h"
 
 namespace decam {
 
@@ -42,11 +43,11 @@ enum class ScaleAlgo {
 
 const char* to_string(ScaleAlgo algo);
 
-/// One weighted source sample contributing to an output sample.
-struct Tap {
-  int index;     // clamped source index in [0, in_size)
-  float weight;  // kernel weight; weights of one output sample sum to 1
-};
+/// One weighted source sample contributing to an output sample: its
+/// clamped source index in [0, in_size) and its kernel weight (the weights
+/// of one output sample sum to 1). simd::KernelTap (common/simd.h), so the
+/// SIMD tables' resize_rows4 reads a table's taps as they are.
+using Tap = simd::KernelTap;
 
 /// Tap lists for every output index of a 1-D resample, flattened: the taps
 /// of output sample o live at taps[offsets[o] .. offsets[o+1]).

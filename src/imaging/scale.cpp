@@ -1,6 +1,7 @@
 #include "imaging/scale.h"
 
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "common/simd.h"
@@ -15,12 +16,14 @@ std::atomic<std::uint64_t> g_scratch_bytes{0};
 }  // namespace
 
 // One thread's resize scratch: the horizontal pass (out_width x src height
-// per channel), the vertical pass's double accumulator row and the row
-// that row() hands out. Kept across calls, so a resize of a geometry seen
-// before allocates nothing but its output (a small block per call moved
-// the planes' placement and cost the 192² kernel_bench resizes 10-20%).
+// per channel), the four-row pass's transposed source rows, the vertical
+// pass's double accumulator row and the row that row() hands out. Kept
+// across calls, so a resize of a geometry seen before allocates nothing but
+// its output (a small block per call moved the planes' placement and cost
+// the 192² kernel_bench resizes 10-20%).
 struct ResizeScratch {
   std::vector<float, DefaultInitAllocator<float>> mid;
+  std::vector<double, DefaultInitAllocator<double>> lanes;
   std::vector<double, DefaultInitAllocator<double>> acc;
   std::vector<float, DefaultInitAllocator<float>> row;
   std::vector<char> read;  // source rows some vertical tap names
@@ -52,18 +55,40 @@ ResizeRows::ResizeRows(const Image& src, int out_width, int out_height,
   }
   size_exactly(scratch.mid,
                mid_plane_ * static_cast<std::size_t>(src.channels()));
+  // The rows it needs go four at a time through the table's four-row pass
+  // (SimdOps::resize_rows4, one row per lane), whose transposed rows start
+  // on a 32-byte boundary; the 0-3 rows left of a plane take apply_kernel.
+  // Both compute each sample as apply_kernel does, so the grouping leaves
+  // every output bit unchanged.
+  const std::size_t lane_doubles = 4 * static_cast<std::size_t>(src.width());
+  size_exactly(scratch.lanes, lane_doubles + 3);
+  void* lanes_start = scratch.lanes.data();
+  std::size_t lanes_bytes = scratch.lanes.size() * sizeof(double);
+  double* const lanes = static_cast<double*>(std::align(
+      32, lane_doubles * sizeof(double), lanes_start, lanes_bytes));
+  const simd::SimdOps& ops = simd::ops();
   for (int c = 0; c < src.channels(); ++c) {
     float* plane =
         scratch.mid.data() + static_cast<std::size_t>(c) * mid_plane_;
+    const float* in[4];
+    float* out[4];
+    int group = 0;
     for (int y = 0; y < src.height(); ++y) {
       if (!scratch.read[static_cast<std::size_t>(y)]) continue;
-      apply_kernel(*horiz, src.row(y, c).data(), 1,
-                   plane + static_cast<std::size_t>(y) * w, 1);
+      in[group] = src.row(y, c).data();
+      out[group] = plane + static_cast<std::size_t>(y) * w;
+      if (++group == 4) {
+        ops.resize_rows4(horiz->taps.data(), horiz->offsets.data(),
+                         out_width, in, src.width(), lanes, out);
+        group = 0;
+      }
     }
+    for (int r = 0; r < group; ++r) apply_kernel(*horiz, in[r], 1, out[r], 1);
   }
   size_exactly(scratch.acc, w);
   size_exactly(scratch.row, w);
   scratch.share.set(scratch.mid.capacity() * sizeof(float) +
+                    scratch.lanes.capacity() * sizeof(double) +
                     scratch.acc.capacity() * sizeof(double) +
                     scratch.row.capacity() * sizeof(float) +
                     scratch.read.capacity());

@@ -16,9 +16,10 @@ namespace decam {
 struct ResizeScratch;
 
 /// resize(src, out_width, out_height, algo) one output row at a time. The
-/// constructor runs the horizontal pass into the calling thread's resize
-/// scratch (kept across calls, counted as `mem/resize_scratch_bytes`), and
-/// each row is one vertical pass over it. resize() stores every row into a
+/// constructor runs the horizontal pass, four source rows at a time
+/// (SimdOps::resize_rows4, each row as apply_kernel computes it), into the
+/// calling thread's resize scratch (kept across calls, counted as
+/// `mem/resize_scratch_bytes`), and each row is one vertical pass over it. resize() stores every row into a
 /// plane; the scaling detector folds each row of its round trip straight
 /// into its reduction, so that plane is never stored. Rows may be asked
 /// for in any order. One ResizeRows per thread at a time: a second one

@@ -18,8 +18,9 @@ std::atomic<std::uint64_t> g_workspace_bytes{0};
 
 // The calling thread's scratch for the walk, sized on first use and reused
 // across images. `ring` holds the horizontal window sums of the 11 most
-// recent source rows, pixel-blocked [block][stat][4 lanes]
-// (common/simd.h), with a row stride kept off multiples of 4 KiB. The
+// recent source rows, pixel-blocked [block][stat][lane] with the active
+// table's lanes (common/simd.h), with a row stride kept off multiples of
+// 4 KiB. The
 // products the horizontal taps read (a, b, a², b², ab as doubles) live in
 // pair_stats_hpass's own strip buffer, one L1-sized strip at a time.
 struct PairStatsWorkspace {
@@ -64,13 +65,16 @@ double fused_plane(const Image& a, RowSource& b, int c,
   const int height = a.height();
   const std::array<double, kTaps>& win = ssim_window();
   const simd::SimdOps& ops = simd::ops();
-  // The vertical pass reads the same block of all 11 ring rows; a row
-  // stride of a multiple of 4 KiB would map them onto one L1 set. Rows
-  // start on a cache line (7 doubles of slack to align the ring), so no
-  // 4-lane ring access straddles two.
-  std::size_t stride =
-      static_cast<std::size_t>(simd::pair_blocks(width)) * simd::kPairBlock;
-  if (stride % (4096 / sizeof(double)) == 0) stride += simd::kPairBlock;
+  // The ring's blocks are the active table's: 4 or 8 pixels
+  // (SimdOps::pair_lanes). The vertical pass reads the same block of all
+  // 11 ring rows; a row stride of a multiple of 4 KiB would map them onto
+  // one L1 set. Rows start on a cache line (7 doubles of slack to align the
+  // ring), and a block is a whole number of lane vectors, so no ring access
+  // straddles two lines.
+  const std::size_t block =
+      static_cast<std::size_t>(simd::kPairStats * ops.pair_lanes);
+  std::size_t stride = simd::pair_row_doubles(width, ops.pair_lanes);
+  if (stride % (4096 / sizeof(double)) == 0) stride += block;
   ws.ring.resize(stride * kTaps + 7);
   void* ring_start = ws.ring.data();
   std::size_t ring_bytes = ws.ring.size() * sizeof(double);

@@ -7,7 +7,8 @@
 // fused pass widens each source pixel and forms its products one L1-sized
 // strip of 64 pixels at a time (the 10-sample halo twice). The
 // horizontal pass then sums the 11 taps of the five windowed sums SSIM
-// needs (μ_a, μ_b, a², b², ab) for a block of four pixels in registers and
+// needs (μ_a, μ_b, a², b², ab) for a block of four pixels (eight on the
+// AVX-512 table) in registers and
 // stores each sum once into a ring of 11 rows; the vertical pass sums a
 // block's 11 ring rows in registers and evaluates the SSIM map there, while
 // the rows are still cache-hot. The squared-difference accumulator for MSE

@@ -8,10 +8,13 @@
 // samples and must match bit-for-bit, min/max down to the sign of a zero
 // (the window's first extremum); gaussian_blur and pair_stats keep the
 // exact per-accumulator arithmetic sequence and must also match
-// bit-for-bit; resize may re-associate double additions, so it gets a
-// max-abs-diff budget of 1e-6 of full scale (inputs live in [0, 255]).
+// bit-for-bit; against the column-strided reference, resize gets a
+// max-abs-diff budget of 1e-6 of full scale (inputs live in [0, 255]),
+// and against its own two-pass sequence (apply_kernel on every row, then
+// the vertical row ops) it must match bit for bit on every SIMD table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,6 +29,7 @@
 #include "common/simd.h"
 #include "core/steganalysis_detector.h"
 #include "data/rng.h"
+#include "forced_isa.h"
 #include "imaging/filter.h"
 #include "imaging/kernels.h"
 #include "imaging/scale.h"
@@ -476,6 +480,204 @@ TEST(ResizeParity, LargeDownscaleSkipsOnlyUntappedRows) {
   }
 }
 
+// resize() as it ran before its four-row horizontal pass: apply_kernel on
+// every source row, then the vertical pass as ResizeRows::write_row runs it
+// on the active table (the first tap's row assigned or started, the middle
+// ones added, the last one finishing the sum and the cast). Bit for bit
+// what resize() and ResizeRows return, NaN payloads included.
+Image two_pass_resize(const Image& src, int out_w, int out_h, ScaleAlgo algo) {
+  const simd::SimdOps& ops = simd::ops();
+  const KernelTable horiz = make_kernel_table(src.width(), out_w, algo);
+  const KernelTable vert = make_kernel_table(src.height(), out_h, algo);
+  Image mid(out_w, src.height(), src.channels());
+  Image out(out_w, out_h, src.channels());
+  std::vector<double> acc(static_cast<std::size_t>(out_w));
+  for (int c = 0; c < src.channels(); ++c) {
+    for (int y = 0; y < src.height(); ++y) {
+      apply_kernel(horiz, src.row(y, c).data(), 1, mid.row(y, c).data(), 1);
+    }
+    for (int y = 0; y < out_h; ++y) {
+      const auto taps = vert.row(y);
+      const std::size_t n = taps.size();
+      const auto in = [&](std::size_t t) {
+        return mid.row(taps[t].index, c).data();
+      };
+      float* row = out.row(y, c).data();
+      if (n == 1) {
+        ops.weighted_assign_f32(row, in(0), taps[0].weight, out_w);
+        continue;
+      }
+      ops.weighted_init_f64(acc.data(), in(0), taps[0].weight, out_w);
+      for (std::size_t t = 1; t + 1 < n; ++t) {
+        ops.weighted_add_f64(acc.data(), in(t), taps[t].weight, out_w);
+      }
+      ops.weighted_finish_f32(row, acc.data(), in(n - 1), taps[n - 1].weight,
+                              out_w);
+    }
+  }
+  return out;
+}
+
+void expect_same_bits(const float* got, const float* want, int n,
+                      const std::string& what) {
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " at " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+void expect_same_bits(const Image& got, const Image& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.width(), want.width()) << what;
+  ASSERT_EQ(got.height(), want.height()) << what;
+  ASSERT_EQ(got.channels(), want.channels()) << what;
+  for (int c = 0; c < want.channels(); ++c) {
+    for (int y = 0; y < want.height(); ++y) {
+      expect_same_bits(got.row(y, c).data(), want.row(y, c).data(),
+                       want.width(),
+                       what + " row " + std::to_string(y) + " channel " +
+                           std::to_string(c));
+    }
+  }
+}
+
+constexpr ScaleAlgo kAllAlgos[] = {ScaleAlgo::Nearest, ScaleAlgo::Bilinear,
+                                   ScaleAlgo::Bicubic, ScaleAlgo::Area,
+                                   ScaleAlgo::Lanczos4};
+
+// Random samples in [-255, 255] with -0.0, NaN and +-Inf planted: 1 in 16
+// samples is special, so most windows hold none and some hold two.
+std::vector<float> special_row(int n, std::uint64_t seed) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            kInf, -kInf};
+  data::Rng rng(seed);
+  std::vector<float> row(static_cast<std::size_t>(n));
+  for (float& v : row) {
+    v = static_cast<float>(rng.next_range(-255.0, 255.0));
+    if (rng.next_range(0.0, 16.0) < 1.0) {
+      v = specials[static_cast<int>(rng.next_range(0.0, 4.0)) % 4];
+    }
+  }
+  return row;
+}
+
+// The four-row horizontal pass of every runnable table against
+// apply_kernel, bit for bit: every scaler, sources of 1-3 samples (where
+// clamped border taps coalesce) up to 1021, output widths 1-9 (every tail
+// after the four-output transpose), 224, 512 and 1021, and rows holding
+// -0.0, NaN and infinities besides ordinary samples. One row is all -0.0,
+// so a pass that skipped the 0.0 each sum starts from would return -0.0.
+// Buffers are sized exactly, so a sanitizer build sees an access past one.
+TEST(ResizeParity, FourRowPassMatchesApplyKernelBitForBit) {
+  const int in_sizes[] = {1, 2, 3, 7, 224, 1021};
+  const int out_sizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 224, 512, 1021};
+  for (const simd::Isa isa : testref::runnable_isas()) {
+    const testref::ForcedIsa forced(isa);
+    ASSERT_TRUE(forced.active());
+    const simd::SimdOps& ops = simd::ops();
+    std::uint64_t seed = 7000;
+    for (const ScaleAlgo algo : kAllAlgos) {
+      for (const int in_size : in_sizes) {
+        std::vector<std::vector<float>> rows;
+        for (int r = 0; r < 3; ++r) {
+          rows.push_back(special_row(in_size, ++seed));
+        }
+        rows.emplace_back(static_cast<std::size_t>(in_size), -0.0f);
+        for (const int out_size : out_sizes) {
+          const KernelTable table = make_kernel_table(in_size, out_size, algo);
+          // The all -0.0 row takes each lane in turn.
+          std::rotate(rows.begin(), rows.begin() + 1, rows.end());
+          std::vector<std::vector<float>> got(
+              4, std::vector<float>(static_cast<std::size_t>(out_size)));
+          std::vector<double> work(4 * static_cast<std::size_t>(in_size));
+          const float* in[4];
+          float* out[4];
+          for (int r = 0; r < 4; ++r) {
+            in[r] = rows[static_cast<std::size_t>(r)].data();
+            out[r] = got[static_cast<std::size_t>(r)].data();
+          }
+          ops.resize_rows4(table.taps.data(), table.offsets.data(), out_size,
+                           in, in_size, work.data(), out);
+          for (int r = 0; r < 4; ++r) {
+            std::vector<float> want(static_cast<std::size_t>(out_size));
+            apply_kernel(table, in[r], 1, want.data(), 1);
+            expect_same_bits(out[r], want.data(), out_size,
+                             std::string(ops.name) + " " + to_string(algo) +
+                                 " " + std::to_string(in_size) + "->" +
+                                 std::to_string(out_size) + " row " +
+                                 std::to_string(r));
+          }
+        }
+      }
+    }
+  }
+}
+
+// ResizeRows runs the source rows it needs four at a time and the 0-3 left
+// of each plane through apply_kernel. Sources of 1-9 rows, kept, grown or
+// halved vertically, run every leftover count after 0-2 whole groups, on
+// every runnable table, with special samples planted.
+TEST(ResizeParity, RowGroupsMatchTwoPassReference) {
+  std::uint64_t seed = 8000;
+  for (const simd::Isa isa : testref::runnable_isas()) {
+    const testref::ForcedIsa forced(isa);
+    ASSERT_TRUE(forced.active());
+    for (int h = 1; h <= 9; ++h) {
+      Image img = Image::uninitialized(13, h, 2);
+      for (int c = 0; c < 2; ++c) {
+        const std::vector<float> plane = special_row(13 * h, ++seed);
+        std::copy(plane.begin(), plane.end(), img.plane(c).begin());
+      }
+      for (const ScaleAlgo algo : kAllAlgos) {
+        for (const int out_h : {h, h + 3, std::max(1, h / 2)}) {
+          for (const int out_w : {1, 5, 9, 24}) {
+            const std::string what =
+                std::string(simd::to_string(isa)) + " " + to_string(algo) +
+                " 13x" + std::to_string(h) + "->" + std::to_string(out_w) +
+                "x" + std::to_string(out_h);
+            expect_same_bits(resize(img, out_w, out_h, algo),
+                             two_pass_resize(img, out_w, out_h, algo), what);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The scan's geometries to and from the 224² model input keep their bits
+// on every runnable table, through resize() and through the rows
+// ResizeRows hands out.
+TEST(ResizeParity, ScanGeometriesMatchTwoPassReference) {
+  const std::pair<int, int> sides[] = {
+      {333, 301}, {448, 448}, {512, 512}, {640, 480}, {1024, 768}};
+  const Image small = random_image(224, 224, 3, 9000);
+  for (const simd::Isa isa : testref::runnable_isas()) {
+    const testref::ForcedIsa forced(isa);
+    ASSERT_TRUE(forced.active());
+    for (const auto& [w, h] : sides) {
+      const Image big = random_image(w, h, 3, 9001u + w);
+      for (const ScaleAlgo algo : kAllAlgos) {
+        const std::string what = std::string(simd::to_string(isa)) + " " +
+                                 to_string(algo) + " " + std::to_string(w) +
+                                 "x" + std::to_string(h);
+        expect_same_bits(resize(big, 224, 224, algo),
+                         two_pass_resize(big, 224, 224, algo), what + " down");
+        const Image want = two_pass_resize(small, w, h, algo);
+        expect_same_bits(resize(small, w, h, algo), want, what + " up");
+        ResizeRows rows(small, w, h, algo);
+        for (int c = 0; c < 3; ++c) {
+          for (int y = 0; y < h; ++y) {
+            expect_same_bits(rows.row(y, c), want.row(y, c).data(), w,
+                             what + " rows " + std::to_string(y));
+          }
+        }
+      }
+    }
+  }
+}
+
 // The fused walk against the definition, bit for bit, on shapes the
 // battery goldens never reach: a partial last 4-pixel block (every width
 // mod 4), images narrower or shorter than the 11-tap window, 1-pixel
@@ -483,7 +685,7 @@ TEST(ResizeParity, LargeDownscaleSkipsOnlyUntappedRows) {
 // products strips (S = kPairStrip pixels), where the clamped first and last
 // strips meet or are one, batch_mixed's 333x301 and a 1021-wide strip of
 // many products strips.
-TEST(PairStatsParity, OddShapesMatchDefinitionExactly) {
+void check_pair_stats_odd_shapes() {
   constexpr int S = simd::kPairStrip;
   const std::pair<int, int> shapes[] = {
       {1, 1},     {1, 17},    {17, 1},     {3, 5},     {4, 4},
@@ -507,6 +709,18 @@ TEST(PairStatsParity, OddShapesMatchDefinitionExactly) {
       }
     }
   }
+}
+
+TEST(PairStatsParity, OddShapesMatchDefinitionExactly) {
+  check_pair_stats_odd_shapes();
+}
+
+// The same shapes on the AVX-512 table, whose walk runs blocks of eight
+// pixels: every width mod 8 and strips of eight blocks.
+TEST(PairStatsParity, OddShapesMatchDefinitionOnAvx512) {
+  const testref::ForcedIsa forced(simd::Isa::Avx512);
+  if (!forced.active()) GTEST_SKIP() << "no AVX-512 table on this host";
+  check_pair_stats_odd_shapes();
 }
 
 // The CSP walk over the spectrum stage against the chain it replaced

@@ -7,7 +7,9 @@
 // pinned independently of the row fold. Shapes cover 1-pixel strips, 2x2,
 // images narrower or shorter than the window, every width mod 4,
 // batch_mixed's 333x301 and a large odd 1021x1003. The
-// simd_dispatch_row_parity ctest reruns the suite on the scalar table.
+// simd_dispatch_row_parity and simd_dispatch_avx2_row_parity ctests rerun
+// the suite on the scalar and the AVX2 table, and the *OnAvx512 cases run
+// it on the AVX-512 table where the host has one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "core/filtering_detector.h"
 #include "core/scaling_detector.h"
 #include "data/rng.h"
+#include "forced_isa.h"
 #include "imaging/filter.h"
 #include "imaging/scale.h"
 #include "metrics/fused.h"
@@ -77,7 +80,7 @@ void expect_same(const PairStats& got, const PairStats& want,
 // The deployed geometry on large inputs, half the side on small ones.
 int down_side(int side) { return side > 224 ? 224 : std::max(1, side / 2); }
 
-TEST(RowParity, StreamedRoundTripMatchesStoredPlane) {
+void check_streamed_round_trip() {
   std::uint64_t seed = 1;
   for (const ScaleAlgo algo :
        {ScaleAlgo::Nearest, ScaleAlgo::Bilinear, ScaleAlgo::Bicubic,
@@ -116,7 +119,7 @@ TEST(RowParity, StreamedRoundTripMatchesStoredPlane) {
   }
 }
 
-TEST(RowParity, StreamedRankRowsFeedPairStats) {
+void check_streamed_rank_rows() {
   std::uint64_t seed = 100;
   for (const RankOp op : {RankOp::Min, RankOp::Max}) {
     for (const int k : {2, 3, 5, 9}) {
@@ -145,6 +148,26 @@ TEST(RowParity, StreamedRankRowsFeedPairStats) {
       }
     }
   }
+}
+
+TEST(RowParity, StreamedRoundTripMatchesStoredPlane) {
+  check_streamed_round_trip();
+}
+
+TEST(RowParity, StreamedRankRowsFeedPairStats) { check_streamed_rank_rows(); }
+
+// Both again on the AVX-512 table, whose pair-stats walk runs blocks of
+// eight pixels, whatever table the run dispatched.
+TEST(RowParity, StreamedRoundTripOnAvx512) {
+  const testref::ForcedIsa forced(simd::Isa::Avx512);
+  if (!forced.active()) GTEST_SKIP() << "no AVX-512 table on this host";
+  check_streamed_round_trip();
+}
+
+TEST(RowParity, StreamedRankRowsOnAvx512) {
+  const testref::ForcedIsa forced(simd::Isa::Avx512);
+  if (!forced.active()) GTEST_SKIP() << "no AVX-512 table on this host";
+  check_streamed_rank_rows();
 }
 
 // A 1x1 window hands out the input's own rows, as rank_filter(img, 1, op)
